@@ -46,7 +46,6 @@ from .geometry import (
     gauge_project,
     min_slack,
     pair_slack,
-    slack_gradients,
     volume_gradient,
 )
 from .harness import (
@@ -62,13 +61,11 @@ from .harness import (
     save_state,
 )
 from .projection import (
-    LinearizedConstraint,
     QPSolution,
     QuadraticProgram,
     e_project_joint,
     e_project_x,
     gs_project_once,
-    linearize_constraints,
     solve_qp,
 )
 from .rigidity import (

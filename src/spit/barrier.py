@@ -29,16 +29,11 @@ from .geometry import (
 
 @dataclass(frozen=True)
 class BarrierParams:
-    """Barrier strength nu, safety margin delta, interaction radius R.
-
-    `slack_cap` is the upper slack bound used when assembling closed-form
-    curvature constants; left as None it is taken from the state at call time.
-    """
+    """Barrier strength nu, safety margin delta, interaction radius R."""
 
     nu: float
     delta: float
     R: float
-    slack_cap: float | None = None
 
     def __post_init__(self):
         # the boundary delta = 1 is admissible for formula-level use; run
@@ -49,8 +44,6 @@ class BarrierParams:
             raise ValueError("nu must be positive")
         if self.R < 0.0:
             raise ValueError("interaction radius must be nonnegative")
-        if self.slack_cap is not None and self.slack_cap < self.delta:
-            raise ValueError("slack cap below delta")
 
 
 def phi(s, p: BarrierParams):
@@ -79,10 +72,6 @@ class BarrierEval:
     grad_B: np.ndarray
     contacts: Contacts
     slack: np.ndarray
-
-    @property
-    def slacks(self) -> dict:
-        return {self.contacts.index(k): float(self.slack[k]) for k in range(len(self.contacts))}
 
 
 def _included(state: PackingState, shifts: ShiftIndexSet, p: BarrierParams,

@@ -41,8 +41,6 @@ def _add_config_flags(sub: argparse.ArgumentParser) -> None:
                      help="accept out-of-range configuration values")
     sub.add_argument("--shrink", type=float, metavar="WEIGHT",
                      help="cell-volume descent weight for joint projections")
-    sub.add_argument("--motion-convention", choices=("shift", "literal"),
-                     help="cell-velocity convention for rigidity checks")
 
 
 def _build_config(args) -> RunConfig:
@@ -53,8 +51,6 @@ def _build_config(args) -> RunConfig:
         overrides["max_steps"] = args.steps
     if getattr(args, "shrink", None) is not None:
         overrides["volume_weight"] = args.shrink
-    if getattr(args, "motion_convention", None) is not None:
-        overrides["motion_convention"] = args.motion_convention
     if args.unsafe:
         overrides["unsafe"] = True
     if args.config is not None:

@@ -49,10 +49,10 @@ from .geometry import (
     cell_volume,
     contacts_within,
     gauge_project,
-    slack_values,
+    min_slack_of,
     volume_gradient,
 )
-from .projection import e_project_joint, e_project_x, gs_project_once
+from .projection import e_project_joint, e_project_x, gs_project_once, lyapunov
 from .spectral import (
     NudgeHistory,
     build_contact_graph,
@@ -94,9 +94,7 @@ class DynamicsState:
 def lyapunov_energy(ds: DynamicsState, p: BarrierParams, shifts: ShiftIndexSet,
                     members: Contacts | None = None) -> float:
     """Barrier value plus kinetic energy plus the gamma-weighted step memory."""
-    u = barrier_value(ds.packing, shifts, p, members=members)
-    return u + 0.5 * float(np.sum(ds.v * ds.v)) \
-        + 0.5 * ds.gamma * float(np.sum((ds.x - ds.x_prev) ** 2))
+    return lyapunov(ds, barrier_value(ds.packing, shifts, p, members=members))
 
 
 def verlet_update(x, v, dt: float, eta: float, grad_fn):
@@ -159,6 +157,22 @@ def select_steps(L_hat: float, m_hat: float, target_eta_dt: float, c: float) -> 
         raise ValueError("rate constant c must lie in (0, 2)")
     dt = min(1.0 / np.sqrt(2.0 * L_hat), c / np.sqrt(L_hat + m_hat))
     return float(dt), float(target_eta_dt / dt)
+
+
+def rest_state(state: PackingState, shifts: ShiftIndexSet, p: BarrierParams, config,
+               members: Contacts) -> tuple[DynamicsState, float, float]:
+    """`state` at rest (v = 0, x_prev = x) under the step rule at its curvature.
+
+    Estimates L_hat on `members`, then m_hat given L_hat, and picks (dt, eta)
+    by `select_steps` with the config's eta_dt and c.  Returns the resting
+    state, whose gamma is 1/dt^2 - L_hat/2, with (L_hat, m_hat).
+    """
+    L_hat = estimate_L(state, shifts, p, members=members).value
+    m_hat = estimate_m(state, shifts, p, members=members, L_hat=L_hat).value
+    dt, eta = select_steps(L_hat, max(m_hat, 1e-12), config.eta_dt, config.c)
+    ds = DynamicsState(packing=state, v=np.zeros_like(state.x), x_prev=state.x.copy(),
+                       dt=dt, eta=eta, gamma=1.0 / dt**2 - L_hat / 2.0)
+    return ds, L_hat, m_hat
 
 
 def backtrack(ds: DynamicsState, L_hat: float) -> DynamicsState:
@@ -247,12 +261,6 @@ class TrajectoryRecord:
         }
 
 
-def _members_min_slack(state: PackingState, members: Contacts) -> float:
-    if len(members) == 0:
-        return float("inf")
-    return float(np.min(slack_values(state, members)))
-
-
 def run_trajectory(config, initial: DynamicsState | None = None) -> TrajectoryRecord:
     """Run the full trajectory loop under a harness configuration.
 
@@ -272,10 +280,8 @@ def run_trajectory(config, initial: DynamicsState | None = None) -> TrajectoryRe
     p = BarrierParams(nu=config.nu, delta=config.delta, R=config.R)
     shifts = build_shift_set(ds.packing.basis, config.R)
     members = contacts_within(ds.packing, shifts, config.R)
-    L_hat = estimate_L(ds.packing, shifts, p, members=members).value
-    m_hat = estimate_m(ds.packing, shifts, p, members=members, L_hat=L_hat).value
-    dt, eta = select_steps(L_hat, max(m_hat, 1e-12), config.eta_dt, config.c)
-    ds = dataclasses.replace(ds, dt=dt, eta=eta, gamma=1.0 / dt**2 - L_hat / 2.0)
+    rest, L_hat, m_hat = rest_state(ds.packing, shifts, p, config, members)
+    ds = dataclasses.replace(ds, dt=rest.dt, eta=rest.eta, gamma=rest.gamma)
 
     history = NudgeHistory(window=config.W)
     rows: list[StepRow] = []
@@ -294,7 +300,7 @@ def run_trajectory(config, initial: DynamicsState | None = None) -> TrajectoryRe
     initial_metrics = {
         "E": E_prev,
         "U": barrier_value(ds.packing, shifts, p, members=members),
-        "min_slack": _members_min_slack(ds.packing, members),
+        "min_slack": min_slack_of(ds.packing, members),
         "lambda2": lam2_init,
         "volume": cell_volume(ds.packing.basis),
     }
@@ -302,8 +308,7 @@ def run_trajectory(config, initial: DynamicsState | None = None) -> TrajectoryRe
     for k in range(1, config.max_steps + 1):
         if k > 1 and config.hvp_refresh > 0 and (k - 1) % config.hvp_refresh == 0:
             members = contacts_within(ds.packing, shifts, config.R)
-            L_hat = estimate_L(ds.packing, shifts, p, members=members).value
-            m_hat = estimate_m(ds.packing, shifts, p, members=members, L_hat=L_hat).value
+            _, L_hat, m_hat = rest_state(ds.packing, shifts, p, config, members)
             E_prev = lyapunov_energy(ds, p, shifts, members)
 
         ev = barrier_energy(ds.packing, shifts, p, members=members)
@@ -324,14 +329,14 @@ def run_trajectory(config, initial: DynamicsState | None = None) -> TrajectoryRe
             accepted = None
             if tentative is not None:
                 cand = tentative
-                if _members_min_slack(cand.packing, members) < config.delta * (1.0 - 1e-12):
+                if min_slack_of(cand.packing, members) < config.delta * (1.0 - 1e-12):
                     repaired, changed = gs_project_once(cand.packing, shifts, config.delta)
                     if changed:
                         cand = dataclasses.replace(cand, packing=repaired)
                         projection = "gs"
                         counts["gs_repairs"] += 1
                 E_cand = lyapunov_energy(cand, p, shifts, members)
-                need_qp = (_members_min_slack(cand.packing, members) < margin
+                need_qp = (min_slack_of(cand.packing, members) < margin
                            or E_cand > E_prev + 1e-10)
                 if not need_qp:
                     accepted = (cand, E_cand)
@@ -353,8 +358,7 @@ def run_trajectory(config, initial: DynamicsState | None = None) -> TrajectoryRe
             if backtracks > 60:
                 raise RunAbort(f"no acceptable step after {backtracks} backtracks at step {k}")
             if backtracks % 2 == 0:
-                L_hat = estimate_L(ds.packing, shifts, p, members=members).value
-                m_hat = estimate_m(ds.packing, shifts, p, members=members, L_hat=L_hat).value
+                _, L_hat, m_hat = rest_state(ds.packing, shifts, p, config, members)
             ds = backtrack(ds, L_hat)
             E_prev = lyapunov_energy(ds, p, shifts, members)
 
@@ -382,13 +386,10 @@ def run_trajectory(config, initial: DynamicsState | None = None) -> TrajectoryRe
                 if basis_moved:
                     shifts = build_shift_set(ds.packing.basis, config.R)
                     members = contacts_within(ds.packing, shifts, config.R)
-                    L_hat = estimate_L(ds.packing, shifts, p, members=members).value
-                    m_hat = estimate_m(ds.packing, shifts, p, members=members,
-                                       L_hat=L_hat).value
-                    dt_sel, _ = select_steps(L_hat, max(m_hat, 1e-12), config.eta_dt, config.c)
-                    if dt_sel < ds.dt:
-                        scale = ds.dt / dt_sel
-                        ds = dataclasses.replace(ds, dt=dt_sel, eta=ds.eta * scale)
+                    rest, L_hat, m_hat = rest_state(ds.packing, shifts, p, config, members)
+                    if rest.dt < ds.dt:
+                        scale = ds.dt / rest.dt
+                        ds = dataclasses.replace(ds, dt=rest.dt, eta=ds.eta * scale)
                     ds = dataclasses.replace(ds, gamma=1.0 / ds.dt**2 - L_hat / 2.0)
                 E_prev = lyapunov_energy(ds, p, shifts, members)
             except (LinearizedInfeasibleError, FeasibilityError) as exc:
@@ -414,7 +415,7 @@ def run_trajectory(config, initial: DynamicsState | None = None) -> TrajectoryRe
         row.E = E_prev
         row.U = barrier_value(ds.packing, shifts, p, members=members)
         row.kinetic = 0.5 * float(np.sum(ds.v * ds.v))
-        row.min_slack = _members_min_slack(ds.packing, members)
+        row.min_slack = min_slack_of(ds.packing, members)
         row.lambda2 = lam2
         row.nudged = nudged
         rows.append(row)
@@ -462,10 +463,10 @@ def _apply_nudge(ds, p, shifts, members, graph, fvec, L_hat, config, E_ref, even
     for _ in range(30):
         trial = dataclasses.replace(
             ds, packing=ds.packing.with_x(gauge_project(ds.packing.x + a * dxs)))
-        if _members_min_slack(trial.packing, members) < margin:
+        if min_slack_of(trial.packing, members) < margin:
             repaired, _ = gs_project_once(trial.packing, shifts, config.delta)
             trial = dataclasses.replace(trial, packing=repaired)
-            if _members_min_slack(trial.packing, members) < margin:
+            if min_slack_of(trial.packing, members) < margin:
                 try:
                     trial, info = e_project_x(trial, p, shifts, L_hat, members=members)
                     events.append({"step": step, **info})

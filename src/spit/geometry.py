@@ -101,9 +101,6 @@ class PackingState:
     def with_x(self, x: np.ndarray) -> "PackingState":
         return PackingState.make(x, self.basis)
 
-    def with_basis(self, basis: LatticeBasis) -> "PackingState":
-        return PackingState.make(self.x, basis)
-
 
 @dataclass(frozen=True)
 class ContactIndex:
@@ -116,18 +113,6 @@ class ContactIndex:
     i: int
     j: int
     z: tuple
-
-    @staticmethod
-    def canonical(i: int, j: int, z) -> "ContactIndex":
-        z = tuple(int(c) for c in z)
-        if i > j:
-            i, j, z = j, i, tuple(-c for c in z)
-        elif i == j:
-            if all(c == 0 for c in z):
-                raise ValueError("self contact needs a nonzero shift")
-            if not _lex_positive(z):
-                z = tuple(-c for c in z)
-        return ContactIndex(i, j, z)
 
 
 def _lex_positive(z) -> bool:
@@ -154,9 +139,6 @@ class Contacts:
     def index(self, k: int) -> ContactIndex:
         return ContactIndex(int(self.i[k]), int(self.j[k]), tuple(int(c) for c in self.z[k]))
 
-    def labels(self) -> list:
-        return [self.index(k) for k in range(len(self))]
-
 
 @dataclass(frozen=True)
 class ShiftIndexSet:
@@ -173,10 +155,6 @@ class ShiftIndexSet:
     def n(self) -> int:
         return self.zs.shape[1]
 
-    def contains(self, z) -> bool:
-        z = np.asarray(z, dtype=np.int64)
-        return bool(np.any(np.all(self.zs == z, axis=1)))
-
     def candidates(self, N: int) -> Contacts:
         """All canonical contacts of N spheres under this shift set (cached)."""
         got = self._pairs.get(N)
@@ -184,14 +162,10 @@ class ShiftIndexSet:
             return got
         n = self.n
         iu, ju = np.triu_indices(N, 1)
-        npairs = iu.shape[0]
         K = len(self)
         blocks_i = [np.tile(iu, K)]
         blocks_j = [np.tile(ju, K)]
-        blocks_z = [np.repeat(self.zs, npairs, axis=0)] if npairs else [np.zeros((0, n), dtype=np.int64)]
-        if npairs == 0:
-            blocks_i = [np.zeros(0, dtype=np.int64)]
-            blocks_j = [np.zeros(0, dtype=np.int64)]
+        blocks_z = [np.repeat(self.zs, iu.shape[0], axis=0)]
         pos = np.array([z for z in self.zs if _lex_positive(z)], dtype=np.int64).reshape(-1, n)
         if pos.shape[0] and N:
             idx = np.arange(N, dtype=np.int64)
@@ -253,18 +227,26 @@ def pair_slack(state: PackingState, c: ContactIndex) -> float:
     return float(r @ r - 4.0)
 
 
-def slack_gradients(state: PackingState, c: ContactIndex) -> tuple[np.ndarray, np.ndarray]:
-    """Gradients of the slack in positions and in the basis.
+def contact_rows(state: PackingState, contacts: Contacts, r: np.ndarray,
+                 c: np.ndarray | None = None) -> np.ndarray:
+    """Dense rows of (u, H) -> r^T (u_i - u_j - H c), one per contact.
 
-    grad_x carries +2r on block i and -2r on block j; grad_B = -2 r z^T.
+    Columns are the flattened position block, then (when `c` is given) the
+    flattened basis block: +r on block i, -r on block j, -r c^T on the basis.
+    Rows of self contacts are zero in the position block.  With c = z the
+    rows are half the slack gradients (grad_x s, grad_B s); the rigidity
+    motion operator uses c = B z or c = r.
     """
-    z = np.asarray(c.z, dtype=float)
-    r = state.x[c.i] - state.x[c.j] - state.basis.B @ z
-    gx = np.zeros_like(state.x)
-    gx[c.i] += 2.0 * r
-    gx[c.j] -= 2.0 * r
-    gB = -2.0 * np.outer(r, z)
-    return gx, gB
+    N, n = state.x.shape
+    m = len(contacts)
+    A = np.zeros((m, N * n + (n * n if c is not None else 0)))
+    rows = np.arange(m)
+    for axis in range(n):
+        A[rows, contacts.i * n + axis] += r[:, axis]
+        A[rows, contacts.j * n + axis] -= r[:, axis]
+    if c is not None:
+        A[:, N * n:] = -np.einsum("ma,mb->mab", r, c).reshape(m, n * n)
+    return A
 
 
 def cell_volume(basis: LatticeBasis) -> float:
@@ -283,7 +265,11 @@ def min_slack(state: PackingState, shifts: ShiftIndexSet, radius: float | None =
               base: Contacts | None = None) -> float:
     """Minimum slack over canonical contacts within the interaction radius."""
     radius = shifts.R if radius is None else radius
-    near = contacts_within(state, shifts, radius, base=base)
-    if len(near) == 0:
+    return min_slack_of(state, contacts_within(state, shifts, radius, base=base))
+
+
+def min_slack_of(state: PackingState, contacts: Contacts) -> float:
+    """Minimum slack over the given contacts, with no radius filter; inf if none."""
+    if len(contacts) == 0:
         return float("inf")
-    return float(np.min(slack_values(state, near)))
+    return float(np.min(slack_values(state, contacts)))

@@ -17,8 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .barrier import BarrierParams, estimate_L, estimate_m
-from .dynamics import DynamicsState, run_trajectory, select_steps
+from .barrier import BarrierParams, estimate_L
+from .dynamics import DynamicsState, rest_state, run_trajectory, select_steps
 from .errors import FeasibilityError
 from .geometry import (
     LatticeBasis,
@@ -66,7 +66,6 @@ class RunConfig:
     max_steps: int = 1000
     grad_tol: float = 1e-8
     hvp_refresh: int = 25
-    motion_convention: str = "shift"
     jitter: float = 0.01
     inflate: float = 0.02
     out: str = "spit_out"
@@ -89,7 +88,6 @@ class RunConfig:
             (10 <= self.W <= 50, "window W must lie in [10, 50]"),
             (self.K >= int(np.ceil(4.0 / self.eta_dt)), "cadence K below 4/(eta dt)"),
             (self.R > 2.0, "interaction radius must exceed the contact distance 2"),
-            (self.motion_convention in ("shift", "literal"), "unknown motion convention"),
             (self.n >= 1 and self.N >= 1, "need at least one sphere in one dimension"),
             (self.max_steps >= 0 and self.joint_period >= 0, "step counts must be nonnegative"),
             (self.jitter >= 0.0 and self.inflate > -0.5, "bad testbed parameters"),
@@ -206,23 +204,26 @@ def make_testbed(config: RunConfig) -> DynamicsState:
     state = _feasibilize(state, shifts, config)
     p = BarrierParams(nu=config.nu, delta=config.delta, R=config.R)
     members = contacts_within(state, shifts, config.R)
-    L_hat = estimate_L(state, shifts, p, members=members).value
-    m_hat = estimate_m(state, shifts, p, members=members, L_hat=L_hat).value
-    dt, eta = select_steps(L_hat, max(m_hat, 1e-12), config.eta_dt, config.c)
-    return DynamicsState(packing=state, v=np.zeros_like(state.x),
-                         x_prev=state.x.copy(), dt=dt, eta=eta,
-                         gamma=1.0 / dt**2 - L_hat / 2.0)
+    return rest_state(state, shifts, p, config, members)[0]
 
 
 def _feasibilize(state: PackingState, shifts, config: RunConfig) -> PackingState:
     target = config.delta
+    last = -np.inf  # min slack before the latest Gauss-Seidel round
     for round_ in range(100):
-        if min_slack(state, shifts, config.R) >= target:
+        s = min_slack(state, shifts, config.R)
+        if s >= target:
             return state
-        state, changed = gs_project_once(state, shifts, config.delta)
-        if changed:
-            continue
-        # Gauss-Seidel stalled; polish with the position QP from a resting state
+        if s > last:
+            state, changed = gs_project_once(state, shifts, config.delta)
+            if changed:
+                last = s
+                continue
+        # Gauss-Seidel stalled: it changed nothing, or its last round did not
+        # raise the min slack (a repair can land a pair a few ulps below delta
+        # again and again).  Polish with the position QP from a resting state,
+        # stepped by L alone (m taken as 1e-12).
+        last = -np.inf
         p = BarrierParams(nu=config.nu, delta=config.delta, R=config.R)
         members = contacts_within(state, shifts, config.R)
         L_hat = estimate_L(state, shifts, p, members=members).value
@@ -350,17 +351,14 @@ def certify(config: RunConfig, state: PackingState) -> dict:
             joint_period=config.joint_period if config.joint_period else 10,
             max_steps=config.cert_max_steps, grad_tol=1e-7,
             kappa=config.kappa, unsafe=True)
-        shifts = build_shift_set(cur.basis, config.R)
-        p = BarrierParams(nu=nu, delta=config.delta, R=config.R)
-        members = contacts_within(cur, shifts, config.R)
-        L_hat = estimate_L(cur, shifts, p, members=members).value
-        m_hat = estimate_m(cur, shifts, p, members=members, L_hat=L_hat).value
-        dt, eta = select_steps(L_hat, max(m_hat, 1e-12), config.eta_dt, config.c)
+        # run_trajectory sets dt, eta and gamma from its own curvature
+        # estimate; only the rest state (v = 0, x_prev = x) is taken from here
         ds = DynamicsState(packing=cur, v=np.zeros_like(cur.x), x_prev=cur.x.copy(),
-                           dt=dt, eta=eta, gamma=1.0 / dt**2 - L_hat / 2.0)
+                           dt=1.0, eta=1.0, gamma=0.0)
         record = run_trajectory(sub, initial=ds)
         cur = record.final_state.packing
         shifts = build_shift_set(cur.basis, config.R)
+        p = BarrierParams(nu=nu, delta=config.delta, R=config.R)
         mus = recover_multipliers(cur, shifts, p)
         res_B, res_x, comp = kkt_residual(cur, shifts, mus.contacts, mus.clamped)
         scale_x = _stationarity_scale(cur, mus)
@@ -434,31 +432,3 @@ def spectra_report(state: PackingState, R: float, eps: float,
         out["cheeger"] = {"h": rep.h, "lower": rep.lower, "upper": rep.upper,
                           "sandwich_ok": rep.ok}
     return out
-
-
-def write_svg_trace(rows, path, columns=("E", "lambda2"), size=(640, 360)) -> None:
-    """Minimal SVG polyline plot of logged columns over steps (convenience)."""
-    w, h = size
-    pad = 40
-    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
-             f'viewBox="0 0 {w} {h}">',
-             f'<rect width="{w}" height="{h}" fill="white"/>']
-    colors = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd")
-    if rows:
-        xs = [r.step for r in rows]
-        xmin, xmax = min(xs), max(xs)
-        span_x = max(xmax - xmin, 1)
-        for ci, col in enumerate(columns):
-            ys = [float(getattr(r, col)) for r in rows]
-            ymin, ymax = min(ys), max(ys)
-            span_y = max(ymax - ymin, 1e-300)
-            pts = " ".join(
-                f"{pad + (w - 2 * pad) * (x - xmin) / span_x:.2f},"
-                f"{h - pad - (h - 2 * pad) * (y - ymin) / span_y:.2f}"
-                for x, y in zip(xs, ys))
-            parts.append(f'<polyline points="{pts}" fill="none" '
-                         f'stroke="{colors[ci % len(colors)]}" stroke-width="1.5"/>')
-            parts.append(f'<text x="{pad}" y="{15 + 14 * ci}" font-size="12" '
-                         f'fill="{colors[ci % len(colors)]}">{col}</text>')
-    parts.append("</svg>")
-    Path(path).write_text("\n".join(parts) + "\n")

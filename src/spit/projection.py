@@ -9,8 +9,10 @@ Three layers, used in escalation order by the trajectory loop:
 3. `e_project_joint` - the same with a basis update block, optionally with a
    volume-descent term for cell shrinking.
 
-The QP behind 2 and 3 is a small dense active-set solve with deterministic
-tie-breaking, sized for desk-scale problems (N <= 256).
+2 and 3 share one loop, `_e_project`, and one constraint-row builder,
+`geometry.contact_rows`; they differ only in the basis block.  The QP behind
+them is a small dense active-set solve with deterministic tie-breaking, sized
+for desk-scale problems (N <= 256).
 """
 
 from __future__ import annotations
@@ -24,13 +26,15 @@ import numpy as np
 from .barrier import BarrierParams, barrier_energy, barrier_value
 from .errors import FeasibilityError, LinearizedInfeasibleError, SingularBasisError
 from .geometry import (
-    ContactIndex,
     Contacts,
     LatticeBasis,
     PackingState,
     ShiftIndexSet,
+    contact_rows,
     contacts_within,
     gauge_project,
+    min_slack,
+    min_slack_of,
     r_vectors,
     slack_values,
     volume_gradient,
@@ -39,33 +43,6 @@ from .geometry import (
 logger = logging.getLogger("spit")
 
 _SLACK_GUARD = 1e-6  # accepted states keep min_slack >= delta * (1 - _SLACK_GUARD)
-
-
-@dataclass(frozen=True)
-class LinearizedConstraint:
-    """First-order model of one slack constraint: s0 + <a_x, y-x> + <a_B, H> >= rhs."""
-
-    contact: ContactIndex
-    s0: float
-    a_x: np.ndarray
-    a_B: np.ndarray | None
-    rhs: float
-
-
-def linearize_constraints(state: PackingState, contacts: Contacts, delta: float,
-                          with_basis: bool = False) -> list[LinearizedConstraint]:
-    """Explicit constraint objects for inspection and tests."""
-    out = []
-    r = r_vectors(state, contacts)
-    s = np.einsum("mk,mk->m", r, r) - 4.0
-    for k in range(len(contacts)):
-        c = contacts.index(k)
-        a_x = np.zeros_like(state.x)
-        a_x[c.i] += 2.0 * r[k]
-        a_x[c.j] -= 2.0 * r[k]
-        a_B = -2.0 * np.outer(r[k], np.asarray(c.z, dtype=float)) if with_basis else None
-        out.append(LinearizedConstraint(contact=c, s0=float(s[k]), a_x=a_x, a_B=a_B, rhs=delta))
-    return out
 
 
 def gs_project_once(state: PackingState, shifts: ShiftIndexSet, delta: float,
@@ -179,49 +156,34 @@ def solve_qp(qp: QuadraticProgram, tol: float = 1e-10, max_iters: int | None = N
     raise LinearizedInfeasibleError("linearized infeasible")
 
 
-def _constraint_rows(state: PackingState, contacts: Contacts, delta: float,
-                     joint: bool) -> tuple[np.ndarray, np.ndarray, Contacts]:
-    """Dense constraint matrix over the selected contacts.
+def _constraint_rows(state: PackingState, shifts: ShiftIndexSet, p: BarrierParams,
+                     horizon: float, joint: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Linearized slack constraints A u >= b of the contacts within `horizon`
+    of delta (pairs only, unless joint).
 
-    Variables are the flattened position move (and basis move for joint
-    projections); rows of self contacts are zero in the position block.
+    Rows are the slack gradients, twice `contact_rows` with c = z, over the
+    flattened position move (and basis move for joint projections).
     """
-    N, n = state.x.shape
-    r = r_vectors(state, contacts)
-    s = np.einsum("mk,mk->m", r, r) - 4.0
-    m = len(contacts)
-    dim = N * n + (n * n if joint else 0)
-    A = np.zeros((m, dim))
-    rows = np.arange(m)
-    for axis in range(n):
-        A[rows, contacts.i * n + axis] += 2.0 * r[:, axis]
-        A[rows, contacts.j * n + axis] -= 2.0 * r[:, axis]
-    if joint:
-        aB = -2.0 * np.einsum("ma,mb->mab", r, contacts.z.astype(float))
-        A[:, N * n:] = aB.reshape(m, n * n)
-    b = delta - s
-    return A, b, contacts
-
-
-def _select_constraints(state: PackingState, shifts: ShiftIndexSet, p: BarrierParams,
-                        horizon: float, joint: bool) -> Contacts:
     near = contacts_within(state, shifts, p.R)
-    s = slack_values(state, near)
-    keep = s <= p.delta + horizon
+    keep = slack_values(state, near) <= p.delta + horizon
     if not joint:
         keep &= near.i != near.j
-    return near.take(keep)
+    cons = near.take(keep)
+    r = r_vectors(state, cons)
+    A = 2.0 * contact_rows(state, cons, r, cons.z.astype(float) if joint else None)
+    return A, p.delta - (np.einsum("mk,mk->m", r, r) - 4.0)
 
 
-def _lyapunov(state: PackingState, shifts, p, v, x_prev, gamma, members) -> float:
-    u = barrier_value(state, shifts, p, members=members)
-    return u + 0.5 * float(np.sum(v * v)) + 0.5 * gamma * float(np.sum((state.x - x_prev) ** 2))
+def lyapunov(ds, U: float) -> float:
+    """Lyapunov energy U + 0.5 ||v||^2 + (gamma / 2) ||x - x_prev||^2 of a
+    dynamics state whose barrier value is U."""
+    return U + 0.5 * float(np.sum(ds.v * ds.v)) \
+        + 0.5 * ds.gamma * float(np.sum((ds.x - ds.x_prev) ** 2))
 
 
 def _assert_cell_constraints(state: PackingState, shifts: ShiftIndexSet, p: BarrierParams):
     near = contacts_within(state, shifts, p.R)
-    selfs = near.take(near.i == near.j)
-    if len(selfs) and float(np.min(slack_values(state, selfs))) < p.delta * (1.0 - _SLACK_GUARD):
+    if min_slack_of(state, near.take(near.i == near.j)) < p.delta * (1.0 - _SLACK_GUARD):
         raise FeasibilityError(
             "cell-bound (self-image) slack below margin; a joint basis update is required")
 
@@ -236,61 +198,9 @@ def e_project_x(ds, p: BarrierParams, shifts: ShiftIndexSet, L_hat: float,
     linearized slack constraints; the velocity is kept unchanged.  Returns the
     updated dynamics state plus an info dict with the before/after energies.
     """
-    state: PackingState = ds.packing
-    gamma = ds.gamma
-    x_prev = ds.x_prev
-    v = ds.v
-    N, n = state.x.shape
-    _assert_cell_constraints(state, shifts, p)
-
-    ev = barrier_energy(state, shifts, p, members=members)
-    e_before = ev.value + 0.5 * float(np.sum(v * v)) \
-        + 0.5 * gamma * float(np.sum((state.x - x_prev) ** 2))
-
-    weight = L_hat
-    backoffs = 0
-    rounds = 0
-    cur = state
-    prev_u = None
-    info = {"E_before": e_before, "kind": "qp_x", "n_constraints": 0, "n_active": 0}
-    while True:
-        cons = _select_constraints(cur, shifts, p, horizon, joint=False)
-        A, b, _ = _constraint_rows(cur, cons, p.delta, joint=False)
-        # re-anchor the linear model at the current point
-        evc = barrier_energy(cur, shifts, p, members=members) if cur is not state else ev
-        gb = (evc.grad_x + gamma * (cur.x - x_prev)).ravel()
-        qp = QuadraticProgram(diag=np.full(N * n, weight + gamma), linear=gb, A=A, b=b)
-        sol = solve_qp(qp, tol=tol)
-        cand = cur.with_x(gauge_project(cur.x + sol.u.reshape(N, n)))
-        worst = _worst_pair_slack(cand, shifts, p)
-        if worst < p.delta * (1.0 - _SLACK_GUARD):
-            rounds += 1
-            if rounds > 6:
-                raise FeasibilityError("projection could not restore the slack margin")
-            cur, _ = gs_project_once(cand, shifts, p.delta)
-            prev_u = None
-            continue
-        e_after = _lyapunov(cand, shifts, p, v, x_prev, gamma, members)
-        pinned = prev_u is not None and np.allclose(sol.u, prev_u, atol=1e-14, rtol=0.0)
-        if e_after > e_before + 1e-12 and backoffs < 30 and not pinned:
-            # the curvature weight under-majorized; a larger weight shrinks the
-            # move (a pinned solution means the move is a mandatory repair)
-            backoffs += 1
-            weight *= 2.0
-            prev_u = sol.u
-            continue
-        info.update(E_after=e_after, backoffs=backoffs, guard_rounds=rounds,
-                    n_constraints=A.shape[0], n_active=len(sol.active),
-                    nonexpansive=bool(e_after <= e_before + 1e-10))
-        return dataclasses.replace(ds, packing=cand), info
-
-
-def _worst_pair_slack(state: PackingState, shifts: ShiftIndexSet, p: BarrierParams) -> float:
-    near = contacts_within(state, shifts, p.R)
-    pairs = near.take(near.i != near.j)
-    if len(pairs) == 0:
-        return float("inf")
-    return float(np.min(slack_values(state, pairs)))
+    # positions cannot move self-image slacks, so they must already hold
+    _assert_cell_constraints(ds.packing, shifts, p)
+    return _e_project(ds, p, shifts, L_hat, None, 0.0, members, horizon, tol)
 
 
 def e_project_joint(ds, p: BarrierParams, shifts: ShiftIndexSet, L_x: float, L_B: float,
@@ -305,63 +215,68 @@ def e_project_joint(ds, p: BarrierParams, shifts: ShiftIndexSet, L_x: float, L_B
     by design).  Basis nondegeneracy is re-checked; a violating basis move is
     halved up to 10 times, else dropped.
     """
+    return _e_project(ds, p, shifts, L_x, L_B, volume_weight, members, horizon, tol)
+
+
+def _e_project(ds, p: BarrierParams, shifts: ShiftIndexSet, wx: float, wB: float | None,
+               volume_weight: float, members: Contacts | None, horizon: float, tol: float):
+    """The projection loop of both entry points; positions only when wB is None.
+
+    Each round re-anchors the linear model at the current point and solves the
+    QP.  A candidate below the slack margin gets a Gauss-Seidel sweep and a new
+    round (at most 6); one that raises the energy doubles the curvature weights
+    (at most 30 times) unless the volume term is on or the move is pinned.
+    """
+    joint = wB is not None
     state: PackingState = ds.packing
-    gamma = ds.gamma
-    x_prev = ds.x_prev
-    v = ds.v
     N, n = state.x.shape
-
     ev = barrier_energy(state, shifts, p, members=members)
-    e_before = ev.value + 0.5 * float(np.sum(v * v)) \
-        + 0.5 * gamma * float(np.sum((state.x - x_prev) ** 2))
-
-    wx, wB = L_x, L_B
+    e_before = lyapunov(ds, ev.value)
     backoffs = 0
     rounds = 0
     cur = state
     prev_u = None
-    info = {"E_before": e_before, "kind": "qp_joint", "volume_weight": volume_weight}
+    info = {"E_before": e_before, "kind": "qp_joint" if joint else "qp_x"}
+    if joint:
+        info["volume_weight"] = volume_weight
     while True:
-        cons = _select_constraints(cur, shifts, p, horizon, joint=True)
-        A, b, _ = _constraint_rows(cur, cons, p.delta, joint=True)
+        A, b = _constraint_rows(cur, shifts, p, horizon, joint)
         evc = barrier_energy(cur, shifts, p, members=members) if cur is not state else ev
-        gb_x = (evc.grad_x + gamma * (cur.x - x_prev)).ravel()
-        gb_B = (evc.grad_B + (volume_weight * volume_gradient(cur.basis) if volume_weight else 0.0)).ravel()
-        diag = np.concatenate([np.full(N * n, wx + gamma), np.full(n * n, wB)])
-        qp = QuadraticProgram(diag=diag, linear=np.concatenate([gb_x, gb_B]), A=A, b=b)
-        sol = solve_qp(qp, tol=tol)
-        u = sol.u[: N * n].reshape(N, n)
-        H = sol.u[N * n:].reshape(n, n)
-        basis = _admissible_basis(cur.basis, H)
-        cand = PackingState.make(gauge_project(cur.x + u), basis)
-        worst = _worst_all_slack(cand, shifts, p)
-        if worst < p.delta * (1.0 - _SLACK_GUARD):
+        diag = np.full(N * n, wx + ds.gamma)
+        linear = (evc.grad_x + ds.gamma * (cur.x - ds.x_prev)).ravel()
+        if joint:
+            gB = evc.grad_B + (volume_weight * volume_gradient(cur.basis) if volume_weight else 0.0)
+            diag = np.concatenate([diag, np.full(n * n, wB)])
+            linear = np.concatenate([linear, gB.ravel()])
+        sol = solve_qp(QuadraticProgram(diag=diag, linear=linear, A=A, b=b), tol=tol)
+        basis = _admissible_basis(cur.basis, sol.u[N * n:].reshape(n, n)) if joint else cur.basis
+        cand = PackingState.make(gauge_project(cur.x + sol.u[: N * n].reshape(N, n)), basis)
+        if min_slack(cand, shifts, p.R) < p.delta * (1.0 - _SLACK_GUARD):
             rounds += 1
             if rounds > 6:
-                raise FeasibilityError("joint projection could not restore the slack margin")
+                raise FeasibilityError(("joint " if joint else "")
+                                       + "projection could not restore the slack margin")
             cur, _ = gs_project_once(cand, shifts, p.delta)
             prev_u = None
             continue
-        e_after = _lyapunov(cand, shifts, p, v, x_prev, gamma, members)
+        out = dataclasses.replace(ds, packing=cand)
+        e_after = lyapunov(out, barrier_value(cand, shifts, p, members=members))
         pinned = prev_u is not None and np.allclose(sol.u, prev_u, atol=1e-14, rtol=0.0)
         if volume_weight == 0.0 and e_after > e_before + 1e-12 and backoffs < 30 and not pinned:
+            # the curvature weight under-majorized; a larger weight shrinks the
+            # move (a pinned solution means the move is a mandatory repair)
             backoffs += 1
             wx *= 2.0
-            wB *= 2.0
+            if joint:
+                wB *= 2.0
             prev_u = sol.u
             continue
         info.update(E_after=e_after, backoffs=backoffs, guard_rounds=rounds,
                     n_constraints=A.shape[0], n_active=len(sol.active),
-                    basis_moved=bool(np.any(basis.B != state.basis.B)),
                     nonexpansive=bool(volume_weight > 0.0 or e_after <= e_before + 1e-10))
-        return dataclasses.replace(ds, packing=cand), info
-
-
-def _worst_all_slack(state: PackingState, shifts: ShiftIndexSet, p: BarrierParams) -> float:
-    near = contacts_within(state, shifts, p.R)
-    if len(near) == 0:
-        return float("inf")
-    return float(np.min(slack_values(state, near)))
+        if joint:
+            info["basis_moved"] = bool(np.any(basis.B != state.basis.B))
+        return out, info
 
 
 def _admissible_basis(basis: LatticeBasis, H: np.ndarray) -> LatticeBasis:

@@ -20,13 +20,12 @@ from .geometry import (
     Contacts,
     PackingState,
     ShiftIndexSet,
+    contact_rows,
     contacts_within,
     r_vectors,
     slack_values,
     volume_gradient,
 )
-
-CONVENTIONS = ("shift", "literal")
 
 
 @dataclass(frozen=True)
@@ -71,16 +70,8 @@ def motion_operator(state: PackingState, active: Contacts,
     flattened (u, A) vector.  For z = 0 contacts the cell block vanishes and
     the row reduces to r^T (u_i - u_j).
     """
-    N, n = state.x.shape
     t, r = _cell_term(state, active, convention)
-    m = len(active)
-    M = np.zeros((m, N * n + n * n))
-    rows = np.arange(m)
-    for axis in range(n):
-        M[rows, active.i * n + axis] += r[:, axis]
-        M[rows, active.j * n + axis] -= r[:, axis]
-    M[:, N * n:] = -np.einsum("ma,mb->mab", r, t).reshape(m, n * n)
-    return M
+    return contact_rows(state, active, r, t)
 
 
 def trivial_motion_basis(state: PackingState) -> np.ndarray:
@@ -156,11 +147,6 @@ def is_periodically_rigid(state: PackingState, active: Contacts,
 
 
 def _omega_array(active: Contacts, omega) -> np.ndarray:
-    if isinstance(omega, dict):
-        out = np.zeros(len(active))
-        for k in range(len(active)):
-            out[k] = float(omega.get(active.index(k), 0.0))
-        return out
     arr = np.asarray(omega, dtype=float)
     if arr.shape != (len(active),):
         raise ValueError("stress array must align with the active contacts")
@@ -215,12 +201,6 @@ class MultiplierSet:
     raw: np.ndarray
     clamped: np.ndarray
 
-    def raw_map(self) -> dict:
-        return {self.contacts.index(k): float(self.raw[k]) for k in range(len(self.contacts))}
-
-    def clamped_map(self) -> dict:
-        return {self.contacts.index(k): float(self.clamped[k]) for k in range(len(self.contacts))}
-
 
 def recover_multipliers(state: PackingState, shifts: ShiftIndexSet, p: BarrierParams,
                         members: Contacts | None = None) -> MultiplierSet:
@@ -262,13 +242,6 @@ def licq_sigma_min(state: PackingState, active: Contacts) -> float:
     """
     if len(active) == 0:
         return float("inf")
-    N, n = state.x.shape
-    r = r_vectors(state, active)
-    m = len(active)
-    J = np.zeros((m, N * n + n * n))
-    rows = np.arange(m)
-    for axis in range(n):
-        J[rows, active.i * n + axis] += 2.0 * r[:, axis]
-        J[rows, active.j * n + axis] -= 2.0 * r[:, axis]
-    J[:, N * n:] = -2.0 * np.einsum("ma,mb->mab", r, active.z.astype(float)).reshape(m, n * n)
+    # the joint slack Jacobian, as the joint projection builds its constraint rows
+    J = 2.0 * contact_rows(state, active, r_vectors(state, active), active.z.astype(float))
     return float(np.linalg.svd(J, compute_uv=False)[-1])

@@ -1,10 +1,10 @@
 """Contact graphs and their spectra; energy-safe spectral nudges.
 
 The contact graph has one vertex per sphere and one edge per (near-)touching
-canonical contact, lattice images included.  Its Fiedler value drives the
-nudge trigger; the Fiedler vector is lifted to a geometric displacement along
-contact normals.  Cheeger and Poincare checks are exact-at-small-scale test
-oracles for the same Laplacian.
+canonical contact, lattice images included.  Its Fiedler value, from a dense
+eigensolve at every size, drives the nudge trigger; the Fiedler vector is
+lifted to a geometric displacement along contact normals.  Cheeger and
+Poincare checks are exact-at-small-scale test oracles for the same Laplacian.
 """
 
 from __future__ import annotations
@@ -15,8 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import Contacts, PackingState, ShiftIndexSet, contacts_within, gauge_project, r_vectors
-
-_DENSE_EIG_LIMIT = 64
 
 
 @dataclass(frozen=True)
@@ -88,44 +86,19 @@ def _sign_fix(v: np.ndarray) -> np.ndarray:
 def fiedler(graph: ContactGraph, tol: float = 1e-10) -> tuple[float, np.ndarray]:
     """Second-smallest Laplacian eigenvalue and a unit mean-zero eigenvector.
 
-    Dense solve up to 64 vertices; above that, deflated power iteration on a
-    spectral shift of the Laplacian.
+    Dense symmetric eigensolve of the Laplacian restricted to the mean-zero
+    subspace, for every graph size; a negative value within `tol` of zero is
+    clamped to zero.
     """
     N = graph.n_vertices
     if N < 2:
         raise ValueError("fiedler value needs at least two vertices")
-    L = laplacian(graph)
-    if N <= _DENSE_EIG_LIMIT:
-        Q = _ones_complement(N)
-        w, V = np.linalg.eigh(Q.T @ L @ Q)
-        lam = float(w[0])
-        if abs(lam) < tol:
-            lam = max(lam, 0.0)
-        return lam, _sign_fix(Q @ V[:, 0])
-    dmax = float(np.max(graph.degrees)) if N else 0.0
-    c = 2.0 * dmax + 1.0
-    rng = np.random.default_rng(7)
-    v = rng.standard_normal(N)
-    v -= v.mean()
-    v /= np.linalg.norm(v)
-    lam_shift = 0.0
-    for _ in range(10000):
-        w = c * v - L @ v
-        w -= w.mean()
-        lam_new = float(v @ w)
-        nw = float(np.linalg.norm(w))
-        if nw <= 1e-300:
-            lam_shift = lam_new
-            break
-        v = w / nw
-        if abs(lam_new - lam_shift) <= tol * max(1.0, abs(lam_new)):
-            lam_shift = lam_new
-            break
-        lam_shift = lam_new
-    lam = c - lam_shift
+    Q = _ones_complement(N)
+    w, V = np.linalg.eigh(Q.T @ laplacian(graph) @ Q)
+    lam = float(w[0])
     if abs(lam) < tol:
         lam = max(lam, 0.0)
-    return lam, _sign_fix(v)
+    return lam, _sign_fix(Q @ V[:, 0])
 
 
 @dataclass(frozen=True)

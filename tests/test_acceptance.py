@@ -1,9 +1,12 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines; every tolerance is pinned here, nothing is calibrated at runtime.
+lines; every tolerance is pinned here, nothing is calibrated at runtime.  The
+last test pins the bytes of the two outputs a refactor must not change.
 """
 
+import hashlib
+import json
 import time
 
 import numpy as np
@@ -368,3 +371,21 @@ def test_criterion_10_byte_identical_csv(cli_csvs):
     assert len(a.splitlines()) == 1001
     assert a == b
     print(f"\n[acceptance 10] PASS - stub32 seed 7 reproduces {len(a)} CSV bytes exactly")
+
+
+# sha256 of the stub32 seed-7 trajectory.csv and of the certify report of the
+# N=4 seed-2 testbed as the CLI writes it.  A refactor leaves both unchanged; a
+# deliberate numeric change updates them and names the moved column.
+STUB32_SEED7_CSV_SHA256 = "ad453175072b0f1c49527fd72655c9c0d6b6654e2f71a3df5828ab669b6a28b0"
+CERTIFY_N4_SEED2_SHA256 = "71bc0c5d006d57d16c8efcf42efb2f8bc06797cfa12bb7861eba727f5ef19443"
+
+
+def test_pinned_output_hashes(stub_run, cert_report):
+    _, record, _ = stub_run
+    _, report, _ = cert_report
+    csv_sha = hashlib.sha256(record.to_csv().encode()).hexdigest()
+    blob = json.dumps(report, sort_keys=True, indent=1, default=float) + "\n"
+    assert csv_sha == STUB32_SEED7_CSV_SHA256
+    assert hashlib.sha256(blob.encode()).hexdigest() == CERTIFY_N4_SEED2_SHA256
+    print("\n[pinned outputs] PASS - stub32 seed 7 CSV and N=4 seed 2 certify report "
+          "match their pinned sha256")

@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis.strategies import integers as st_integers
 from util import big_cell, fd_gradient, pair_state, rel_err
 
 from spit import (
     ContactIndex,
+    Contacts,
     LatticeBasis,
     PackingState,
     SingularBasisError,
@@ -14,10 +17,9 @@ from spit import (
     gauge_project,
     min_slack,
     pair_slack,
-    slack_gradients,
     volume_gradient,
 )
-from spit.geometry import contacts_within, slack_values
+from spit.geometry import contact_rows, contacts_within, r_vectors, slack_values
 from spit.harness import random_feasible_state
 
 
@@ -98,43 +100,50 @@ def test_pair_slack_contact_symmetry_exact():
         assert a == b
 
 
+def _slack_gradient_rows(st, contacts):
+    """Slack gradients (grad_x s, grad_B s) as rows: twice the builder with c = z."""
+    return 2.0 * contact_rows(st, contacts, r_vectors(st, contacts), contacts.z.astype(float))
+
+
 def test_slack_gradient_structure():
     st = pair_state(2.0)  # r = (-2, 0) for contact (0, 1, 0)
-    gx, gB = slack_gradients(st, ContactIndex(0, 1, (0, 0)))
-    assert np.allclose(gx[0], [-4.0, 0.0])
-    assert np.allclose(gx[1], [4.0, 0.0])
-    assert np.all(gB == 0.0)  # z = 0 kills the basis gradient
+    contacts = Contacts(np.array([0]), np.array([1]), np.array([[0, 0]]))
+    row = _slack_gradient_rows(st, contacts)[0]
+    assert np.array_equal(row[:4], [-4.0, 0.0, 4.0, 0.0])
+    assert np.all(row[4:] == 0.0)  # z = 0 kills the basis gradient
+    assert contact_rows(st, contacts, r_vectors(st, contacts)).shape == (1, 4)
 
 
-def test_slack_gradients_match_fd():
-    rng = np.random.default_rng(5)
-    worst = 0.0
-    for trial in range(100):
-        st = random_feasible_state(seed=100 + trial, N=int(rng.integers(2, 7)))
-        shifts = build_shift_set(st.basis, 2.5)
-        near = contacts_within(st, shifts, 2.5)
-        if len(near) == 0:
-            continue
-        c = near.index(int(rng.integers(0, len(near))))
-        gx, gB = slack_gradients(st, c)
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(seed=st_integers(0, 10_000), N=st_integers(1, 6))
+def test_slack_gradients_match_fd(seed, N):
+    # every row of the builder is the slack gradient in x and in B
+    st = random_feasible_state(seed=seed, N=N)
+    near = contacts_within(st, build_shift_set(st.basis, 2.5), 2.5)
+    rows = _slack_gradient_rows(st, near)
+    Nn = st.x.size
+    for k in range(len(near)):
+        c = near.index(k)
 
-        def f_x(x, c=c, st=st):
+        def f_x(x, c=c):
             return pair_slack(PackingState(x=x, basis=st.basis), c)
 
-        def f_B(Bflat, c=c, st=st):
-            basis = LatticeBasis(Bflat.reshape(2, 2))
-            return pair_slack(PackingState(x=st.x, basis=basis), c)
+        def f_B(Bflat, c=c):
+            return pair_slack(PackingState(x=st.x, basis=LatticeBasis(Bflat.reshape(2, 2))), c)
 
-        worst = max(worst, rel_err(fd_gradient(f_x, st.x), gx))
-        worst = max(worst, rel_err(fd_gradient(f_B, st.basis.B.ravel()), gB.ravel()))
-    assert worst <= 1e-6
+        fd = np.concatenate([fd_gradient(f_x, st.x).ravel(),
+                             fd_gradient(f_B, st.basis.B.ravel())])
+        assert rel_err(rows[k], fd) <= 1e-7
+        if c.i == c.j:
+            assert np.all(rows[k, :Nn] == 0.0)  # self contacts move with the basis only
 
 
 def test_slack_gradient_fd_tight_single_case():
     st = random_feasible_state(seed=42, N=4)
     shifts = build_shift_set(st.basis, 2.5)
-    c = contacts_within(st, shifts, 2.5).index(0)
-    gx, _ = slack_gradients(st, c)
+    near = contacts_within(st, shifts, 2.5)
+    c = near.index(0)
+    gx = _slack_gradient_rows(st, near)[0, :st.x.size].reshape(st.x.shape)
 
     def f_x(x):
         return pair_slack(PackingState(x=x, basis=st.basis), c)

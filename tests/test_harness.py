@@ -20,7 +20,6 @@ from spit.harness import (
     load_state,
     make_testbed,
     save_state,
-    write_svg_trace,
 )
 
 
@@ -54,12 +53,12 @@ def test_config_file_roundtrip(tmp_path):
         "delta = 0.002\n"
         "eta_dt = 0.9  # damping-step product\n"
         "max_steps = 17\n"
-        "motion_convention = literal\n"
+        "out = runs/eight  # string keys pass through\n"
         "nu_schedule = 0.1,0.01\n")
     cfg = load_config(path, seed=3)
     assert cfg.N == 8 and cfg.nu == 0.02 and cfg.delta == 0.002
     assert cfg.eta_dt == 0.9 and cfg.max_steps == 17 and cfg.seed == 3
-    assert cfg.motion_convention == "literal"
+    assert cfg.out == "runs/eight"
     assert cfg.nu_schedule == (0.1, 0.01)
 
 
@@ -97,6 +96,15 @@ def test_make_testbed_deterministic():
 
 def test_make_testbed_meets_margin():
     cfg = config_from_preset("stub32")
+    ds = make_testbed(cfg)
+    shifts = build_shift_set(ds.packing.basis, cfg.R)
+    assert min_slack(ds.packing, shifts) >= cfg.delta
+
+
+def test_make_testbed_gauss_seidel_stall_falls_through_to_qp():
+    # Gauss-Seidel lands one pair a few ulps below delta on every round here;
+    # the QP polish must take over instead of the testbed giving up
+    cfg = RunConfig(N=64, eps_active=0.05, jitter=0.02, inflate=0.02, seed=2).validate()
     ds = make_testbed(cfg)
     shifts = build_shift_set(ds.packing.basis, cfg.R)
     assert min_slack(ds.packing, shifts) >= cfg.delta
@@ -207,12 +215,3 @@ def test_cli_unsafe_flag_required_for_out_of_range(tmp_path):
     rc = cli_main(["run", "--config", str(cfg), "--steps", "1", "--unsafe",
                    "--out", str(tmp_path)])
     assert rc == 0
-
-
-def test_svg_trace_writer(tmp_path):
-    cfg = config_from_preset("stub32", max_steps=5)
-    record, _ = execute_run(cfg)
-    path = tmp_path / "trace.svg"
-    write_svg_trace(record.rows, path)
-    text = path.read_text()
-    assert text.startswith("<svg") and "polyline" in text

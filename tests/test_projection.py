@@ -16,11 +16,10 @@ from spit import (
     estimate_L,
     estimate_L_joint,
     gs_project_once,
-    linearize_constraints,
     min_slack,
     solve_qp,
 )
-from spit.geometry import contacts_within, slack_values
+from spit.geometry import contacts_within
 from spit.harness import random_feasible_state
 
 P = BarrierParams(nu=1e-2, delta=1e-3, R=2.5)
@@ -111,15 +110,18 @@ def test_solve_qp_reorder_invariance():
     assert np.allclose(sol.u, sol2.u, atol=1e-9)
 
 
-def test_linearize_constraints_shapes():
+def test_constraint_rows_shapes():
+    from spit.projection import _constraint_rows
     st = pair_state(2.1)
     shifts = build_shift_set(st.basis, P.R)
-    cons = linearize_constraints(st, contacts_within(st, shifts, P.R), P.delta, with_basis=True)
-    assert len(cons) == 1
-    lc = cons[0]
-    assert lc.s0 == pytest.approx(2.1**2 - 4.0)
-    assert lc.a_x.shape == st.x.shape and lc.a_B.shape == (2, 2)
-    assert lc.rhs == P.delta
+    A, b = _constraint_rows(st, shifts, P, horizon=1.0, joint=True)
+    assert A.shape == (1, 4 + 4)  # one pair; position block, then the 2 x 2 basis block
+    assert b[0] == pytest.approx(P.delta - (2.1**2 - 4.0))
+    A_x, b_x = _constraint_rows(st, shifts, P, horizon=1.0, joint=False)
+    assert np.array_equal(A_x, A[:, :4]) and np.array_equal(b_x, b)
+    # contacts farther than the horizon above delta are not linearized
+    A_far, _ = _constraint_rows(st, shifts, P, horizon=0.1, joint=True)
+    assert A_far.shape == (0, 8)
 
 
 def test_e_project_x_identity_on_stationary_feasible():
