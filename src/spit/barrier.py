@@ -22,7 +22,6 @@ from .geometry import (
     PackingState,
     ShiftIndexSet,
     contacts_within,
-    gauge_project,
     r_vectors,
 )
 
@@ -152,106 +151,97 @@ def hvp_joint(state: PackingState, shifts: ShiftIndexSet, p: BarrierParams,
     return out_x, out_B
 
 
-class PowerEstimate(NamedTuple):
+def hessian(state: PackingState, contacts: Contacts, p: BarrierParams,
+            joint: bool = False) -> np.ndarray:
+    """Dense barrier Hessian: the operator of `hvp_x` (or of `hvp_joint`) as a matrix.
+
+    Rows and columns follow `x.ravel()`, then `B.ravel()` when `joint`.  Each
+    contact adds K = 4 phi'' r r^T + 2 phi' I to the (i, i) and (j, j) position
+    blocks and subtracts it from (i, j) and (j, i); jointly it also adds -K z^T
+    (resp. +K z^T) to the i (resp. j) rows of the basis columns and K (x) z z^T
+    to the basis block.  Self-image contacts cancel out of every position row,
+    so only pairs are assembled there, and those rows stay exactly zero.
+    """
+    N, n = state.x.shape
+    D = N * n + (n * n if joint else 0)
+    H = np.zeros((D, D))
+    r, d1, d2 = _phi12(state, contacts, p)
+    K = (4.0 * d2)[:, None, None] * r[:, :, None] * r[:, None, :] \
+        + (2.0 * d1)[:, None, None] * np.eye(n)
+    pair = contacts.i != contacts.j
+    i, j, Kp, all_ = contacts.i[pair], contacts.j[pair], K[pair], slice(None)
+    Hx = np.zeros((N, n, N, n))
+    np.add.at(Hx, (i, all_, i, all_), Kp)
+    np.add.at(Hx, (j, all_, j, all_), Kp)
+    np.subtract.at(Hx, (i, all_, j, all_), Kp)
+    np.subtract.at(Hx, (j, all_, i, all_), Kp)
+    H[:N * n, :N * n] = Hx.reshape(N * n, N * n)
+    if joint:
+        zf = contacts.z.astype(float)
+        Kz = Kp[:, :, :, None] * zf[pair][:, None, None, :]
+        C = np.zeros((N, n, n, n))
+        np.subtract.at(C, i, Kz)
+        np.add.at(C, j, Kz)
+        H[:N * n, N * n:] = C.reshape(N * n, n * n)
+        H[N * n:, :N * n] = H[:N * n, N * n:].T
+        H[N * n:, N * n:] = np.einsum("mac,mb,md->abcd", K, zf, zf).reshape(n * n, n * n)
+    return H
+
+
+class CurvatureBound(NamedTuple):
     value: float
-    iters: int
+    iters: int  # eigensolves
     converged: bool
 
 
-def estimate_L(state: PackingState, shifts: ShiftIndexSet, p: BarrierParams,
-               tol: float = 1e-6, max_iters: int = 500,
-               members: Contacts | None = None, seed: int = 0,
-               floor: float = 1e-12) -> PowerEstimate:
-    """Largest-magnitude eigenvalue of the position Hessian by power iteration.
+def _gauge_spectrum(H: np.ndarray, N: int, n: int) -> tuple[np.ndarray, float]:
+    """Eigenvalues of `H` on the gauge (mean-zero position) subspace, ascending,
+    with a roundoff margin that brackets each of them.
 
-    Iterates are kept in the gauge (mean-zero) subspace; the start vector is
-    seeded so step-size selection is reproducible.
+    The n translation modes are null vectors of every barrier Hessian;
+    they are shifted to s = ||H||_F + 1, above the whole spectrum, so one
+    `eigvalsh` returns them as its n largest values.  For the symmetric
+    eigensolver each computed eigenvalue lies within D eps ||A||_2 of an exact
+    one (A the shifted matrix, ||A||_2 <= ||H||_F + s), which is the margin.
     """
+    D = H.shape[0]
+    s = float(np.linalg.norm(H)) + 1.0
+    T = np.zeros((D, n))
+    for a in range(n):
+        T[a:N * n:n, a] = 1.0 / np.sqrt(N)
+    w = np.linalg.eigvalsh(H + s * (T @ T.T))
+    return w[:D - n], D * float(np.finfo(float).eps) * (2.0 * s - 1.0)
+
+
+def _max_abs_bound(H: np.ndarray, N: int, n: int) -> CurvatureBound:
+    w, margin = _gauge_spectrum(H, N, n)
+    return CurvatureBound(max(float(np.max(np.abs(w), initial=0.0)) + margin, 1e-12), 1, True)
+
+
+def estimate_L(state: PackingState, shifts: ShiftIndexSet, p: BarrierParams,
+               members: Contacts | None = None) -> CurvatureBound:
+    """Certified upper bound on the largest-magnitude eigenvalue of the
+    gauge-restricted position Hessian: one dense eigensolve plus its roundoff
+    margin, floored at 1e-12."""
     contacts = _included(state, shifts, p, members)
-    rng = np.random.default_rng(seed)
-    v = gauge_project(rng.standard_normal(state.x.shape))
-    nv = np.linalg.norm(v)
-    if nv == 0.0 or len(contacts) == 0:
-        return PowerEstimate(floor, 0, True)
-    v = v / nv
-    lam = 0.0
-    for it in range(1, max_iters + 1):
-        w = gauge_project(hvp_x(state, shifts, p, v, members=contacts))
-        lam_new = float(np.sum(v * w))
-        nw = float(np.linalg.norm(w))
-        if nw <= 1e-300:
-            return PowerEstimate(max(abs(lam_new), floor), it, True)
-        v = w / nw
-        if abs(lam_new - lam) <= tol * max(abs(lam_new), floor):
-            return PowerEstimate(max(abs(lam_new), floor), it, True)
-        lam = lam_new
-    return PowerEstimate(max(abs(lam), floor), max_iters, False)
+    return _max_abs_bound(hessian(state, contacts, p), *state.x.shape)
 
 
 def estimate_m(state: PackingState, shifts: ShiftIndexSet, p: BarrierParams,
-               tol: float = 1e-6, max_iters: int = 500,
-               members: Contacts | None = None, seed: int = 1,
-               L_hat: float | None = None) -> PowerEstimate:
-    """Smallest eigenvalue of the gauge-restricted position Hessian.
-
-    Runs shifted power iteration on (L_hat I - H) and clips the result at
-    zero so flat directions report m = 0 rather than a small negative number.
-    """
+               members: Contacts | None = None) -> CurvatureBound:
+    """Certified lower bound on the smallest eigenvalue of the gauge-restricted
+    position Hessian, clipped at zero so flat directions report m = 0."""
     contacts = _included(state, shifts, p, members)
-    if L_hat is None:
-        L_hat = estimate_L(state, shifts, p, tol=tol, max_iters=max_iters,
-                           members=contacts, seed=seed).value
-    rng = np.random.default_rng(seed)
-    v = gauge_project(rng.standard_normal(state.x.shape))
-    nv = np.linalg.norm(v)
-    if nv == 0.0 or len(contacts) == 0:
-        return PowerEstimate(0.0, 0, True)
-    v = v / nv
-    mu = 0.0
-    converged = False
-    it = 0
-    for it in range(1, max_iters + 1):
-        w = L_hat * v - gauge_project(hvp_x(state, shifts, p, v, members=contacts))
-        w = gauge_project(w)
-        mu_new = float(np.sum(v * w))
-        nw = float(np.linalg.norm(w))
-        if nw <= 1e-300:
-            mu, converged = mu_new, True
-            break
-        v = w / nw
-        if abs(mu_new - mu) <= tol * max(abs(mu_new), 1e-12):
-            mu, converged = mu_new, True
-            break
-        mu = mu_new
-    return PowerEstimate(max(L_hat - mu, 0.0), it, converged)
+    w, margin = _gauge_spectrum(hessian(state, contacts, p), *state.x.shape)
+    return CurvatureBound(max(float(w[0]) - margin, 0.0) if w.size else 0.0, 1, True)
 
 
 def estimate_L_joint(state: PackingState, shifts: ShiftIndexSet, p: BarrierParams,
-                     tol: float = 1e-6, max_iters: int = 500,
-                     members: Contacts | None = None, seed: int = 2,
-                     floor: float = 1e-12) -> PowerEstimate:
-    """Spectral norm of the full joint Hessian (positions and basis together)."""
+                     members: Contacts | None = None) -> CurvatureBound:
+    """Certified upper bound on the spectral norm of the joint Hessian
+    (gauge positions and basis together)."""
     contacts = _included(state, shifts, p, members)
-    rng = np.random.default_rng(seed)
-    vx = gauge_project(rng.standard_normal(state.x.shape))
-    vB = rng.standard_normal((state.n, state.n))
-    norm = float(np.sqrt(np.sum(vx * vx) + np.sum(vB * vB)))
-    if norm == 0.0 or len(contacts) == 0:
-        return PowerEstimate(floor, 0, True)
-    vx, vB = vx / norm, vB / norm
-    lam = 0.0
-    for it in range(1, max_iters + 1):
-        wx, wB = hvp_joint(state, shifts, p, vx, vB, members=contacts)
-        wx = gauge_project(wx)
-        lam_new = float(np.sum(vx * wx) + np.sum(vB * wB))
-        nw = float(np.sqrt(np.sum(wx * wx) + np.sum(wB * wB)))
-        if nw <= 1e-300:
-            return PowerEstimate(max(abs(lam_new), floor), it, True)
-        vx, vB = wx / nw, wB / nw
-        if abs(lam_new - lam) <= tol * max(abs(lam_new), floor):
-            return PowerEstimate(max(abs(lam_new), floor), it, True)
-        lam = lam_new
-    return PowerEstimate(max(abs(lam), floor), max_iters, False)
+    return _max_abs_bound(hessian(state, contacts, p, joint=True), *state.x.shape)
 
 
 def lipschitz_bound(p: BarrierParams, slack_cap: float, radius: float, count: int) -> float:

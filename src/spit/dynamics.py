@@ -13,8 +13,11 @@ The certified quantity is the Lyapunov energy
     gamma = 1 / dt^2 - L_hat / 2,
 
 which is non-increasing across a step whenever 0 < eta dt < 2 and
-L_hat dt^2 <= 1/2 hold for a valid curvature bound L_hat.  The trajectory
-loop enforces this empirically: steps that raise E (or leave the feasible
+L_hat dt^2 <= 1/2 hold for a valid curvature bound L_hat.  L_hat comes from
+`barrier.estimate_L`, a dense eigensolve of the position Hessian plus its
+roundoff margin, so it is a certified upper bound at the state where it is
+taken.  Between refreshes the curvature can still grow, so the trajectory
+loop also checks descent directly: steps that raise E (or leave the feasible
 region) are redone with a halved time step.
 """
 
@@ -163,12 +166,12 @@ def rest_state(state: PackingState, shifts: ShiftIndexSet, p: BarrierParams, con
                members: Contacts) -> tuple[DynamicsState, float, float]:
     """`state` at rest (v = 0, x_prev = x) under the step rule at its curvature.
 
-    Estimates L_hat on `members`, then m_hat given L_hat, and picks (dt, eta)
-    by `select_steps` with the config's eta_dt and c.  Returns the resting
-    state, whose gamma is 1/dt^2 - L_hat/2, with (L_hat, m_hat).
+    Bounds L_hat from above and m_hat from below on `members`, and picks
+    (dt, eta) by `select_steps` with the config's eta_dt and c.  Returns the
+    resting state, whose gamma is 1/dt^2 - L_hat/2, with (L_hat, m_hat).
     """
     L_hat = estimate_L(state, shifts, p, members=members).value
-    m_hat = estimate_m(state, shifts, p, members=members, L_hat=L_hat).value
+    m_hat = estimate_m(state, shifts, p, members=members).value
     dt, eta = select_steps(L_hat, max(m_hat, 1e-12), config.eta_dt, config.c)
     ds = DynamicsState(packing=state, v=np.zeros_like(state.x), x_prev=state.x.copy(),
                        dt=dt, eta=eta, gamma=1.0 / dt**2 - L_hat / 2.0)

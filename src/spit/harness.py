@@ -17,8 +17,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .barrier import BarrierParams, estimate_L
-from .dynamics import DynamicsState, rest_state, run_trajectory, select_steps
+# estimate_L is unused here, but perfbench's tracer self-test checks that it
+# wraps this import-time binding too
+from .barrier import BarrierParams, estimate_L  # noqa: F401
+from .dynamics import DynamicsState, rest_state, run_trajectory
 from .errors import FeasibilityError
 from .geometry import (
     LatticeBasis,
@@ -221,16 +223,11 @@ def _feasibilize(state: PackingState, shifts, config: RunConfig) -> PackingState
                 continue
         # Gauss-Seidel stalled: it changed nothing, or its last round did not
         # raise the min slack (a repair can land a pair a few ulps below delta
-        # again and again).  Polish with the position QP from a resting state,
-        # stepped by L alone (m taken as 1e-12).
+        # again and again).  Polish with the position QP from a resting state.
         last = -np.inf
         p = BarrierParams(nu=config.nu, delta=config.delta, R=config.R)
         members = contacts_within(state, shifts, config.R)
-        L_hat = estimate_L(state, shifts, p, members=members).value
-        dt, eta = select_steps(L_hat, 1e-12, config.eta_dt, config.c)
-        ds = DynamicsState(packing=state, v=np.zeros_like(state.x),
-                           x_prev=state.x.copy(), dt=dt, eta=eta,
-                           gamma=1.0 / dt**2 - L_hat / 2.0)
+        ds, L_hat, _ = rest_state(state, shifts, p, config, members)
         ds, _ = e_project_x(ds, p, shifts, L_hat, members=members)
         state = ds.packing
     raise FeasibilityError("testbed could not reach the strict-feasibility margin "

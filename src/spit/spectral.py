@@ -9,6 +9,7 @@ Poincare checks are exact-at-small-scale test oracles for the same Laplacian.
 
 from __future__ import annotations
 
+import functools
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -61,19 +62,24 @@ def laplacian(graph: ContactGraph) -> np.ndarray:
     N = graph.n_vertices
     L = np.zeros((N, N))
     pair = ~graph.loop_mask
-    for i, j in zip(graph.edges.i[pair], graph.edges.j[pair]):
-        L[i, i] += 1.0
-        L[j, j] += 1.0
-        L[i, j] -= 1.0
-        L[j, i] -= 1.0
+    i, j = graph.edges.i[pair], graph.edges.j[pair]
+    # small integer entries: the sums are exact whatever the order
+    np.add.at(L, (i, i), 1.0)
+    np.add.at(L, (j, j), 1.0)
+    np.subtract.at(L, (i, j), 1.0)
+    np.subtract.at(L, (j, i), 1.0)
     return L
 
 
+@functools.lru_cache(maxsize=None)
 def _ones_complement(N: int) -> np.ndarray:
-    # orthonormal basis of the mean-zero subspace via QR of [1 | I]
+    # orthonormal basis of the mean-zero subspace via QR of [1 | I]; cached
+    # per N and read-only
     M = np.concatenate([np.ones((N, 1)) / np.sqrt(N), np.eye(N)], axis=1)
     q, _ = np.linalg.qr(M)
-    return q[:, 1:N]
+    Q = q[:, 1:N]
+    Q.flags.writeable = False
+    return Q
 
 
 def _sign_fix(v: np.ndarray) -> np.ndarray:

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis.strategies import integers as st_integers
+from hypothesis.strategies import sampled_from
 from util import (
     dense_hessian_x,
     fd_gradient,
@@ -20,15 +23,16 @@ from spit import (
     barrier_value,
     build_shift_set,
     estimate_L,
+    estimate_L_joint,
     estimate_m,
     hvp_joint,
     hvp_x,
     lipschitz_bound,
     phi,
 )
-from spit.barrier import observed_slack_cap
+from spit.barrier import hessian, observed_slack_cap
 from spit.geometry import LatticeBasis, contacts_within
-from spit.harness import random_feasible_state
+from spit.harness import RunConfig, make_testbed, random_feasible_state
 
 P = BarrierParams(nu=1e-2, delta=1e-3, R=2.5)
 
@@ -181,7 +185,7 @@ def test_hvp_joint_matches_fd_of_joint_gradient():
 def test_estimate_L_matches_dense_oracle_single_pair():
     st = pair_state(2.1)
     shifts = build_shift_set(st.basis, P.R)
-    got = estimate_L(st, shifts, P, tol=1e-10).value
+    got = estimate_L(st, shifts, P).value
     H = dense_hessian_x(st, shifts, P)
     Q = gauge_basis(st.N, 2)
     eigs = np.linalg.eigvalsh(Q.T @ H @ Q)
@@ -192,16 +196,16 @@ def test_estimate_L_matches_dense_oracle_single_pair():
 def test_estimate_L_scales_linearly_in_nu():
     st = hex_two_sphere()
     shifts = build_shift_set(st.basis, P.R)
-    l1 = estimate_L(st, shifts, P, tol=1e-10).value
+    l1 = estimate_L(st, shifts, P).value
     p2 = BarrierParams(nu=2 * P.nu, delta=P.delta, R=P.R)
-    l2 = estimate_L(st, shifts, p2, tol=1e-10).value
+    l2 = estimate_L(st, shifts, p2).value
     assert rel_err(l2, 2.0 * l1) <= 1e-6
 
 
 def test_estimate_L_dominates_rayleigh_probes():
     st = hex_two_sphere()
     shifts = build_shift_set(st.basis, P.R)
-    L = estimate_L(st, shifts, P, tol=1e-10).value
+    L = estimate_L(st, shifts, P).value
     rng = np.random.default_rng(1)
     for _ in range(20):
         d = rng.standard_normal(st.x.shape)
@@ -214,8 +218,8 @@ def test_estimate_L_dominates_rayleigh_probes():
 def test_estimate_m_strongly_convex_instance():
     st = hex_two_sphere()
     shifts = build_shift_set(st.basis, P.R)
-    L = estimate_L(st, shifts, P, tol=1e-10).value
-    m = estimate_m(st, shifts, P, tol=1e-10, L_hat=L).value
+    L = estimate_L(st, shifts, P).value
+    m = estimate_m(st, shifts, P).value
     H = dense_hessian_x(st, shifts, P)
     Q = gauge_basis(st.N, 2)
     want = float(np.min(np.linalg.eigvalsh(Q.T @ H @ Q)))
@@ -230,12 +234,83 @@ def test_estimate_m_detects_flat_direction():
     spacing = float(np.sqrt(4.0 + s_plus))
     st = sliding_column_state(spacing)
     shifts = build_shift_set(st.basis, P.R)
-    L = estimate_L(st, shifts, P, tol=1e-10).value
-    m = estimate_m(st, shifts, P, tol=1e-10, L_hat=L).value
+    m = estimate_m(st, shifts, P).value
     assert m <= 1e-6
     H = dense_hessian_x(st, shifts, P)
     Q = gauge_basis(st.N, 2)
     assert abs(float(np.min(np.linalg.eigvalsh(Q.T @ H @ Q)))) <= 1e-9
+
+
+def _hvp_matrices(st, shifts, members):
+    """Position and joint Hessians assembled column by column from the HVPs."""
+    N, n = st.x.shape
+    D = N * n
+    Hx = np.stack([hvp_x(st, shifts, P, e.reshape(N, n), members=members).ravel()
+                   for e in np.eye(D)], axis=1)
+    cols = []
+    for e in np.eye(D + n * n):
+        ox, oB = hvp_joint(st, shifts, P, e[:D].reshape(N, n), e[D:].reshape(n, n),
+                           members=members)
+        cols.append(np.concatenate([ox.ravel(), oB.ravel()]))
+    return Hx, np.stack(cols, axis=1)
+
+
+def _gauge_eigs(H, N, n, joint=False):
+    Q = gauge_basis(N, n)
+    if joint:
+        Q = np.block([[Q, np.zeros((N * n, n * n))],
+                      [np.zeros((n * n, Q.shape[1])), np.eye(n * n)]])
+    return np.linalg.eigvalsh(Q.T @ H @ Q)
+
+
+_STATES = dict(seed=st_integers(0, 10_000), N=st_integers(1, 7), n=sampled_from([2, 3]))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(**_STATES)
+def test_hessian_matches_hvp_columns(seed, N, n):
+    st = random_feasible_state(seed=seed, N=N, n=n)
+    shifts = build_shift_set(st.basis, P.R)
+    members = contacts_within(st, shifts, P.R)
+    want_x, want_joint = _hvp_matrices(st, shifts, members)
+    for joint, want in ((False, want_x), (True, want_joint)):
+        got = hessian(st, members, P, joint=joint)
+        assert got.shape == want.shape
+        scale = max(float(np.max(np.abs(want))), 1e-300)
+        assert float(np.max(np.abs(got - want))) <= 1e-13 * scale
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(**_STATES)
+def test_curvature_estimates_bracket_the_hvp_spectrum(seed, N, n):
+    st = random_feasible_state(seed=seed, N=N, n=n)
+    shifts = build_shift_set(st.basis, P.R)
+    members = contacts_within(st, shifts, P.R)
+    Hx, Hj = _hvp_matrices(st, shifts, members)
+    estimates = [estimate_L(st, shifts, P, members=members),
+                 estimate_m(st, shifts, P, members=members),
+                 estimate_L_joint(st, shifts, P, members=members)]
+    assert all(e.converged and e.iters == 1 for e in estimates)
+    L, m, Lj = (e.value for e in estimates)
+    w = _gauge_eigs(Hx, N, n)  # empty for N = 1: no gauge directions
+    top = float(np.max(np.abs(w), initial=0.0))
+    assert top <= L <= max(top * (1.0 + 1e-9), 1e-12)
+    lam_min = float(w[0]) if N > 1 else 0.0
+    assert max(lam_min - 1e-9 * top, 0.0) <= m <= max(lam_min, 0.0)
+    top_j = float(np.max(np.abs(_gauge_eigs(Hj, N, n, joint=True))))
+    assert top_j <= Lj <= max(top_j * (1.0 + 1e-9), 1e-12)
+
+
+def test_estimate_L_bounds_lambda_max_on_n4_seed3_testbed():
+    # power iteration stopped here at 1072.33, below the true 1072.92, so the
+    # step rule L dt^2 <= 1/2 was not certified
+    st = make_testbed(RunConfig(N=4, seed=3, unsafe=True)).packing  # nu, delta, R of P
+    shifts = build_shift_set(st.basis, P.R)
+    members = contacts_within(st, shifts, P.R)
+    lam_max = float(np.max(np.abs(np.linalg.eigvalsh(_hvp_matrices(st, shifts, members)[0]))))
+    got = estimate_L(st, shifts, P, members=members)
+    assert got.converged
+    assert lam_max <= got.value <= lam_max * (1.0 + 1e-12)
 
 
 def test_lipschitz_closed_form_bound():
@@ -268,7 +343,7 @@ def test_lipschitz_closed_form_bound():
         checked += 1
         if ratio > bound:
             violations += 1
-        # the power-iteration estimate also respects the closed-form constant
+        # the eigensolver bound also respects the closed-form constant
         assert estimate_L(sa, shifts, P, members=members).value <= bound
     assert checked >= 50
     assert violations == 0

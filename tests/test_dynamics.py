@@ -165,7 +165,7 @@ def test_jury_conditions_along_selected_steps():
     st = hex_two_sphere()
     shifts = build_shift_set(st.basis, P.R)
     L = estimate_L(st, shifts, P).value
-    m = estimate_m(st, shifts, P, L_hat=L).value
+    m = estimate_m(st, shifts, P).value
     dt, eta = select_steps(L, max(m, 1e-12), 1.0, 1.9)
     for lam in np.linspace(max(m, 1e-12), L, 64):
         alpha, beta = companion_coefficients(lam, dt, eta)
@@ -270,8 +270,8 @@ def test_local_linear_rate_two_sphere():
     assert float(np.linalg.norm(g)) <= 1e-12  # exactly at the minimizer
     x_star = st_star.x
 
-    L = estimate_L(st_star, shifts, P, tol=1e-12).value
-    m = estimate_m(st_star, shifts, P, tol=1e-12, L_hat=L).value
+    L = estimate_L(st_star, shifts, P).value
+    m = estimate_m(st_star, shifts, P).value
     assert m > 0
     dt, eta = select_steps(L, m, 1.0, 1.9)
     rho_pred = max(companion_rate(lam, dt, eta) for lam in (m, L))

@@ -20,7 +20,8 @@ from spit import (
     poincare_check,
 )
 from spit.geometry import Contacts
-from spit.spectral import laplacian
+from spit.harness import config_from_preset, make_testbed
+from spit.spectral import _ones_complement, laplacian
 
 P = BarrierParams(nu=1e-2, delta=1e-3, R=2.5)
 
@@ -105,6 +106,50 @@ def test_fiedler_ring100_matches_full_spectrum():
     assert lam == pytest.approx(want, rel=1e-10)
     assert abs(float(np.sum(vec))) <= 1e-8
     assert np.linalg.norm(laplacian(g) @ vec - lam * vec) <= 1e-10
+
+
+def _fiedler_uncached(graph):
+    """The Fiedler pair as computed before the basis cache and the vectorised
+    Laplacian: per-edge loop, fresh QR of [1 | I], restricted eigh."""
+    N = graph.n_vertices
+    L = np.zeros((N, N))
+    pair = ~graph.loop_mask
+    for i, j in zip(graph.edges.i[pair], graph.edges.j[pair]):
+        L[i, i] += 1.0
+        L[j, j] += 1.0
+        L[i, j] -= 1.0
+        L[j, i] -= 1.0
+    M = np.concatenate([np.ones((N, 1)) / np.sqrt(N), np.eye(N)], axis=1)
+    Q = np.linalg.qr(M)[0][:, 1:N]
+    w, V = np.linalg.eigh(Q.T @ L @ Q)
+    v = Q @ V[:, 0]
+    first = v[np.argmax(np.abs(v) > 1e-12)]
+    return L, float(w[0]), v if first > 0 else -v
+
+
+def _ring100():
+    return graph_from_edges(100, [(i, (i + 1) % 100) for i in range(100)])
+
+
+def _stub32_graph():
+    cfg = config_from_preset("stub32")
+    st = make_testbed(cfg).packing
+    return build_contact_graph(st, build_shift_set(st.basis, cfg.R), cfg.eps_near)
+
+
+@pytest.mark.parametrize("make_graph", [_ring100, _stub32_graph], ids=["ring100", "stub32"])
+def test_fiedler_bytes_match_uncached_reference(make_graph):
+    g = make_graph()
+    L_ref, lam_ref, vec_ref = _fiedler_uncached(g)
+    assert laplacian(g).tobytes() == L_ref.tobytes()
+    for _ in range(2):  # the second call reuses the cached basis
+        lam, vec = fiedler(g)
+        assert np.float64(lam).tobytes() == np.float64(lam_ref).tobytes()
+        assert vec.tobytes() == vec_ref.tobytes()
+    Q = _ones_complement(g.n_vertices)
+    assert Q is _ones_complement(g.n_vertices)
+    with pytest.raises(ValueError):
+        Q[0, 0] = 1.0
 
 
 def test_cheeger_cycle4():
