@@ -49,8 +49,9 @@ def _build_config(args) -> RunConfig:
         overrides["seed"] = args.seed
     if args.steps is not None:
         overrides["max_steps"] = args.steps
-    if getattr(args, "shrink", None) is not None:
-        overrides["volume_weight"] = args.shrink
+    if args.shrink is not None:
+        # certify re-minimizes volume with its own weight, cert_shrink
+        overrides["cert_shrink" if args.command == "certify" else "volume_weight"] = args.shrink
     if args.unsafe:
         overrides["unsafe"] = True
     if args.config is not None:
@@ -86,8 +87,6 @@ def cmd_testbed(args) -> int:
 
 def cmd_certify(args) -> int:
     config = _build_config(args)
-    if getattr(args, "shrink", None) is not None:
-        config.cert_shrink = args.shrink
     state, _ = load_state(args.state)
     report = certify(config, state)
     out = _out_dir(args, config)

@@ -69,6 +69,7 @@ logger = logging.getLogger("spit")
 
 CSV_COLUMNS = ("step", "E", "U", "kinetic", "min_slack", "lambda2", "dt",
                "backtracked", "nudged", "projection")
+REFRESH_STEPS = 25  # the member list and curvature bounds are rebuilt this often
 
 
 @dataclass(frozen=True)
@@ -309,7 +310,7 @@ def run_trajectory(config, initial: DynamicsState | None = None) -> TrajectoryRe
     }
 
     for k in range(1, config.max_steps + 1):
-        if k > 1 and config.hvp_refresh > 0 and (k - 1) % config.hvp_refresh == 0:
+        if k > 1 and (k - 1) % REFRESH_STEPS == 0:
             members = contacts_within(ds.packing, shifts, config.R)
             _, L_hat, m_hat = rest_state(ds.packing, shifts, p, config, members)
             E_prev = lyapunov_energy(ds, p, shifts, members)

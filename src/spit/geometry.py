@@ -16,6 +16,7 @@ import numpy as np
 from .errors import SingularBasisError
 
 _DET_TOL = 1e-12
+_SIGMA_LO, _SIGMA_HI = 1e-4, 1e8  # the cell nondegeneracy window on eig(B^T B)
 
 
 def gauge_project(x: np.ndarray) -> np.ndarray:
@@ -44,8 +45,6 @@ class LatticeBasis:
     """
 
     B: np.ndarray
-    sigma_lo: float = 1e-4
-    sigma_hi: float = 1e8
 
     def __post_init__(self):
         B = np.array(self.B, dtype=float)
@@ -55,10 +54,10 @@ class LatticeBasis:
         if abs(float(np.linalg.det(B))) <= _DET_TOL:
             raise SingularBasisError("singular basis")
         w = np.linalg.eigvalsh(B.T @ B)
-        if w[0] < self.sigma_lo or w[-1] > self.sigma_hi:
+        if w[0] < _SIGMA_LO or w[-1] > _SIGMA_HI:
             raise SingularBasisError(
                 "cell nondegeneracy violated: eig(B^T B) spans "
-                f"[{w[0]:.3e}, {w[-1]:.3e}], allowed [{self.sigma_lo:.1e}, {self.sigma_hi:.1e}]"
+                f"[{w[0]:.3e}, {w[-1]:.3e}], allowed [{_SIGMA_LO:.1e}, {_SIGMA_HI:.1e}]"
             )
 
     @property
@@ -261,11 +260,10 @@ def volume_gradient(basis: LatticeBasis) -> np.ndarray:
     return cell_volume(basis) * np.linalg.inv(basis.B).T
 
 
-def min_slack(state: PackingState, shifts: ShiftIndexSet, radius: float | None = None,
-              base: Contacts | None = None) -> float:
+def min_slack(state: PackingState, shifts: ShiftIndexSet, radius: float | None = None) -> float:
     """Minimum slack over canonical contacts within the interaction radius."""
     radius = shifts.R if radius is None else radius
-    return min_slack_of(state, contacts_within(state, shifts, radius, base=base))
+    return min_slack_of(state, contacts_within(state, shifts, radius))
 
 
 def min_slack_of(state: PackingState, contacts: Contacts) -> float:

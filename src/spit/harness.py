@@ -30,6 +30,7 @@ from .geometry import (
     contacts_within,
     gauge_project,
     min_slack,
+    min_slack_of,
 )
 from .projection import e_project_x, gs_project_once
 from .rigidity import (
@@ -67,7 +68,6 @@ class RunConfig:
     volume_weight: float = 0.0
     max_steps: int = 1000
     grad_tol: float = 1e-8
-    hvp_refresh: int = 25
     jitter: float = 0.01
     inflate: float = 0.02
     out: str = "spit_out"
@@ -76,7 +76,6 @@ class RunConfig:
     nu_schedule: tuple = (1e-1, 1e-2, 1e-3, 1e-4)
     cert_max_steps: int = 20000
     cert_shrink: float = 1.0
-    cert_active_tol: float | None = None
 
     def validate(self) -> "RunConfig":
         if self.unsafe:
@@ -93,6 +92,9 @@ class RunConfig:
             (self.n >= 1 and self.N >= 1, "need at least one sphere in one dimension"),
             (self.max_steps >= 0 and self.joint_period >= 0, "step counts must be nonnegative"),
             (self.jitter >= 0.0 and self.inflate > -0.5, "bad testbed parameters"),
+            (self.volume_weight >= 0.0, "volume_weight must be nonnegative"),
+            (self.cert_shrink >= 0.0, "cert_shrink must be nonnegative"),
+            (self.grad_tol >= 0.0, "grad_tol must be nonnegative"),
         ]
         for ok, msg in checks:
             if not ok:
@@ -146,8 +148,6 @@ def _coerce(ftype: str, val: str):
         return _BOOL[val.lower()]
     if ftype == "tuple":
         return tuple(float(v) for v in val.split(","))
-    if ftype == "float | None":
-        return None if val.lower() == "none" else float(val)
     return val
 
 
@@ -203,21 +203,22 @@ def make_testbed(config: RunConfig) -> DynamicsState:
         x = x + rng.uniform(-config.jitter, config.jitter, size=x.shape)
     state = PackingState.make(x, basis)
     shifts = build_shift_set(basis, config.R)
-    state = _feasibilize(state, shifts, config)
+    state, members = _feasibilize(state, shifts, config)
     p = BarrierParams(nu=config.nu, delta=config.delta, R=config.R)
-    members = contacts_within(state, shifts, config.R)
     return rest_state(state, shifts, p, config, members)[0]
 
 
-def _feasibilize(state: PackingState, shifts, config: RunConfig) -> PackingState:
+def _feasibilize(state: PackingState, shifts, config: RunConfig):
+    """Repair `state` to min slack >= delta; returns it with its contacts within R."""
     target = config.delta
     last = -np.inf  # min slack before the latest Gauss-Seidel round
     for round_ in range(100):
-        s = min_slack(state, shifts, config.R)
+        near = contacts_within(state, shifts, config.R)
+        s = min_slack_of(state, near)
         if s >= target:
-            return state
+            return state, near
         if s > last:
-            state, changed = gs_project_once(state, shifts, config.delta)
+            state, changed = gs_project_once(state, shifts, config.delta, base=near)
             if changed:
                 last = s
                 continue
@@ -226,9 +227,8 @@ def _feasibilize(state: PackingState, shifts, config: RunConfig) -> PackingState
         # again and again).  Polish with the position QP from a resting state.
         last = -np.inf
         p = BarrierParams(nu=config.nu, delta=config.delta, R=config.R)
-        members = contacts_within(state, shifts, config.R)
-        ds, L_hat, _ = rest_state(state, shifts, p, config, members)
-        ds, _ = e_project_x(ds, p, shifts, L_hat, members=members)
+        ds, L_hat, _ = rest_state(state, shifts, p, config, near)
+        ds, _ = e_project_x(ds, p, shifts, L_hat, members=near)
         state = ds.packing
     raise FeasibilityError("testbed could not reach the strict-feasibility margin "
                            "in 100 projection rounds")
@@ -308,27 +308,19 @@ def _json_safe(obj):
     return obj
 
 
-@dataclass
-class RunSummary:
-    """Final metrics plus event counts; counts['accepted'] equals steps_total."""
-
-    config: dict
-    result: dict
-
-    def to_json(self) -> str:
-        blob = _json_safe({"config": self.config, **self.result})
-        return json.dumps(blob, sort_keys=True, indent=1) + "\n"
-
-
 def execute_run(config: RunConfig, out_dir=None, initial: DynamicsState | None = None):
-    """run_trajectory plus CSV/JSON emission; returns (record, summary)."""
+    """run_trajectory plus CSV/JSON emission; returns (record, summary).
+
+    The summary is the config plus the final metrics and event counts, in
+    which counts['accepted'] equals steps_total.
+    """
     record = run_trajectory(config, initial=initial)
-    summary = RunSummary(config=dataclasses.asdict(config), result=record.summary())
+    summary = _json_safe({"config": dataclasses.asdict(config), **record.summary()})
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         (out / "trajectory.csv").write_text(record.to_csv())
-        (out / "summary.json").write_text(summary.to_json())
+        (out / "summary.json").write_text(json.dumps(summary, sort_keys=True, indent=1) + "\n")
     return record, summary
 
 
@@ -390,7 +382,7 @@ def _stationarity_scale(state: PackingState, mus) -> float:
 
 def _rigidity_report(config: RunConfig, state: PackingState) -> dict:
     shifts = build_shift_set(state.basis, config.R)
-    tol_active = config.cert_active_tol if config.cert_active_tol is not None else 2.0 * config.delta
+    tol_active = 2.0 * config.delta
     act = active_set(state, shifts, tol_active)
     p = BarrierParams(nu=config.nu_schedule[-1], delta=config.delta, R=config.R)
     mus = recover_multipliers(state, shifts, p, members=act) if len(act) else None

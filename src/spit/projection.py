@@ -33,7 +33,6 @@ from .geometry import (
     contact_rows,
     contacts_within,
     gauge_project,
-    min_slack,
     min_slack_of,
     r_vectors,
     slack_values,
@@ -43,10 +42,11 @@ from .geometry import (
 logger = logging.getLogger("spit")
 
 _SLACK_GUARD = 1e-6  # accepted states keep min_slack >= delta * (1 - _SLACK_GUARD)
+_HORIZON = 1.0  # contacts with slack up to delta + _HORIZON are linearized
+_QP_TOL = 1e-10  # multiplier sign and relative feasibility tolerance of solve_qp
 
 
 def gs_project_once(state: PackingState, shifts: ShiftIndexSet, delta: float,
-                    radius: float | None = None,
                     base: Contacts | None = None) -> tuple[PackingState, bool]:
     """One Gauss-Seidel sweep repairing violated pair slacks in canonical order.
 
@@ -56,8 +56,7 @@ def gs_project_once(state: PackingState, shifts: ShiftIndexSet, delta: float,
     are skipped: they depend on the basis only.  Best-effort: later repairs
     may re-violate earlier pairs.
     """
-    radius = shifts.R if radius is None else radius
-    near = contacts_within(state, shifts, radius, base=base)
+    near = contacts_within(state, shifts, shifts.R, base=base)
     if len(near) == 0:
         return state, False
     s = slack_values(state, near)
@@ -109,7 +108,7 @@ class QPSolution:
     iterations: int
 
 
-def solve_qp(qp: QuadraticProgram, tol: float = 1e-10, max_iters: int | None = None) -> QPSolution:
+def solve_qp(qp: QuadraticProgram) -> QPSolution:
     """Dense primal active-set solve of a strictly convex diagonal QP.
 
     Deterministic: the most violated constraint enters the working set first,
@@ -119,9 +118,7 @@ def solve_qp(qp: QuadraticProgram, tol: float = 1e-10, max_iters: int | None = N
     qinv = 1.0 / qp.diag
     c = qp.linear
     m = qp.b.shape[0]
-    if max_iters is None:
-        max_iters = 3 * max(m, 1) + 30
-    feas_tol = tol * max(1.0, float(np.max(np.abs(qp.b))) if m else 1.0)
+    feas_tol = _QP_TOL * max(1.0, float(np.max(np.abs(qp.b))) if m else 1.0)
 
     def kkt(working: list[int]) -> tuple[np.ndarray, np.ndarray]:
         if not working:
@@ -136,9 +133,9 @@ def solve_qp(qp: QuadraticProgram, tol: float = 1e-10, max_iters: int | None = N
         return qinv * (Aw.T @ mu - c), mu
 
     working: list[int] = []
-    for it in range(1, max_iters + 1):
+    for it in range(1, 3 * max(m, 1) + 31):
         u, mu_w = kkt(working)
-        if working and float(np.min(mu_w)) < -tol:
+        if working and float(np.min(mu_w)) < -_QP_TOL:
             working.pop(int(np.argmin(mu_w)))
             continue
         if m:
@@ -156,16 +153,15 @@ def solve_qp(qp: QuadraticProgram, tol: float = 1e-10, max_iters: int | None = N
     raise LinearizedInfeasibleError("linearized infeasible")
 
 
-def _constraint_rows(state: PackingState, shifts: ShiftIndexSet, p: BarrierParams,
-                     horizon: float, joint: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Linearized slack constraints A u >= b of the contacts within `horizon`
-    of delta (pairs only, unless joint).
+def _constraint_rows(state: PackingState, near: Contacts, p: BarrierParams,
+                     joint: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Linearized slack constraints A u >= b of the contacts in `near` whose
+    slack is within _HORIZON of delta (pairs only, unless joint).
 
     Rows are the slack gradients, twice `contact_rows` with c = z, over the
     flattened position move (and basis move for joint projections).
     """
-    near = contacts_within(state, shifts, p.R)
-    keep = slack_values(state, near) <= p.delta + horizon
+    keep = slack_values(state, near) <= p.delta + _HORIZON
     if not joint:
         keep &= near.i != near.j
     cons = near.take(keep)
@@ -181,16 +177,8 @@ def lyapunov(ds, U: float) -> float:
         + 0.5 * ds.gamma * float(np.sum((ds.x - ds.x_prev) ** 2))
 
 
-def _assert_cell_constraints(state: PackingState, shifts: ShiftIndexSet, p: BarrierParams):
-    near = contacts_within(state, shifts, p.R)
-    if min_slack_of(state, near.take(near.i == near.j)) < p.delta * (1.0 - _SLACK_GUARD):
-        raise FeasibilityError(
-            "cell-bound (self-image) slack below margin; a joint basis update is required")
-
-
 def e_project_x(ds, p: BarrierParams, shifts: ShiftIndexSet, L_hat: float,
-                members: Contacts | None = None, horizon: float = 1.0,
-                tol: float = 1e-10):
+                members: Contacts | None = None):
     """Energy-nonexpansive feasibility projection in positions only.
 
     Minimizes the quadratic majorizer of the Lyapunov energy built from the
@@ -198,14 +186,11 @@ def e_project_x(ds, p: BarrierParams, shifts: ShiftIndexSet, L_hat: float,
     linearized slack constraints; the velocity is kept unchanged.  Returns the
     updated dynamics state plus an info dict with the before/after energies.
     """
-    # positions cannot move self-image slacks, so they must already hold
-    _assert_cell_constraints(ds.packing, shifts, p)
-    return _e_project(ds, p, shifts, L_hat, None, 0.0, members, horizon, tol)
+    return _e_project(ds, p, shifts, L_hat, None, 0.0, members)
 
 
 def e_project_joint(ds, p: BarrierParams, shifts: ShiftIndexSet, L_x: float, L_B: float,
-                    volume_weight: float = 0.0, members: Contacts | None = None,
-                    horizon: float = 1.0, tol: float = 1e-10):
+                    volume_weight: float = 0.0, members: Contacts | None = None):
     """Joint (positions, basis) energy-nonexpansive projection.
 
     Minimizes the joint majorizer subject to jointly linearized constraints
@@ -215,49 +200,62 @@ def e_project_joint(ds, p: BarrierParams, shifts: ShiftIndexSet, L_x: float, L_B
     by design).  Basis nondegeneracy is re-checked; a violating basis move is
     halved up to 10 times, else dropped.
     """
-    return _e_project(ds, p, shifts, L_x, L_B, volume_weight, members, horizon, tol)
+    return _e_project(ds, p, shifts, L_x, L_B, volume_weight, members)
 
 
 def _e_project(ds, p: BarrierParams, shifts: ShiftIndexSet, wx: float, wB: float | None,
-               volume_weight: float, members: Contacts | None, horizon: float, tol: float):
+               volume_weight: float, members: Contacts | None):
     """The projection loop of both entry points; positions only when wB is None.
 
     Each round re-anchors the linear model at the current point and solves the
     QP.  A candidate below the slack margin gets a Gauss-Seidel sweep and a new
     round (at most 6); one that raises the energy doubles the curvature weights
     (at most 30 times) unless the volume term is on or the move is pinned.
+    Every state visited is scanned for contacts once; a backoff keeps the
+    anchor, so it keeps the constraint rows and the gradient too.
     """
     joint = wB is not None
     state: PackingState = ds.packing
     N, n = state.x.shape
+    floor = p.delta * (1.0 - _SLACK_GUARD)
+    near = contacts_within(state, shifts, p.R)
+    # positions cannot move self-image slacks, so they must already hold
+    if not joint and min_slack_of(state, near.take(near.i == near.j)) < floor:
+        raise FeasibilityError(
+            "cell-bound (self-image) slack below margin; a joint basis update is required")
     ev = barrier_energy(state, shifts, p, members=members)
     e_before = lyapunov(ds, ev.value)
     backoffs = 0
     rounds = 0
     cur = state
-    prev_u = None
+    A = prev_u = None
     info = {"E_before": e_before, "kind": "qp_joint" if joint else "qp_x"}
     if joint:
         info["volume_weight"] = volume_weight
     while True:
-        A, b = _constraint_rows(cur, shifts, p, horizon, joint)
-        evc = barrier_energy(cur, shifts, p, members=members) if cur is not state else ev
+        if A is None:  # a new anchor
+            A, b = _constraint_rows(cur, near, p, joint)
+            evc = barrier_energy(cur, shifts, p, members=members) if cur is not state else ev
+            linear = (evc.grad_x + ds.gamma * (cur.x - ds.x_prev)).ravel()
+            if joint:
+                gB = evc.grad_B + (volume_weight * volume_gradient(cur.basis)
+                                   if volume_weight else 0.0)
+                linear = np.concatenate([linear, gB.ravel()])
         diag = np.full(N * n, wx + ds.gamma)
-        linear = (evc.grad_x + ds.gamma * (cur.x - ds.x_prev)).ravel()
         if joint:
-            gB = evc.grad_B + (volume_weight * volume_gradient(cur.basis) if volume_weight else 0.0)
             diag = np.concatenate([diag, np.full(n * n, wB)])
-            linear = np.concatenate([linear, gB.ravel()])
-        sol = solve_qp(QuadraticProgram(diag=diag, linear=linear, A=A, b=b), tol=tol)
+        sol = solve_qp(QuadraticProgram(diag=diag, linear=linear, A=A, b=b))
         basis = _admissible_basis(cur.basis, sol.u[N * n:].reshape(n, n)) if joint else cur.basis
         cand = PackingState.make(gauge_project(cur.x + sol.u[: N * n].reshape(N, n)), basis)
-        if min_slack(cand, shifts, p.R) < p.delta * (1.0 - _SLACK_GUARD):
+        near_cand = contacts_within(cand, shifts, p.R)
+        if min_slack_of(cand, near_cand) < floor:
             rounds += 1
             if rounds > 6:
                 raise FeasibilityError(("joint " if joint else "")
                                        + "projection could not restore the slack margin")
-            cur, _ = gs_project_once(cand, shifts, p.delta)
-            prev_u = None
+            cur, changed = gs_project_once(cand, shifts, p.delta, base=near_cand)
+            near = contacts_within(cur, shifts, p.R) if changed else near_cand
+            A = prev_u = None
             continue
         out = dataclasses.replace(ds, packing=cand)
         e_after = lyapunov(out, barrier_value(cand, shifts, p, members=members))
@@ -284,7 +282,7 @@ def _admissible_basis(basis: LatticeBasis, H: np.ndarray) -> LatticeBasis:
     step = np.asarray(H, dtype=float)
     for _ in range(10):
         try:
-            return LatticeBasis(basis.B + step, sigma_lo=basis.sigma_lo, sigma_hi=basis.sigma_hi)
+            return LatticeBasis(basis.B + step)
         except SingularBasisError:
             step = 0.5 * step
     logger.warning("basis update rejected after 10 halvings; keeping the old cell")

@@ -27,6 +27,8 @@ from .geometry import (
     volume_gradient,
 )
 
+_RANK_TOL = 1e-8  # singular values below this share of the largest count as zero
+
 
 @dataclass(frozen=True)
 class MotionVector:
@@ -45,10 +47,9 @@ class MotionVector:
                             A=vec[N * n:].reshape(n, n).copy())
 
 
-def active_set(state: PackingState, shifts: ShiftIndexSet, tol_active: float,
-               radius: float | None = None) -> Contacts:
+def active_set(state: PackingState, shifts: ShiftIndexSet, tol_active: float) -> Contacts:
     """Contacts with |slack| at most tol_active (separation within tol of 2)."""
-    near = contacts_within(state, shifts, radius if radius is not None else shifts.R)
+    near = contacts_within(state, shifts, shifts.R)
     s = slack_values(state, near)
     return near.take(np.abs(s) <= tol_active)
 
@@ -109,11 +110,10 @@ class RigidityResult:
 
 
 def is_periodically_rigid(state: PackingState, active: Contacts,
-                          convention: str = "shift",
-                          rel_tol: float = 1e-8) -> RigidityResult:
+                          convention: str = "shift") -> RigidityResult:
     """Nullspace of the motion operator, quotiented by rigid-body motions.
 
-    Rank decisions use singular values against rel_tol times the largest one.
+    Rank decisions use singular values against _RANK_TOL times the largest one.
     Rigid iff no nontrivial motion survives the quotient.
     """
     N, n = state.x.shape
@@ -127,7 +127,7 @@ def is_periodically_rigid(state: PackingState, active: Contacts,
         M = motion_operator(state, active, convention)
         _, svals, Vt = np.linalg.svd(M, full_matrices=True)
         smax = svals[0] if svals.size else 0.0
-        rank = int(np.sum(svals > rel_tol * max(smax, 1e-300)))
+        rank = int(np.sum(svals > _RANK_TOL * max(smax, 1e-300)))
         kept = svals[rank - 1] if rank else np.inf
         dropped = svals[rank] if rank < svals.size else 0.0
         rank_margin = float(kept / dropped) if dropped > 0 else np.inf
@@ -136,7 +136,7 @@ def is_periodically_rigid(state: PackingState, active: Contacts,
     W = null - T @ (T.T @ null)
     if W.shape[1]:
         U, ws, _ = np.linalg.svd(W, full_matrices=False)
-        keep = ws > rel_tol * max(1.0, ws[0] if ws.size else 1.0)
+        keep = ws > _RANK_TOL * max(1.0, ws[0] if ws.size else 1.0)
         basis = U[:, keep]
     else:
         basis = W
@@ -166,14 +166,13 @@ def stress_energy(state: PackingState, active: Contacts, omega,
 
 
 def prestress_stable(state: PackingState, active: Contacts, omega,
-                     convention: str = "shift",
-                     rel_tol: float = 1e-8) -> tuple[bool, float]:
+                     convention: str = "shift") -> tuple[bool, float]:
     """Is the stress quadratic form positive definite on nontrivial motions?
 
     Returns the flag plus the smallest restricted eigenvalue; an already-rigid
     framework has no nontrivial motions and reports (True, +inf).
     """
-    rig = is_periodically_rigid(state, active, convention, rel_tol)
+    rig = is_periodically_rigid(state, active, convention)
     if rig.nontrivial_dim == 0:
         return True, float("inf")
     w = _omega_array(active, omega)

@@ -17,38 +17,30 @@ from util import (
     square_single_sphere,
 )
 
-from spit import (
+from spit.barrier import (
     BarrierParams,
-    DynamicsState,
-    LatticeBasis,
-    MotionVector,
-    PackingState,
-    active_set,
     barrier_energy,
     barrier_value,
-    build_contact_graph,
-    build_shift_set,
-    cheeger_check,
-    companion_rate,
     estimate_L,
     estimate_m,
-    fiedler,
     hvp_joint,
     hvp_x,
-    is_periodically_rigid,
     lipschitz_bound,
+    observed_slack_cap,
+)
+from spit.cli import main as cli_main
+from spit.dynamics import DynamicsState, companion_rate, run_trajectory, select_steps, spit_step
+from spit.geometry import LatticeBasis, PackingState, build_shift_set, contacts_within, slack_values
+from spit.harness import RunConfig, certify, config_from_preset, make_testbed
+from spit.rigidity import (
+    MotionVector,
+    active_set,
+    is_periodically_rigid,
     motion_operator,
-    poincare_check,
     prestress_stable,
-    run_trajectory,
-    select_steps,
-    spit_step,
     trivial_motion_basis,
 )
-from spit.barrier import observed_slack_cap
-from spit.cli import main as cli_main
-from spit.geometry import contacts_within, slack_values
-from spit.harness import RunConfig, certify, config_from_preset, make_testbed
+from spit.spectral import build_contact_graph, cheeger_check, fiedler, poincare_check
 
 P = BarrierParams(nu=1e-2, delta=1e-3, R=2.5)
 

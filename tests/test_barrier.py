@@ -15,23 +15,22 @@ from util import (
     sliding_column_state,
 )
 
-from spit import (
+from spit.barrier import (
     BarrierParams,
-    InfeasibleSlackError,
-    PackingState,
     barrier_energy,
     barrier_value,
-    build_shift_set,
     estimate_L,
     estimate_L_joint,
     estimate_m,
+    hessian,
     hvp_joint,
     hvp_x,
     lipschitz_bound,
+    observed_slack_cap,
     phi,
 )
-from spit.barrier import hessian, observed_slack_cap
-from spit.geometry import LatticeBasis, contacts_within
+from spit.errors import InfeasibleSlackError
+from spit.geometry import LatticeBasis, PackingState, build_shift_set, contacts_within
 from spit.harness import RunConfig, make_testbed, random_feasible_state
 
 P = BarrierParams(nu=1e-2, delta=1e-3, R=2.5)

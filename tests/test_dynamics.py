@@ -6,26 +6,23 @@ import numpy as np
 import pytest
 from util import hex_two_sphere, make_ds, pair_state
 
-from spit import (
-    BarrierParams,
+from spit.barrier import BarrierParams, barrier_energy, barrier_value, estimate_L, estimate_m
+from spit.dynamics import (
     DynamicsState,
-    MidpointInfeasibleError,
-    RunAbort,
     backtrack,
-    barrier_energy,
-    build_shift_set,
     companion_coefficients,
     companion_rate,
-    estimate_L,
-    estimate_m,
     jury_stable,
     lyapunov_energy,
     run_trajectory,
     select_steps,
     spit_step,
+    verlet_update,
 )
-from spit.dynamics import verlet_update
+from spit.errors import MidpointInfeasibleError, RunAbort
+from spit.geometry import build_shift_set, min_slack
 from spit.harness import RunConfig, config_from_preset
+from spit.spectral import build_contact_graph, fiedler
 
 P = BarrierParams(nu=1e-2, delta=1e-3, R=2.5)
 
@@ -34,7 +31,6 @@ def test_lyapunov_reduces_to_barrier_at_rest():
     st = pair_state(2.1)
     shifts = build_shift_set(st.basis, P.R)
     ds = make_ds(st, P, L_hat=1.0)
-    from spit import barrier_value
     assert lyapunov_energy(ds, P, shifts) == barrier_value(st, shifts, P)
 
 
@@ -44,7 +40,6 @@ def test_lyapunov_kinetic_term():
     v = np.array([[2.0, 0.0], [0.0, 0.0]])  # ||v|| = 2
     ds = make_ds(st, P, L_hat=1.0, v=v)
     ds = dataclasses.replace(ds, gamma=0.0)
-    from spit import barrier_value
     assert lyapunov_energy(ds, P, shifts) == pytest.approx(
         barrier_value(st, shifts, P) + 2.0)
 
@@ -227,7 +222,6 @@ def test_apply_nudge_inside_loop_is_energy_safe():
     # healthy testbeds, but the applied move must respect the energy guard
     from spit.dynamics import _apply_nudge
     from spit.harness import random_feasible_state
-    from spit import build_contact_graph, fiedler
     from spit.geometry import contacts_within
 
     applied_any = False
@@ -250,7 +244,6 @@ def test_apply_nudge_inside_loop_is_energy_safe():
         ds_new, e_new = out
         applied_any = True
         assert e_new <= E_ref + 1e-10
-        from spit import min_slack
         assert min_slack(ds_new.packing, shifts) >= cfg.delta * (1 - 1e-6)
         assert any(e.get("kind") == "nudge" for e in events)
     assert applied_any

@@ -6,20 +6,23 @@ from hypothesis import given, settings
 from hypothesis.strategies import integers as st_integers
 from util import big_cell, fd_gradient, pair_state, rel_err
 
-from spit import (
+from spit.errors import SingularBasisError
+from spit.geometry import (
     ContactIndex,
     Contacts,
     LatticeBasis,
     PackingState,
-    SingularBasisError,
     build_shift_set,
     cell_volume,
+    contact_rows,
+    contacts_within,
     gauge_project,
     min_slack,
     pair_slack,
+    r_vectors,
+    slack_values,
     volume_gradient,
 )
-from spit.geometry import contact_rows, contacts_within, r_vectors, slack_values
 from spit.harness import random_feasible_state
 
 

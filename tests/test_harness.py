@@ -5,12 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from spit import (
-    build_shift_set,
-    cell_volume,
-    min_slack,
-)
 from spit.cli import main as cli_main
+from spit.geometry import build_shift_set, cell_volume, min_slack
 from spit.harness import (
     RunConfig,
     config_from_preset,
@@ -32,6 +28,13 @@ def test_config_validation_ranges():
         RunConfig(c=2.5).validate()
     # the escape hatch accepts anything
     RunConfig(eta_dt=2.0, unsafe=True).validate()
+
+
+@pytest.mark.parametrize("key", ["volume_weight", "cert_shrink", "grad_tol"])
+def test_config_rejects_negative_weights(key):
+    with pytest.raises(ValueError, match=key):
+        RunConfig(**{key: -5.0}).validate()
+    RunConfig(**{key: 0.0}).validate()
 
 
 def test_config_presets():
@@ -215,3 +218,12 @@ def test_cli_unsafe_flag_required_for_out_of_range(tmp_path):
     rc = cli_main(["run", "--config", str(cfg), "--steps", "1", "--unsafe",
                    "--out", str(tmp_path)])
     assert rc == 0
+
+
+def test_cli_shrink_is_validated(tmp_path, capsys):
+    rc = cli_main(["run", "--preset", "stub32", "--steps", "1", "--shrink", "-5",
+                   "--out", str(tmp_path)])
+    assert rc == 2 and "volume_weight" in capsys.readouterr().err
+    # certify takes --shrink as cert_shrink and validates it before reading the state
+    rc = cli_main(["certify", str(tmp_path / "nope.json"), "--shrink", "-5"])
+    assert rc == 2 and "cert_shrink" in capsys.readouterr().err

@@ -4,23 +4,16 @@ import numpy as np
 import pytest
 from util import big_cell, energy_of, make_ds, pair_state
 
-from spit import (
-    BarrierParams,
-    LatticeBasis,
-    PackingState,
+from spit.barrier import BarrierParams, barrier_energy, barrier_value, estimate_L, estimate_L_joint
+from spit.geometry import LatticeBasis, PackingState, build_shift_set, contacts_within, min_slack
+from spit.harness import random_feasible_state
+from spit.projection import (
     QuadraticProgram,
-    barrier_energy,
-    build_shift_set,
     e_project_joint,
     e_project_x,
-    estimate_L,
-    estimate_L_joint,
     gs_project_once,
-    min_slack,
     solve_qp,
 )
-from spit.geometry import contacts_within
-from spit.harness import random_feasible_state
 
 P = BarrierParams(nu=1e-2, delta=1e-3, R=2.5)
 
@@ -114,13 +107,17 @@ def test_constraint_rows_shapes():
     from spit.projection import _constraint_rows
     st = pair_state(2.1)
     shifts = build_shift_set(st.basis, P.R)
-    A, b = _constraint_rows(st, shifts, P, horizon=1.0, joint=True)
+    near = contacts_within(st, shifts, P.R)
+    A, b = _constraint_rows(st, near, P, joint=True)
     assert A.shape == (1, 4 + 4)  # one pair; position block, then the 2 x 2 basis block
     assert b[0] == pytest.approx(P.delta - (2.1**2 - 4.0))
-    A_x, b_x = _constraint_rows(st, shifts, P, horizon=1.0, joint=False)
+    A_x, b_x = _constraint_rows(st, near, P, joint=False)
     assert np.array_equal(A_x, A[:, :4]) and np.array_equal(b_x, b)
-    # contacts farther than the horizon above delta are not linearized
-    A_far, _ = _constraint_rows(st, shifts, P, horizon=0.1, joint=True)
+    # contacts more than the horizon (1.0) above delta are not linearized
+    far = pair_state(2.4)  # slack 1.76, still within R
+    near_far = contacts_within(far, shifts, P.R)
+    assert len(near_far) == 1
+    A_far, _ = _constraint_rows(far, near_far, P, joint=True)
     assert A_far.shape == (0, 8)
 
 
@@ -233,7 +230,6 @@ def test_majorizer_dominates_energy_locally():
     ds = make_ds(st, P, L_hat=L_true)
     ev = barrier_energy(st, shifts, P, members=members)
     rng = np.random.default_rng(5)
-    from spit import barrier_value
     for _ in range(20):
         d = rng.standard_normal(st.x.shape)
         d -= d.mean(axis=0)
@@ -260,3 +256,26 @@ def test_guard_restores_margin_from_violating_state():
     ds = make_ds(repaired, P, L_hat=L)
     out, info = e_project_x(ds, P, shifts, L_hat=L)
     assert min_slack(out.packing, shifts) >= P.delta * (1 - 1e-6)
+
+
+def test_e_project_x_scans_each_state_once(monkeypatch):
+    st = random_feasible_state(seed=300, N=5)
+    shifts = build_shift_set(st.basis, P.R)
+    members = contacts_within(st, shifts, P.R)
+    L = estimate_L(st, shifts, P, members=members).value
+    rng = np.random.default_rng(0)
+    ds = make_ds(st, P, L_hat=L, x_prev=st.x + rng.standard_normal(st.x.shape) * 0.01)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return contacts_within(*args, **kwargs)
+
+    # every binding of the scan, so that calls through geometry.min_slack count too
+    monkeypatch.setattr("spit.geometry.contacts_within", counting)
+    monkeypatch.setattr("spit.projection.contacts_within", counting)
+    out, info = e_project_x(ds, P, shifts, L_hat=L, members=members)
+    assert info["guard_rounds"] == 0 and info["backoffs"] == 0
+    # the input state once (self-image check and constraint rows), the result once
+    assert len(calls) == 2
+    assert calls[0] is st and calls[1] is out.packing

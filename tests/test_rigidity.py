@@ -4,26 +4,29 @@ import numpy as np
 import pytest
 from util import hex_single_sphere, pair_state, square_single_sphere
 
-from spit import (
-    BarrierParams,
+from spit.barrier import BarrierParams, barrier_energy, phi
+from spit.geometry import (
+    Contacts,
     LatticeBasis,
-    MotionVector,
     PackingState,
-    active_set,
     build_shift_set,
+    contacts_within,
+    r_vectors,
+    volume_gradient,
+)
+from spit.harness import random_feasible_state
+from spit.rigidity import (
+    MotionVector,
+    active_set,
     is_periodically_rigid,
     kkt_residual,
     licq_sigma_min,
     motion_operator,
-    phi,
     prestress_stable,
     recover_multipliers,
     stress_energy,
     trivial_motion_basis,
-    volume_gradient,
 )
-from spit.geometry import Contacts, contacts_within, r_vectors
-from spit.harness import random_feasible_state
 
 P = BarrierParams(nu=1e-2, delta=1e-3, R=2.5)
 
@@ -287,7 +290,6 @@ def test_kkt_residual_x_stationarity_from_raw_multipliers():
     shifts = build_shift_set(st.basis, P.R)
     mus = recover_multipliers(st, shifts, P)
     _, res_x, _ = kkt_residual(st, shifts, mus.contacts, mus.raw)
-    from spit import barrier_energy
     g = barrier_energy(st, shifts, P).grad_x
     assert res_x == pytest.approx(float(np.linalg.norm(g)), abs=1e-12)
 

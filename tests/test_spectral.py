@@ -4,24 +4,22 @@ import numpy as np
 import pytest
 from util import hex_single_sphere, make_ds, pair_state
 
-from spit import (
-    BarrierParams,
+from spit.barrier import BarrierParams, barrier_energy, estimate_L
+from spit.geometry import Contacts, LatticeBasis, PackingState, build_shift_set
+from spit.harness import config_from_preset, make_testbed
+from spit.spectral import (
     ContactGraph,
-    LatticeBasis,
     NudgeHistory,
-    PackingState,
+    _ones_complement,
     build_contact_graph,
-    build_shift_set,
     cheeger_check,
     fiedler,
+    laplacian,
     lift_mode,
     nudge_alpha,
     nudge_trigger,
     poincare_check,
 )
-from spit.geometry import Contacts
-from spit.harness import config_from_preset, make_testbed
-from spit.spectral import _ones_complement, laplacian
 
 P = BarrierParams(nu=1e-2, delta=1e-3, R=2.5)
 
@@ -351,7 +349,6 @@ def test_nudge_history_window_bound():
 
 def test_applied_nudge_is_energy_safe():
     # random small states: a nudge of the computed size never raises E beyond tolerance
-    from spit import barrier_energy
     from spit.harness import random_feasible_state
     from util import energy_of
     from spit.geometry import gauge_project
@@ -359,7 +356,6 @@ def test_applied_nudge_is_energy_safe():
     for seed in range(6):
         st = random_feasible_state(seed=500 + seed, N=4, delta=0.02)
         shifts = build_shift_set(st.basis, P.R)
-        from spit import estimate_L
         L = estimate_L(st, shifts, P).value
         ds = make_ds(st, P, L_hat=L)
         g = build_contact_graph(st, shifts, eps=P.R - 2.0)

@@ -4,14 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from spit import (
-    BarrierParams,
-    DynamicsState,
-    LatticeBasis,
-    PackingState,
-    barrier_value,
-    contacts_within,
-)
+from spit.barrier import BarrierParams, barrier_value
+from spit.dynamics import DynamicsState
+from spit.geometry import LatticeBasis, PackingState, contacts_within
 
 
 def fd_gradient(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
