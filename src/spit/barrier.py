@@ -213,8 +213,17 @@ def _gauge_spectrum(H: np.ndarray, N: int, n: int) -> tuple[np.ndarray, float]:
     return w[:D - n], D * float(np.finfo(float).eps) * (2.0 * s - 1.0)
 
 
-def _max_abs_bound(H: np.ndarray, N: int, n: int) -> CurvatureBound:
-    w, margin = _gauge_spectrum(H, N, n)
+def _position_spectrum(state: PackingState, contacts: Contacts, p: BarrierParams):
+    """`_gauge_spectrum` of the position Hessian, kept on the contact list for
+    the next call: `estimate_L` and `estimate_m` of one state share it."""
+    key, memo = (state.x.tobytes(), state.basis.B.tobytes(), p), contacts._memo
+    if key not in memo:
+        memo.clear()
+        memo[key] = _gauge_spectrum(hessian(state, contacts, p), *state.x.shape)
+    return memo[key]
+
+
+def _max_abs_bound(w: np.ndarray, margin: float) -> CurvatureBound:
     return CurvatureBound(max(float(np.max(np.abs(w), initial=0.0)) + margin, 1e-12), 1, True)
 
 
@@ -224,7 +233,7 @@ def estimate_L(state: PackingState, shifts: ShiftIndexSet, p: BarrierParams,
     gauge-restricted position Hessian: one dense eigensolve plus its roundoff
     margin, floored at 1e-12."""
     contacts = _included(state, shifts, p, members)
-    return _max_abs_bound(hessian(state, contacts, p), *state.x.shape)
+    return _max_abs_bound(*_position_spectrum(state, contacts, p))
 
 
 def estimate_m(state: PackingState, shifts: ShiftIndexSet, p: BarrierParams,
@@ -232,7 +241,7 @@ def estimate_m(state: PackingState, shifts: ShiftIndexSet, p: BarrierParams,
     """Certified lower bound on the smallest eigenvalue of the gauge-restricted
     position Hessian, clipped at zero so flat directions report m = 0."""
     contacts = _included(state, shifts, p, members)
-    w, margin = _gauge_spectrum(hessian(state, contacts, p), *state.x.shape)
+    w, margin = _position_spectrum(state, contacts, p)
     return CurvatureBound(max(float(w[0]) - margin, 0.0) if w.size else 0.0, 1, True)
 
 
@@ -241,7 +250,8 @@ def estimate_L_joint(state: PackingState, shifts: ShiftIndexSet, p: BarrierParam
     """Certified upper bound on the spectral norm of the joint Hessian
     (gauge positions and basis together)."""
     contacts = _included(state, shifts, p, members)
-    return _max_abs_bound(hessian(state, contacts, p, joint=True), *state.x.shape)
+    return _max_abs_bound(*_gauge_spectrum(hessian(state, contacts, p, joint=True),
+                                           *state.x.shape))
 
 
 def lipschitz_bound(p: BarrierParams, slack_cap: float, radius: float, count: int) -> float:

@@ -35,23 +35,26 @@ def _add_config_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", type=Path, help="flat key = value config file")
     sub.add_argument("--preset", choices=("stub32", "stub64"), help="built-in testbed config")
     sub.add_argument("--seed", type=int, help="RNG seed override")
-    sub.add_argument("--steps", type=int, help="override max_steps")
     sub.add_argument("--out", type=Path, default=None, help="output directory")
     sub.add_argument("--unsafe", action="store_true",
                      help="accept out-of-range configuration values")
+
+
+def _add_trajectory_flags(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--steps", type=int, help="override max_steps (certify: per level)")
     sub.add_argument("--shrink", type=float, metavar="WEIGHT",
                      help="cell-volume descent weight for joint projections")
 
 
 def _build_config(args) -> RunConfig:
     overrides = {}
+    certify = args.command == "certify"  # each level has its own step cap and volume weight
     if args.seed is not None:
         overrides["seed"] = args.seed
-    if args.steps is not None:
-        overrides["max_steps"] = args.steps
-    if args.shrink is not None:
-        # certify re-minimizes volume with its own weight, cert_shrink
-        overrides["cert_shrink" if args.command == "certify" else "volume_weight"] = args.shrink
+    if getattr(args, "steps", None) is not None:
+        overrides["cert_max_steps" if certify else "max_steps"] = args.steps
+    if getattr(args, "shrink", None) is not None:
+        overrides["cert_shrink" if certify else "volume_weight"] = args.shrink
     if args.unsafe:
         overrides["unsafe"] = True
     if args.config is not None:
@@ -130,6 +133,7 @@ def main(argv=None) -> int:
 
     run_p = subs.add_parser("run", help="run a packing trajectory")
     _add_config_flags(run_p)
+    _add_trajectory_flags(run_p)
     run_p.set_defaults(func=cmd_run)
 
     tb_p = subs.add_parser("testbed", help="generate and save a testbed state")
@@ -139,6 +143,7 @@ def main(argv=None) -> int:
     cert_p = subs.add_parser("certify", help="barrier continuation plus rigidity report")
     cert_p.add_argument("state", type=Path, help="input state JSON")
     _add_config_flags(cert_p)
+    _add_trajectory_flags(cert_p)
     cert_p.set_defaults(func=cmd_certify)
 
     spec_p = subs.add_parser("spectra", help="contact-graph spectrum of a state")

@@ -381,15 +381,15 @@ def run_trajectory(config, initial: DynamicsState | None = None) -> TrajectoryRe
                 ds2, info = e_project_joint(ds, p, shifts, L_x=max(Lj, L_hat), L_B=Lj,
                                             volume_weight=config.volume_weight,
                                             members=members)
+                near = info.pop("near")
                 events.append({"step": k, **info})
                 counts["projections_joint"] += 1
                 basis_moved = info.get("basis_moved", False)
                 last_joint_shift = float(np.linalg.norm(ds2.packing.basis.B - B_old))
                 ds = ds2
                 row.projection = row.projection + "+joint"
-                if basis_moved:
-                    shifts = build_shift_set(ds.packing.basis, config.R)
-                    members = contacts_within(ds.packing, shifts, config.R)
+                if basis_moved:  # the projection has scanned the new cell
+                    members = near
                     rest, L_hat, m_hat = rest_state(ds.packing, shifts, p, config, members)
                     if rest.dt < ds.dt:
                         scale = ds.dt / rest.dt

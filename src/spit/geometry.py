@@ -1,13 +1,17 @@
-"""Lattice bases, shift sets, pair slacks, and the center-of-mass gauge.
+"""Lattice bases, contact enumeration, pair slacks, and the center-of-mass gauge.
 
 Sphere centers are stored in Cartesian coordinates and are never wrapped into
 the fundamental cell; the lattice enters only through shift vectors t = B z.
-All operations are pure functions, and contact tables are kept in a fixed
-canonical order so repeated summations are bitwise reproducible.
+`contacts_within` finds every contact within a radius by a cell list in
+fractional coordinates (Allen & Tildesley, ch. 5).  All operations are pure
+functions, and contact tables are kept in a fixed canonical order so repeated
+summations are bitwise reproducible.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -45,6 +49,7 @@ class LatticeBasis:
     """
 
     B: np.ndarray
+    _grids: dict = field(default_factory=dict, init=False, repr=False, compare=False)  # cell lists
 
     def __post_init__(self):
         B = np.array(self.B, dtype=float)
@@ -114,11 +119,9 @@ class ContactIndex:
     z: tuple
 
 
-def _lex_positive(z) -> bool:
-    for c in z:
-        if c != 0:
-            return c > 0
-    return False
+def _lex_positive(z: np.ndarray) -> np.ndarray:
+    """Which rows of the integer array z have a positive first nonzero entry."""
+    return z[np.arange(z.shape[0]), np.argmax(z != 0, axis=1)] > 0
 
 
 @dataclass(frozen=True)
@@ -128,6 +131,8 @@ class Contacts:
     i: np.ndarray
     j: np.ndarray
     z: np.ndarray
+    # results computed from this table, such as barrier's Hessian spectrum
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __len__(self) -> int:
         return self.i.shape[0]
@@ -141,7 +146,10 @@ class Contacts:
 
 @dataclass(frozen=True)
 class ShiftIndexSet:
-    """Finite symmetric set of integer shift vectors, plus the radius it serves."""
+    """Finite symmetric set of integer shift vectors, plus the radius it serves.
+
+    Runs use it for its radius only; the shifts serve the test oracle `candidates`.
+    """
 
     zs: np.ndarray
     R: float
@@ -155,7 +163,7 @@ class ShiftIndexSet:
         return self.zs.shape[1]
 
     def candidates(self, N: int) -> Contacts:
-        """All canonical contacts of N spheres under this shift set (cached)."""
+        """Every pair of N spheres under every shift (cached): the test oracle."""
         got = self._pairs.get(N)
         if got is not None:
             return got
@@ -165,7 +173,7 @@ class ShiftIndexSet:
         blocks_i = [np.tile(iu, K)]
         blocks_j = [np.tile(ju, K)]
         blocks_z = [np.repeat(self.zs, iu.shape[0], axis=0)]
-        pos = np.array([z for z in self.zs if _lex_positive(z)], dtype=np.int64).reshape(-1, n)
+        pos = self.zs[_lex_positive(self.zs)]
         if pos.shape[0] and N:
             idx = np.arange(N, dtype=np.int64)
             blocks_i.append(np.repeat(idx, pos.shape[0]))
@@ -183,8 +191,10 @@ class ShiftIndexSet:
 def build_shift_set(basis: LatticeBasis, R: float) -> ShiftIndexSet:
     """Enumerate all integer shifts z with ||B z|| <= R + cell diameter.
 
-    The diameter margin guarantees that any pair of cell-reduced positions
-    within distance R is reachable by some listed shift.
+    A contact within R has ||B z|| <= R + ||x_i - x_j||, and centers are never
+    wrapped into the cell, so the set reaches every contact only while
+    max ||x_i - x_j|| <= diameter.  For an oracle that is complete on any
+    state, build it for R + max ||x_i - x_j||.
     """
     if R < 0:
         raise ValueError("interaction radius must be nonnegative")
@@ -203,7 +213,8 @@ def build_shift_set(basis: LatticeBasis, R: float) -> ShiftIndexSet:
 
 def r_vectors(state: PackingState, contacts: Contacts) -> np.ndarray:
     """Per-contact separation vectors r = x_i - x_j - B z."""
-    return state.x[contacts.i] - state.x[contacts.j] - contacts.z.astype(float) @ state.basis.B.T
+    x, zB = state.x, contacts.z.astype(float) @ state.basis.B.T
+    return x.take(contacts.i, axis=0) - x.take(contacts.j, axis=0) - zB
 
 
 def slack_values(state: PackingState, contacts: Contacts) -> np.ndarray:
@@ -213,11 +224,85 @@ def slack_values(state: PackingState, contacts: Contacts) -> np.ndarray:
 
 def contacts_within(state: PackingState, shifts: ShiftIndexSet, radius: float,
                     base: Contacts | None = None) -> Contacts:
-    """Canonical contacts whose separation does not exceed `radius`."""
-    table = base if base is not None else shifts.candidates(state.N)
+    """Canonical contacts whose separation does not exceed `radius`: all of
+    them by a cell list over the state's own basis (`shifts` is not consulted),
+    or those among the rows of `base`."""
+    table = base if base is not None else _cell_candidates(state, radius)
     r = r_vectors(state, table)
     d2 = np.einsum("mk,mk->m", r, r)
     return table.take(d2 <= radius * radius)
+
+
+_MAX_CELLS = 1024  # per axis
+
+
+def _cell_grid(basis: LatticeBasis, radius: float):
+    """(B^-T, cells per axis, (cells, reach)) of the cell list for `radius`.
+
+    Axis a of f = B^-1 x has m_a = floor(w_a / radius) cells, w_a = 1 / ||row a
+    of B^-1|| the face spacing.  A pair within radius differs by at most radius
+    / w_a in f_a: by at most ceil(radius m_a / w_a) cells, 2 or more if m_a = 1.
+    """
+    grid = basis._grids.get(radius)
+    if grid is None:
+        inv = np.linalg.inv(basis.B)
+        width = (1.0 / np.linalg.norm(inv, axis=1)).tolist()
+        m = tuple(max(1, min(int(w // radius), _MAX_CELLS)) if radius > 0 else _MAX_CELLS
+                  for w in width)
+        reach = tuple(math.ceil(radius * c / w + 1e-9) for c, w in zip(m, width))  # pad: roundoff
+        grid = basis._grids[radius] = (inv.T.copy(), np.array(m), (m, reach))
+    return grid
+
+
+def _cell_candidates(state: PackingState, radius: float) -> Contacts:
+    """Canonical contacts between spheres in cells within reach, in order.
+
+    Sphere i lies in the cell image k_i = floor(f_i) and is binned by f_i - k_i;
+    sphere j's image found at wrap w from there is the contact (i, j, k_i - k_j
+    + w).  Sorted by (i, j, w) these are sorted by (i, j, z).
+    """
+    inv_T, m, key = _cell_grid(state.basis, radius)
+    f = state.x @ inv_T
+    k = np.floor(f)
+    if max(key[0]) == 1:  # one cell holds every sphere
+        occupancy = bytes(k.nbytes)
+    else:
+        cells = ((f - k) * m).astype(np.int64)
+        np.minimum(cells, m - 1, out=cells)  # f - k rounds up to 1 just below an integer
+        occupancy = cells.tobytes()
+    i, j, w = _stencil_pairs(key, occupancy)
+    k = k.astype(np.int64)
+    z = k.take(i, axis=0) - k.take(j, axis=0)
+    z += w
+    return Contacts(i, j, z)
+
+
+@functools.lru_cache(maxsize=8)
+def _stencil_pairs(key: tuple, occupancy: bytes):
+    """Canonical (i, j, w), sorted: sphere j's image at wrap w lies within reach
+    of sphere i's cell.  Cached by the grid and the cell of every sphere."""
+    m, reach = key
+    n = len(m)
+    cells = np.frombuffer(occupancy, dtype=np.int64).reshape(-1, n)
+    offsets = np.indices([2 * s + 1 for s in reach]).reshape(n, -1).T - np.array(reach)
+    strides = np.cumprod((1,) + m[:-1])
+    N, S = cells.shape[0], offsets.shape[0]
+    flat = cells @ strides
+    by_cell = np.argsort(flat, kind="stable")
+    flat = flat[by_cell]
+    near = (cells[:, None, :] + offsets).reshape(N * S, n)
+    near_flat = (near % m) @ strides
+    lo = np.searchsorted(flat, near_flat, "left")
+    count = np.searchsorted(flat, near_flat, "right") - lo
+    src = np.repeat(np.arange(N * S), count)  # one per (i, offset, j in that cell)
+    i = src // S
+    start = np.cumsum(count) - count  # of each (i, offset) run in src
+    j = by_cell[np.repeat(lo - start, count) + np.arange(src.size)]
+    w = near[src] // m
+    keep = (i < j) | ((i == j) & _lex_positive(w))
+    i, j, w = i[keep], j[keep], w[keep]
+    order = np.lexsort(tuple(w[:, c] for c in range(n - 1, -1, -1)) + (j, i))
+    return i[order], j[order], w[order]
 
 
 def pair_slack(state: PackingState, c: ContactIndex) -> float:

@@ -90,7 +90,8 @@ class RunConfig:
             (self.K >= int(np.ceil(4.0 / self.eta_dt)), "cadence K below 4/(eta dt)"),
             (self.R > 2.0, "interaction radius must exceed the contact distance 2"),
             (self.n >= 1 and self.N >= 1, "need at least one sphere in one dimension"),
-            (self.max_steps >= 0 and self.joint_period >= 0, "step counts must be nonnegative"),
+            (min(self.max_steps, self.cert_max_steps, self.joint_period) >= 0,
+             "step counts must be nonnegative"),
             (self.jitter >= 0.0 and self.inflate > -0.5, "bad testbed parameters"),
             (self.volume_weight >= 0.0, "volume_weight must be nonnegative"),
             (self.cert_shrink >= 0.0, "cert_shrink must be nonnegative"),

@@ -198,7 +198,8 @@ def e_project_joint(ds, p: BarrierParams, shifts: ShiftIndexSet, L_x: float, L_B
     `volume_weight` a cell-volume descent term is added to the basis block and
     the energy-nonexpansiveness backoff is disabled (the energy may then rise
     by design).  Basis nondegeneracy is re-checked; a violating basis move is
-    halved up to 10 times, else dropped.
+    halved up to 10 times, else dropped.  `info["near"]` holds the result's
+    contacts within R.
     """
     return _e_project(ds, p, shifts, L_x, L_B, volume_weight, members)
 
@@ -274,6 +275,7 @@ def _e_project(ds, p: BarrierParams, shifts: ShiftIndexSet, wx: float, wB: float
                     nonexpansive=bool(volume_weight > 0.0 or e_after <= e_before + 1e-10))
         if joint:
             info["basis_moved"] = bool(np.any(basis.B != state.basis.B))
+            info["near"] = near_cand  # the result's contacts within R, for the caller to reuse
         return out, info
 
 

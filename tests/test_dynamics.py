@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from util import hex_two_sphere, make_ds, pair_state
 
+from spit import barrier
 from spit.barrier import BarrierParams, barrier_energy, barrier_value, estimate_L, estimate_m
 from spit.dynamics import (
     DynamicsState,
@@ -14,14 +15,15 @@ from spit.dynamics import (
     companion_rate,
     jury_stable,
     lyapunov_energy,
+    rest_state,
     run_trajectory,
     select_steps,
     spit_step,
     verlet_update,
 )
 from spit.errors import MidpointInfeasibleError, RunAbort
-from spit.geometry import build_shift_set, min_slack
-from spit.harness import RunConfig, config_from_preset
+from spit.geometry import ShiftIndexSet, build_shift_set, contacts_within, min_slack
+from spit.harness import RunConfig, config_from_preset, make_testbed
 from spit.spectral import build_contact_graph, fiedler
 
 P = BarrierParams(nu=1e-2, delta=1e-3, R=2.5)
@@ -288,3 +290,36 @@ def test_local_linear_rate_two_sphere():
     rho_fit = float(np.exp(slope))
     assert rho_fit < 1.0
     assert abs(rho_fit - rho_pred) <= 0.1
+
+
+def test_runs_never_build_the_oracle_table(monkeypatch):
+    def refuse(self, N):
+        raise AssertionError("a run built the all-pairs candidate table")
+
+    monkeypatch.setattr(ShiftIndexSet, "candidates", refuse)
+    config = config_from_preset("stub32", max_steps=20)
+    ds = make_testbed(config)
+    record = run_trajectory(config, initial=ds)
+    assert len(record.rows) == 20 and record.counts["projections_joint"] == 2
+
+
+def test_rest_state_takes_one_eigensolve(monkeypatch):
+    config = config_from_preset("stub32", N=16)
+    st = make_testbed(config).packing
+    shifts = build_shift_set(st.basis, config.R)
+    members = contacts_within(st, shifts, config.R)
+    calls = []
+    spectrum = barrier._gauge_spectrum
+
+    def counting(H, N, n):
+        calls.append(H.shape)
+        return spectrum(H, N, n)
+
+    monkeypatch.setattr(barrier, "_gauge_spectrum", counting)
+    _, L_hat, m_hat = rest_state(st, shifts, P, config, members)
+    assert len(calls) == 1
+    # the same bounds as from two eigensolves of copies of the member list
+    copy = members.take(slice(None))
+    assert L_hat == estimate_L(st, shifts, P, members=copy).value
+    assert m_hat == estimate_m(st, shifts, P, members=members.take(slice(None))).value
+    assert len(calls) == 3

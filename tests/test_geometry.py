@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis.strategies import floats as st_floats
 from hypothesis.strategies import integers as st_integers
+from hypothesis.strategies import sampled_from as st_sampled_from
 from util import big_cell, fd_gradient, pair_state, rel_err
 
 from spit.errors import SingularBasisError
@@ -18,6 +20,7 @@ from spit.geometry import (
     contacts_within,
     gauge_project,
     min_slack,
+    min_slack_of,
     pair_slack,
     r_vectors,
     slack_values,
@@ -205,3 +208,50 @@ def test_min_slack_empty_is_inf():
     st = pair_state(10.0)
     shifts = build_shift_set(st.basis, 2.5)
     assert min_slack(st, shifts) == np.inf
+
+
+def oracle_contacts(state: PackingState, radius: float) -> Contacts:
+    """Contacts within `radius` from the brute-force table, complete for this
+    state: its shift set reaches radius plus the largest center separation."""
+    x = state.x
+    spread = float(np.max(np.linalg.norm(x[:, None, :] - x[None, :, :], axis=-1)))
+    shifts = build_shift_set(state.basis, radius + spread)
+    return contacts_within(state, shifts, radius, base=shifts.candidates(state.N))
+
+
+def assert_same_contacts(got: Contacts, want: Contacts) -> None:
+    for a, b in ((got.i, want.i), (got.j, want.j), (got.z, want.z)):
+        assert a.dtype == b.dtype == np.int64
+        assert np.array_equal(a, b)
+
+
+def test_random_feasible_state_is_feasible_on_every_pair():
+    # the unwrapped centers of this sheared state lie more than a cell diameter
+    # apart; a table of shifts within R + diameter misses its pair (0, 1, (-3, -1))
+    st = random_feasible_state(58, 2, shear=0.2, R=2.5)
+    near = oracle_contacts(st, 2.5)
+    assert min_slack_of(st, near) >= 1e-3
+    assert_same_contacts(contacts_within(st, build_shift_set(st.basis, 2.5), 2.5), near)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(n=st_sampled_from([2, 3]), N=st_integers(1, 40), seed=st_integers(0, 2**31),
+       reach=st_floats(0.1, 2.5))
+@example(n=2, N=40, seed=1, reach=0.1)  # many cells per axis
+@example(n=2, N=4, seed=2, reach=2.5)   # one cell per axis, stencil reach 3
+@example(n=3, N=1, seed=3, reach=1.5)   # self-images only
+def test_contacts_within_matches_brute_force_oracle(n, N, seed, reach):
+    rng = np.random.default_rng(seed)
+    # sheared unimodular cell, scaled: I + (strict lower) times I + (strict upper)
+    lower = np.tril(rng.uniform(-0.5, 0.5, (n, n)), -1)
+    upper = np.triu(rng.uniform(-0.5, 0.5, (n, n)), 1)
+    basis = LatticeBasis(rng.uniform(3.0, 8.0) * (np.eye(n) + lower) @ (np.eye(n) + upper))
+    # centers anywhere in the cell, each moved by its own lattice vector
+    frac = rng.uniform(0.0, 1.0, (N, n)) + rng.integers(0, 2, (N, n))
+    state = PackingState(x=frac @ basis.B.T, basis=basis)
+    # radius relative to the narrowest face spacing of the cell
+    width = 1.0 / np.max(np.linalg.norm(np.linalg.inv(basis.B), axis=1))
+    radius = reach * width
+    # a run's shift set serves a radius at least the one asked for (spectral: 2 + eps < R)
+    shifts = build_shift_set(basis, radius + 1.0)
+    assert_same_contacts(contacts_within(state, shifts, radius), oracle_contacts(state, radius))

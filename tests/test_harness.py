@@ -227,3 +227,21 @@ def test_cli_shrink_is_validated(tmp_path, capsys):
     # certify takes --shrink as cert_shrink and validates it before reading the state
     rc = cli_main(["certify", str(tmp_path / "nope.json"), "--shrink", "-5"])
     assert rc == 2 and "cert_shrink" in capsys.readouterr().err
+
+
+def test_cli_certify_steps_caps_every_level(tmp_path):
+    state_path = tmp_path / "n4.json"
+    save_state(state_path, make_testbed(RunConfig(N=4, seed=2, unsafe=True)))
+    assert cli_main(["certify", str(state_path), "--steps", "3", "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "certification.json").read_text())
+    assert [level["steps"] for level in report["levels"]] == [3, 3, 3, 3]
+
+
+@pytest.mark.parametrize("argv", [["testbed", "--steps", "5"], ["testbed", "--shrink", "1"],
+                                  ["spectra", "s.json", "--steps", "5"],
+                                  ["spectra", "s.json", "--shrink", "1"]])
+def test_cli_rejects_flags_the_command_ignores(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli_main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
