@@ -19,6 +19,13 @@ roundoff margin, so it is a certified upper bound at the state where it is
 taken.  Between refreshes the curvature can still grow, so the trajectory
 loop also checks descent directly: steps that raise E (or leave the feasible
 region) are redone with a halved time step.
+
+`run_trajectory` evaluates the barrier once per accepted step: a step's
+second gradient is taken at the gauge-projected new state, so that one
+`BarrierEval` serves as the next step's first (first same as last) and for
+every energy, slack and logged value until a move invalidates it: a
+Gauss-Seidel repair that changed the state, a position QP, a joint projection,
+a nudge, or a member-list refresh.  A backtrack changes only dt, eta, gamma.
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .barrier import (
+    BarrierEval,
     BarrierParams,
     barrier_energy,
     barrier_value,
@@ -115,34 +123,31 @@ def verlet_update(x, v, dt: float, eta: float, grad_fn):
 
 
 def spit_step(ds: DynamicsState, p: BarrierParams, shifts: ShiftIndexSet,
-              members: Contacts | None = None,
-              grad0: np.ndarray | None = None) -> DynamicsState:
-    """One damped Verlet step at fixed basis; output is gauge-projected.
+              members: Contacts | None, ev: BarrierEval) -> tuple[DynamicsState, BarrierEval]:
+    """One damped Verlet step at fixed basis from `ev`, the evaluation at `ds`.
 
-    Signals "midpoint infeasible" when the second gradient cannot be
-    evaluated, so the caller can backtrack instead of projecting mid-step.
+    The second gradient is taken at the gauge-projected midpoint, which is
+    the new state's packing, so that evaluation is returned with the new
+    state.  Signals "midpoint infeasible" when it cannot be taken, so the
+    caller can backtrack instead of projecting mid-step.
     """
     state = ds.packing
+    half = []  # (packing, evaluation) at x_half
 
     def grad_fn(x):
-        if grad0 is not None and x is state.x:
-            return grad0
+        if x is state.x:
+            return ev.grad_x
+        packing = state.with_x(x)
         try:
-            return barrier_energy(state.with_x(x), shifts, p, members=members).grad_x
+            half.append((packing, barrier_energy(packing, shifts, p, members=members)))
         except InfeasibleSlackError as exc:
             raise MidpointInfeasibleError("midpoint infeasible") from exc
+        return half[0][1].grad_x
 
-    # the first gradient is at the current (feasible) state: surface its errors as-is
-    if grad0 is None:
-        grad0 = barrier_energy(state, shifts, p, members=members).grad_x
-    x_new, v_new = verlet_update(state.x, ds.v, ds.dt, ds.eta, grad_fn)
-    return dataclasses.replace(
-        ds,
-        packing=state.with_x(gauge_project(x_new)),
-        v=gauge_project(v_new),
-        x_prev=state.x,
-        step_index=ds.step_index + 1,
-    )
+    _, v_new = verlet_update(state.x, ds.v, ds.dt, ds.eta, grad_fn)
+    packing, ev_new = half[0]
+    return dataclasses.replace(ds, packing=packing, v=gauge_project(v_new), x_prev=state.x,
+                               step_index=ds.step_index + 1), ev_new
 
 
 def select_steps(L_hat: float, m_hat: float, target_eta_dt: float, c: float) -> tuple[float, float]:
@@ -287,25 +292,26 @@ def run_trajectory(config, initial: DynamicsState | None = None) -> TrajectoryRe
     rest, L_hat, m_hat = rest_state(ds.packing, shifts, p, config, members)
     ds = dataclasses.replace(ds, dt=rest.dt, eta=rest.eta, gamma=rest.gamma)
 
+    def evaluate(state):
+        """The barrier at `state` on the current members, and its Lyapunov energy."""
+        ev = barrier_energy(state.packing, shifts, p, members=members)
+        return ev, lyapunov(state, ev.value)
+
     history = NudgeHistory(window=config.W)
     rows: list[StepRow] = []
     events: list[dict] = []
     counts = {"accepted": 0, "backtracks": 0, "nudges": 0,
               "projections_x": 0, "projections_joint": 0, "gs_repairs": 0}
     margin = config.delta * (1.0 - 1e-6)
-    E_prev = lyapunov_energy(ds, p, shifts, members)
+    ev, E_prev = evaluate(ds)
     terminated = "max_steps"
     last_joint_shift = None  # Frobenius norm of the latest basis move
-    if ds.packing.N >= 2:
-        lam2_init = fiedler(build_contact_graph(ds.packing, shifts, config.eps_active,
-                                                base=members))[0]
-    else:
-        lam2_init = 0.0
     initial_metrics = {
         "E": E_prev,
-        "U": barrier_value(ds.packing, shifts, p, members=members),
-        "min_slack": min_slack_of(ds.packing, members),
-        "lambda2": lam2_init,
+        "U": ev.value,
+        "min_slack": _min_slack(ev),
+        "lambda2": _spectrum(build_contact_graph(ds.packing, shifts, config.eps_active,
+                                                 base=members))[0],
         "volume": cell_volume(ds.packing.basis),
     }
 
@@ -313,9 +319,8 @@ def run_trajectory(config, initial: DynamicsState | None = None) -> TrajectoryRe
         if k > 1 and (k - 1) % REFRESH_STEPS == 0:
             members = contacts_within(ds.packing, shifts, config.R)
             _, L_hat, m_hat = rest_state(ds.packing, shifts, p, config, members)
-            E_prev = lyapunov_energy(ds, p, shifts, members)
+            ev, E_prev = evaluate(ds)
 
-        ev = barrier_energy(ds.packing, shifts, p, members=members)
         if float(np.linalg.norm(ev.grad_x)) <= config.grad_tol \
                 and _joint_quiescent(ds, ev, config, last_joint_shift):
             terminated = "gradient"
@@ -325,25 +330,23 @@ def run_trajectory(config, initial: DynamicsState | None = None) -> TrajectoryRe
         while True:
             projection = "none"
             try:
-                tentative = spit_step(ds, p, shifts, members=members, grad0=ev.grad_x)
-                E_unproj = lyapunov_energy(tentative, p, shifts, members)
+                tentative, ev_cand = spit_step(ds, p, shifts, members, ev)
+                E_unproj = lyapunov(tentative, ev_cand.value)
             except MidpointInfeasibleError:
-                tentative = None
-                E_unproj = float("nan")
+                tentative, E_unproj = None, float("nan")
             accepted = None
             if tentative is not None:
-                cand = tentative
-                if min_slack_of(cand.packing, members) < config.delta * (1.0 - 1e-12):
+                cand, E_cand = tentative, E_unproj
+                if _min_slack(ev_cand) < config.delta * (1.0 - 1e-12):
                     repaired, changed = gs_project_once(cand.packing, shifts, config.delta)
                     if changed:
                         cand = dataclasses.replace(cand, packing=repaired)
+                        ev_cand, E_cand = evaluate(cand)
                         projection = "gs"
                         counts["gs_repairs"] += 1
-                E_cand = lyapunov_energy(cand, p, shifts, members)
-                need_qp = (min_slack_of(cand.packing, members) < margin
-                           or E_cand > E_prev + 1e-10)
+                need_qp = _min_slack(ev_cand) < margin or E_cand > E_prev + 1e-10
                 if not need_qp:
-                    accepted = (cand, E_cand)
+                    accepted = (cand, ev_cand, E_cand)
                 else:
                     try:
                         proj, info = e_project_x(cand, p, shifts, L_hat, members=members)
@@ -352,7 +355,7 @@ def run_trajectory(config, initial: DynamicsState | None = None) -> TrajectoryRe
                         E_proj = info["E_after"]
                         if E_proj <= E_prev + 1e-10:
                             projection = "gs+qp" if projection == "gs" else "qp"
-                            accepted = (proj, E_proj)
+                            accepted = (proj, evaluate(proj)[0], E_proj)
                     except (LinearizedInfeasibleError, FeasibilityError) as exc:
                         logger.debug("projection failed at step %d: %s", k, exc)
             if accepted is not None:
@@ -364,14 +367,11 @@ def run_trajectory(config, initial: DynamicsState | None = None) -> TrajectoryRe
             if backtracks % 2 == 0:
                 _, L_hat, m_hat = rest_state(ds.packing, shifts, p, config, members)
             ds = backtrack(ds, L_hat)
-            E_prev = lyapunov_energy(ds, p, shifts, members)
+            E_prev = lyapunov(ds, ev.value)
 
-        cand, E_cand = accepted
-        row = StepRow(step=k, E=E_cand, U=0.0, kinetic=0.0, min_slack=0.0,
-                      lambda2=0.0, dt=cand.dt, backtracked=backtracks, nudged=False,
-                      projection=projection, E_before=E_prev, E_unprojected=E_unproj)
-        ds = cand
-        E_prev = E_cand
+        E_before = E_prev
+        ds, ev, E_prev = accepted
+        dt_step = ds.dt
         counts["accepted"] += 1
 
         if config.joint_period and k % config.joint_period == 0:
@@ -387,7 +387,7 @@ def run_trajectory(config, initial: DynamicsState | None = None) -> TrajectoryRe
                 basis_moved = info.get("basis_moved", False)
                 last_joint_shift = float(np.linalg.norm(ds2.packing.basis.B - B_old))
                 ds = ds2
-                row.projection = row.projection + "+joint"
+                projection += "+joint"
                 if basis_moved:  # the projection has scanned the new cell
                     members = near
                     rest, L_hat, m_hat = rest_state(ds.packing, shifts, p, config, members)
@@ -395,39 +395,44 @@ def run_trajectory(config, initial: DynamicsState | None = None) -> TrajectoryRe
                         scale = ds.dt / rest.dt
                         ds = dataclasses.replace(ds, dt=rest.dt, eta=ds.eta * scale)
                     ds = dataclasses.replace(ds, gamma=1.0 / ds.dt**2 - L_hat / 2.0)
-                E_prev = lyapunov_energy(ds, p, shifts, members)
+                ev, E_prev = evaluate(ds)
             except (LinearizedInfeasibleError, FeasibilityError) as exc:
                 logger.warning("joint projection skipped at step %d: %s", k, exc)
 
         graph = build_contact_graph(ds.packing, shifts, config.eps_active, base=members)
-        if ds.packing.N >= 2:
-            lam2, fvec = fiedler(graph)
-        else:
-            lam2, fvec = 0.0, None
+        lam2, fvec = _spectrum(graph)
         nudged = False
         if (fvec is not None and len(history) > 0
                 and nudge_trigger(history, lam2, config.kappa, m_hat, L_hat, k, config.K)):
-            applied = _apply_nudge(ds, p, shifts, members, graph, fvec, L_hat,
+            applied = _apply_nudge(ds, ev, p, shifts, members, graph, fvec, L_hat,
                                    config, E_prev, events, k)
             if applied is not None:
-                ds, E_prev = applied
+                ds, ev, E_prev = applied
                 history.last_nudge = k
                 counts["nudges"] += 1
                 nudged = True
         history.push(lam2)
 
-        row.E = E_prev
-        row.U = barrier_value(ds.packing, shifts, p, members=members)
-        row.kinetic = 0.5 * float(np.sum(ds.v * ds.v))
-        row.min_slack = min_slack_of(ds.packing, members)
-        row.lambda2 = lam2
-        row.nudged = nudged
-        rows.append(row)
+        rows.append(StepRow(step=k, E=E_prev, U=ev.value,
+                            kinetic=0.5 * float(np.sum(ds.v * ds.v)), min_slack=_min_slack(ev),
+                            lambda2=lam2, dt=dt_step, backtracked=backtracks, nudged=nudged,
+                            projection=projection, E_before=E_before, E_unprojected=E_unproj))
 
-    record = TrajectoryRecord(rows=rows, events=events, final_state=ds,
-                              terminated=terminated, counts=counts,
-                              initial=initial_metrics)
-    return record
+    return TrajectoryRecord(rows=rows, events=events, final_state=ds, terminated=terminated,
+                            counts=counts, initial=initial_metrics)
+
+
+def _min_slack(ev: BarrierEval) -> float:
+    """`min_slack_of` the evaluated contacts, read off the evaluation."""
+    return float(np.min(ev.slack, initial=np.inf))
+
+
+def _spectrum(graph) -> tuple[float, np.ndarray | None]:
+    """Fiedler value and vector, or (0.0, None) without pair edges: lambda2 is 0
+    there and every lifted mode is zero, so no nudge could move a sphere."""
+    if bool(np.all(graph.loop_mask)):  # also every graph of one sphere
+        return 0.0, None
+    return fiedler(graph)
 
 
 def _joint_quiescent(ds, ev, config, last_joint_shift) -> bool:
@@ -448,15 +453,15 @@ def _joint_quiescent(ds, ev, config, last_joint_shift) -> bool:
     return float(np.linalg.norm(gB)) <= config.grad_tol * bscale
 
 
-def _apply_nudge(ds, p, shifts, members, graph, fvec, L_hat, config, E_ref, events, step):
+def _apply_nudge(ds, ev, p, shifts, members, graph, fvec, L_hat, config, E_ref, events, step):
     """Lift the Fiedler mode, size the step, apply with the energy guard.
 
     Halves the step size until the post-enforcement energy is nonexpansive;
-    returns (state, energy) or None when no admissible size survives.
+    returns (state, its evaluation, energy) or None when no admissible size
+    survives.  `ev` is the evaluation at `ds`.
     """
     dxm = lift_mode(ds.packing, graph, fvec)
     near = build_contact_graph(ds.packing, shifts, config.eps_near, base=members)
-    ev = barrier_energy(ds.packing, shifts, p, members=members)
     gbar = ev.grad_x + ds.gamma * (ds.packing.x - ds.x_prev)
     alpha, flipped = nudge_alpha(ds, dxm, near, L_hat, gbar)
     if alpha <= 0.0 or not np.isfinite(alpha):
@@ -477,10 +482,11 @@ def _apply_nudge(ds, p, shifts, members, graph, fvec, L_hat, config, E_ref, even
                 except (LinearizedInfeasibleError, FeasibilityError):
                     a *= 0.5
                     continue
-        e_new = lyapunov_energy(trial, p, shifts, members)
+        ev_trial = barrier_energy(trial.packing, shifts, p, members=members)
+        e_new = lyapunov(trial, ev_trial.value)
         if e_new <= E_ref + 1e-10:
             events.append({"step": step, "kind": "nudge", "alpha": a,
                            "flipped": flipped, "E_before": E_ref, "E_after": e_new})
-            return trial, e_new
+            return trial, ev_trial, e_new
         a *= 0.5
     return None

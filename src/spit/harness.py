@@ -225,8 +225,11 @@ def _feasibilize(state: PackingState, shifts, config: RunConfig):
                 continue
         # Gauss-Seidel stalled: it changed nothing, or its last round did not
         # raise the min slack (a repair can land a pair a few ulps below delta
-        # again and again).  Polish with the position QP from a resting state.
+        # again and again).  Polish with the position QP from a resting state;
+        # not while a pair overlaps, where the barrier is undefined.
         last = -np.inf
+        if s <= 0.0:
+            continue
         p = BarrierParams(nu=config.nu, delta=config.delta, R=config.R)
         ds, L_hat, _ = rest_state(state, shifts, p, config, near)
         ds, _ = e_project_x(ds, p, shifts, L_hat, members=near)

@@ -225,6 +225,12 @@ class NudgeHistory:
         return len(self.values)
 
 
+def _window_median(values, now: float) -> float:
+    """Median of `values` and `now` from a sorted list, bit for bit `np.median`."""
+    v, h = sorted([*values, now]), (len(values) + 1) // 2
+    return v[h] if len(v) % 2 else (v[h - 1] + v[h]) / 2.0
+
+
 def nudge_trigger(history: NudgeHistory, lambda2_now: float, kappa: float,
                   m_hat: float, L_hat: float, step: int, K: int) -> bool:
     """True when the current Fiedler value undercuts the adaptive threshold
@@ -236,7 +242,7 @@ def nudge_trigger(history: NudgeHistory, lambda2_now: float, kappa: float,
         raise ValueError("nudge trigger needs a nonempty history window")
     if step - history.last_nudge < K:
         return False
-    med = float(np.median(list(history.values) + [lambda2_now]))
+    med = _window_median(history.values, lambda2_now)
     ratio = min(1.0, m_hat / L_hat) if L_hat > 0 else 0.0
     tau = kappa * med * ratio
     return lambda2_now < tau

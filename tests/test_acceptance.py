@@ -252,8 +252,9 @@ def test_criterion_5_local_linear_rate_matches_companion_roots():
                        x_prev=(st_star.x + d).copy(), dt=dt, eta=eta,
                        gamma=1.0 / dt**2 - L / 2.0)
     errs = []
+    ev = barrier_energy(ds.packing, shifts, P)
     for _ in range(400):
-        ds = spit_step(ds, P, shifts)
+        ds, ev = spit_step(ds, P, shifts, None, ev)
         errs.append(float(np.linalg.norm(ds.packing.x - st_star.x)))
     tail = np.array(errs[-200:])
     rho_fit = float(np.exp(np.polyfit(np.arange(200), np.log(tail), 1)[0]))
@@ -382,3 +383,29 @@ def test_pinned_output_hashes(stub_run, cert_report):
     assert hashlib.sha256(blob.encode()).hexdigest() == CERTIFY_N4_SEED2_SHA256
     print("\n[pinned outputs] PASS - stub32 seed 7 CSV and N=4 seed 2 certify report "
           "match their pinned sha256")
+
+
+# sha256 of the trajectory.csv of two runs that take the safeguard paths the
+# runs above never take: a disordered stub32 (3 backtracks, 1 Gauss-Seidel
+# repair, 40 joint projections) and a run whose nudge trigger fires (2 nudges).
+SAFEGUARD_PATH_CSV_SHA256 = {
+    "backtrack_gs_repair": "c5f994652f740055d83b788065473acd807647a314a69bd8698ee051d33c35fe",
+    "nudge": "88b25ca4342a325196542e8fb64e8f2eb8288561228b8f75049df8a25c782877",
+}
+
+
+def test_pinned_safeguard_path_hashes():
+    configs = {
+        "backtrack_gs_repair": config_from_preset("stub32", jitter=0.2, inflate=0.3,
+                                                  volume_weight=0.5, max_steps=400, seed=5),
+        "nudge": RunConfig(N=32, eps_active=0.05, kappa=50.0, K=4, max_steps=300, seed=7,
+                           unsafe=True),
+    }
+    records = {name: run_trajectory(cfg) for name, cfg in configs.items()}
+    assert records["backtrack_gs_repair"].counts["backtracks"] == 3
+    assert records["backtrack_gs_repair"].counts["gs_repairs"] == 1
+    assert records["nudge"].counts["nudges"] == 2
+    for name, record in records.items():
+        assert hashlib.sha256(record.to_csv().encode()).hexdigest() == \
+            SAFEGUARD_PATH_CSV_SHA256[name], name
+    print("\n[pinned outputs] PASS - backtrack/repair and nudge runs match their pinned sha256")

@@ -4,9 +4,13 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis.strategies import floats as st_floats
+from hypothesis.strategies import integers as st_integers
+from hypothesis.strategies import sampled_from
 from util import hex_two_sphere, make_ds, pair_state
 
-from spit import barrier
+from spit import barrier, dynamics
 from spit.barrier import BarrierParams, barrier_energy, barrier_value, estimate_L, estimate_m
 from spit.dynamics import (
     DynamicsState,
@@ -22,8 +26,8 @@ from spit.dynamics import (
     verlet_update,
 )
 from spit.errors import MidpointInfeasibleError, RunAbort
-from spit.geometry import ShiftIndexSet, build_shift_set, contacts_within, min_slack
-from spit.harness import RunConfig, config_from_preset, make_testbed
+from spit.geometry import ShiftIndexSet, build_shift_set, contacts_within, gauge_project, min_slack
+from spit.harness import RunConfig, certify, config_from_preset, make_testbed, random_feasible_state
 from spit.spectral import build_contact_graph, fiedler
 
 P = BarrierParams(nu=1e-2, delta=1e-3, R=2.5)
@@ -58,8 +62,9 @@ def test_spit_step_fixed_point():
     st = pair_state(10.0)  # no contacts: zero gradient
     shifts = build_shift_set(st.basis, P.R)
     ds = make_ds(st, P, L_hat=1.0)
-    out = spit_step(ds, P, shifts)
+    out, ev = spit_step(ds, P, shifts, None, barrier_energy(st, shifts, P))
     assert np.array_equal(out.packing.x, st.x)
+    assert ev.value == 0.0 and np.all(ev.grad_x == 0.0)
     assert np.all(out.v == 0.0)
     assert out.step_index == 1
 
@@ -146,7 +151,7 @@ def test_backtracking_reaches_descent():
     for halvings in range(41):
         e0 = lyapunov_energy(ds, P, shifts)
         try:
-            out = spit_step(ds, P, shifts)
+            out, _ = spit_step(ds, P, shifts, None, barrier_energy(ds.packing, shifts, P))
             e1 = lyapunov_energy(out, P, shifts)
             if e1 <= e0 + 1e-10:
                 break
@@ -240,12 +245,17 @@ def test_apply_nudge_inside_loop_is_energy_safe():
         cfg = RunConfig(N=6, unsafe=True)
         events = []
         E_ref = lyapunov_energy(ds, P, shifts, members)
-        out = _apply_nudge(ds, P, shifts, members, graph, fvec, L, cfg, E_ref, events, step=1)
+        ev = barrier_energy(st, shifts, P, members=members)
+        out = _apply_nudge(ds, ev, P, shifts, members, graph, fvec, L, cfg, E_ref, events,
+                           step=1)
         if out is None:
             continue
-        ds_new, e_new = out
+        ds_new, ev_new, e_new = out
         applied_any = True
         assert e_new <= E_ref + 1e-10
+        assert e_new == lyapunov_energy(ds_new, P, shifts, members)
+        assert np.array_equal(ev_new.grad_x,
+                              barrier_energy(ds_new.packing, shifts, P, members=members).grad_x)
         assert min_slack(ds_new.packing, shifts) >= cfg.delta * (1 - 1e-6)
         assert any(e.get("kind") == "nudge" for e in events)
     assert applied_any
@@ -280,8 +290,9 @@ def test_local_linear_rate_two_sphere():
                        x_prev=(x_star + d).copy(), dt=dt, eta=eta,
                        gamma=1.0 / dt**2 - L / 2.0)
     errs = []
+    ev = barrier_energy(ds.packing, shifts, P)
     for _ in range(400):
-        ds = spit_step(ds, P, shifts)
+        ds, ev = spit_step(ds, P, shifts, None, ev)
         errs.append(float(np.linalg.norm(ds.packing.x - x_star)))
     tail = np.array(errs[-200:])
     assert np.all(tail > 1e-13)
@@ -323,3 +334,54 @@ def test_rest_state_takes_one_eigensolve(monkeypatch):
     assert L_hat == estimate_L(st, shifts, P, members=copy).value
     assert m_hat == estimate_m(st, shifts, P, members=members.take(slice(None))).value
     assert len(calls) == 3
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(seed=st_integers(0, 10_000), N=st_integers(1, 7), n=sampled_from([2, 3]),
+       speed=st_floats(0.0, 0.05), drift=st_floats(-1.0, 1.0))
+def test_spit_step_returns_the_evaluation_at_its_new_state(seed, N, n, speed, drift):
+    # the trajectory loop reuses this evaluation as the next step's first
+    # gradient, so it must be the fresh one bit for bit
+    st = random_feasible_state(seed=seed, N=N, n=n)
+    shifts = build_shift_set(st.basis, P.R)
+    members = contacts_within(st, shifts, P.R)
+    rng = np.random.default_rng(seed)
+    v = speed * rng.standard_normal(st.x.shape) + drift * speed  # a nonzero mean too
+    ds = make_ds(st, P, L_hat=estimate_L(st, shifts, P, members=members).value, v=v)
+    try:
+        new, ev = spit_step(ds, P, shifts, members, barrier_energy(st, shifts, P, members=members))
+    except MidpointInfeasibleError:
+        return
+    assert gauge_project(new.packing.x) is new.packing.x
+    fresh = barrier_energy(new.packing, shifts, P, members=members)
+    assert ev.value == fresh.value
+    for name in ("grad_x", "grad_B", "slack"):
+        assert np.array_equal(getattr(ev, name), getattr(fresh, name)), name
+
+
+@pytest.mark.parametrize("workload", ["stub32", "certify"])
+def test_one_barrier_evaluation_per_accepted_step(workload, monkeypatch):
+    calls = {"barrier_energy": 0, "barrier_value": 0}
+
+    def counting(name):
+        original = getattr(dynamics, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    if workload == "stub32":
+        config = config_from_preset("stub32", max_steps=200)
+        ds = make_testbed(config)
+    else:
+        config = RunConfig(N=4, seed=2, cert_max_steps=20000, unsafe=True)
+        st = make_testbed(config).packing
+    for name in calls:
+        monkeypatch.setattr(dynamics, name, counting(name))
+    if workload == "stub32":
+        accepted = run_trajectory(config, initial=ds).counts["accepted"]
+    else:
+        accepted = sum(level["steps"] for level in certify(config, st)["levels"])
+    assert accepted >= 200
+    assert sum(calls.values()) <= 1.4 * accepted, (calls, accepted)

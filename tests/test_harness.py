@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from spit.cli import main as cli_main
+from spit.errors import FeasibilityError
 from spit.geometry import build_shift_set, cell_volume, min_slack
 from spit.harness import (
     RunConfig,
@@ -111,6 +112,15 @@ def test_make_testbed_gauss_seidel_stall_falls_through_to_qp():
     ds = make_testbed(cfg)
     shifts = build_shift_set(ds.packing.basis, cfg.R)
     assert min_slack(ds.packing, shifts) >= cfg.delta
+
+
+@pytest.mark.parametrize("seed", [0, 3, 39])
+def test_make_testbed_overlap_that_gauss_seidel_cannot_clear_is_refused(seed):
+    # unjittered contacts plus 0.1 jitter: Gauss-Seidel stalls with a pair
+    # still overlapping, where the QP polish cannot evaluate the barrier
+    cfg = RunConfig(N=16, jitter=0.1, inflate=0.0, seed=seed).validate()
+    with pytest.raises(FeasibilityError, match="100 projection rounds"):
+        make_testbed(cfg)
 
 
 def test_make_testbed_cubic_fallback():

@@ -11,6 +11,7 @@ from spit.spectral import (
     ContactGraph,
     NudgeHistory,
     _ones_complement,
+    _window_median,
     build_contact_graph,
     cheeger_check,
     fiedler,
@@ -337,6 +338,19 @@ def test_nudge_trigger_cases():
     # flat landscape disables nudging through the m/L factor
     hist.last_nudge = -10**9
     assert not nudge_trigger(hist, 0.2, kappa=0.3, m_hat=0.0, L_hat=1.0, step=100, K=10)
+
+
+@pytest.mark.parametrize("window", [10, 11, 20])
+def test_window_median_is_numpy_median_bit_for_bit(window):
+    # odd and even totals, while the window fills and once it slides
+    rng = np.random.default_rng(window)
+    hist = NudgeHistory(window=window)
+    for k in range(3 * window):
+        now = float(rng.choice([rng.uniform(0.0, 2.0), 0.1 * (k % 3), 1e-300]))
+        got = _window_median(hist.values, now)
+        want = float(np.median(list(hist.values) + [now]))
+        assert type(got) is float and got.hex() == want.hex(), (k, got, want)
+        hist.push(float(rng.uniform(0.0, 2.0)) if k % 4 else now)
 
 
 def test_nudge_history_window_bound():
