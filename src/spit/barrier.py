@@ -96,11 +96,8 @@ def barrier_energy(state: PackingState, shifts: ShiftIndexSet, p: BarrierParams,
 
 def barrier_value(state: PackingState, shifts: ShiftIndexSet, p: BarrierParams,
                   members: Contacts | None = None) -> float:
-    """Value-only fast path."""
-    contacts = _included(state, shifts, p, members)
-    s = np.einsum("mk,mk->m", (r := r_vectors(state, contacts)), r) - 4.0
-    val, _, _ = phi(s, p)
-    return float(np.sum(val))
+    """The value of `barrier_energy`."""
+    return barrier_energy(state, shifts, p, members=members).value
 
 
 def _phi12(state: PackingState, contacts: Contacts, p: BarrierParams):

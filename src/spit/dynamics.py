@@ -23,9 +23,11 @@ region) are redone with a halved time step.
 `run_trajectory` evaluates the barrier once per accepted step: a step's
 second gradient is taken at the gauge-projected new state, so that one
 `BarrierEval` serves as the next step's first (first same as last) and for
-every energy, slack and logged value until a move invalidates it: a
-Gauss-Seidel repair that changed the state, a position QP, a joint projection,
-a nudge, or a member-list refresh.  A backtrack changes only dt, eta, gamma.
+every energy, slack and logged value.  Verlet steps and nudge trials pass one
+acceptance rule, `_safeguard`; it and the joint cadence call projections that
+hand back the evaluation at their result.  Only a Gauss-Seidel repair, a nudge
+trial and a member-list refresh evaluate afresh; a backtrack changes only dt,
+eta, gamma.
 """
 
 from __future__ import annotations
@@ -60,7 +62,6 @@ from .geometry import (
     cell_volume,
     contacts_within,
     gauge_project,
-    min_slack_of,
     volume_gradient,
 )
 from .projection import e_project_joint, e_project_x, gs_project_once, lyapunov
@@ -90,7 +91,6 @@ class DynamicsState:
     dt: float
     eta: float
     gamma: float
-    step_index: int = 0
 
     def __post_init__(self):
         if self.dt <= 0.0:
@@ -146,8 +146,7 @@ def spit_step(ds: DynamicsState, p: BarrierParams, shifts: ShiftIndexSet,
 
     _, v_new = verlet_update(state.x, ds.v, ds.dt, ds.eta, grad_fn)
     packing, ev_new = half[0]
-    return dataclasses.replace(ds, packing=packing, v=gauge_project(v_new), x_prev=state.x,
-                               step_index=ds.step_index + 1), ev_new
+    return dataclasses.replace(ds, packing=packing, v=gauge_project(v_new), x_prev=state.x), ev_new
 
 
 def select_steps(L_hat: float, m_hat: float, target_eta_dt: float, c: float) -> tuple[float, float]:
@@ -275,8 +274,8 @@ def run_trajectory(config, initial: DynamicsState | None = None) -> TrajectoryRe
 
     Per step: (1) reuse or refresh the curvature estimates, (2) one Verlet
     step with backtracking on energy increase or midpoint infeasibility,
-    (3) one-pass Gauss-Seidel, escalated to the position QP when the margin
-    or the energy check fails, (4) joint basis projection on its cadence,
+    (3) `_safeguard`: one-pass Gauss-Seidel, escalated to the position QP
+    when the margin or the energy check fails, (4) joint projection on its cadence,
     (5) spectral bookkeeping and, when triggered, an energy-safe nudge,
     (6) one log row.  Terminates on the gradient norm or max_steps.
     """
@@ -292,18 +291,13 @@ def run_trajectory(config, initial: DynamicsState | None = None) -> TrajectoryRe
     rest, L_hat, m_hat = rest_state(ds.packing, shifts, p, config, members)
     ds = dataclasses.replace(ds, dt=rest.dt, eta=rest.eta, gamma=rest.gamma)
 
-    def evaluate(state):
-        """The barrier at `state` on the current members, and its Lyapunov energy."""
-        ev = barrier_energy(state.packing, shifts, p, members=members)
-        return ev, lyapunov(state, ev.value)
-
     history = NudgeHistory(window=config.W)
     rows: list[StepRow] = []
     events: list[dict] = []
     counts = {"accepted": 0, "backtracks": 0, "nudges": 0,
               "projections_x": 0, "projections_joint": 0, "gs_repairs": 0}
-    margin = config.delta * (1.0 - 1e-6)
-    ev, E_prev = evaluate(ds)
+    ev = barrier_energy(ds.packing, shifts, p, members=members)
+    E_prev = lyapunov(ds, ev.value)
     terminated = "max_steps"
     last_joint_shift = None  # Frobenius norm of the latest basis move
     initial_metrics = {
@@ -319,7 +313,8 @@ def run_trajectory(config, initial: DynamicsState | None = None) -> TrajectoryRe
         if k > 1 and (k - 1) % REFRESH_STEPS == 0:
             members = contacts_within(ds.packing, shifts, config.R)
             _, L_hat, m_hat = rest_state(ds.packing, shifts, p, config, members)
-            ev, E_prev = evaluate(ds)
+            ev = barrier_energy(ds.packing, shifts, p, members=members)
+            E_prev = lyapunov(ds, ev.value)
 
         if float(np.linalg.norm(ev.grad_x)) <= config.grad_tol \
                 and _joint_quiescent(ds, ev, config, last_joint_shift):
@@ -328,36 +323,14 @@ def run_trajectory(config, initial: DynamicsState | None = None) -> TrajectoryRe
 
         backtracks = 0
         while True:
-            projection = "none"
             try:
                 tentative, ev_cand = spit_step(ds, p, shifts, members, ev)
-                E_unproj = lyapunov(tentative, ev_cand.value)
             except MidpointInfeasibleError:
-                tentative, E_unproj = None, float("nan")
-            accepted = None
-            if tentative is not None:
-                cand, E_cand = tentative, E_unproj
-                if _min_slack(ev_cand) < config.delta * (1.0 - 1e-12):
-                    repaired, changed = gs_project_once(cand.packing, shifts, config.delta)
-                    if changed:
-                        cand = dataclasses.replace(cand, packing=repaired)
-                        ev_cand, E_cand = evaluate(cand)
-                        projection = "gs"
-                        counts["gs_repairs"] += 1
-                need_qp = _min_slack(ev_cand) < margin or E_cand > E_prev + 1e-10
-                if not need_qp:
-                    accepted = (cand, ev_cand, E_cand)
-                else:
-                    try:
-                        proj, info = e_project_x(cand, p, shifts, L_hat, members=members)
-                        events.append({"step": k, **info})
-                        counts["projections_x"] += 1
-                        E_proj = info["E_after"]
-                        if E_proj <= E_prev + 1e-10:
-                            projection = "gs+qp" if projection == "gs" else "qp"
-                            accepted = (proj, evaluate(proj)[0], E_proj)
-                    except (LinearizedInfeasibleError, FeasibilityError) as exc:
-                        logger.debug("projection failed at step %d: %s", k, exc)
+                E_unproj, accepted = float("nan"), None
+            else:
+                E_unproj = lyapunov(tentative, ev_cand.value)
+                accepted = _safeguard(tentative, ev_cand, E_unproj, E_prev, p, shifts, L_hat,
+                                      counts, events, k)
             if accepted is not None:
                 break
             backtracks += 1
@@ -370,7 +343,7 @@ def run_trajectory(config, initial: DynamicsState | None = None) -> TrajectoryRe
             E_prev = lyapunov(ds, ev.value)
 
         E_before = E_prev
-        ds, ev, E_prev = accepted
+        ds, ev, E_prev, projection = accepted
         dt_step = ds.dt
         counts["accepted"] += 1
 
@@ -378,15 +351,13 @@ def run_trajectory(config, initial: DynamicsState | None = None) -> TrajectoryRe
             Lj = estimate_L_joint(ds.packing, shifts, p, members=members).value
             try:
                 B_old = ds.packing.basis.B
-                ds2, info = e_project_joint(ds, p, shifts, L_x=max(Lj, L_hat), L_B=Lj,
-                                            volume_weight=config.volume_weight,
-                                            members=members)
+                ds, info, ev = e_project_joint(ds, ev, p, shifts, L_x=max(Lj, L_hat), L_B=Lj,
+                                               volume_weight=config.volume_weight)
                 near = info.pop("near")
                 events.append({"step": k, **info})
                 counts["projections_joint"] += 1
                 basis_moved = info.get("basis_moved", False)
-                last_joint_shift = float(np.linalg.norm(ds2.packing.basis.B - B_old))
-                ds = ds2
+                last_joint_shift = float(np.linalg.norm(ds.packing.basis.B - B_old))
                 projection += "+joint"
                 if basis_moved:  # the projection has scanned the new cell
                     members = near
@@ -395,7 +366,8 @@ def run_trajectory(config, initial: DynamicsState | None = None) -> TrajectoryRe
                         scale = ds.dt / rest.dt
                         ds = dataclasses.replace(ds, dt=rest.dt, eta=ds.eta * scale)
                     ds = dataclasses.replace(ds, gamma=1.0 / ds.dt**2 - L_hat / 2.0)
-                ev, E_prev = evaluate(ds)
+                    ev = barrier_energy(ds.packing, shifts, p, members=members)
+                E_prev = lyapunov(ds, ev.value)
             except (LinearizedInfeasibleError, FeasibilityError) as exc:
                 logger.warning("joint projection skipped at step %d: %s", k, exc)
 
@@ -404,8 +376,8 @@ def run_trajectory(config, initial: DynamicsState | None = None) -> TrajectoryRe
         nudged = False
         if (fvec is not None and len(history) > 0
                 and nudge_trigger(history, lam2, config.kappa, m_hat, L_hat, k, config.K)):
-            applied = _apply_nudge(ds, ev, p, shifts, members, graph, fvec, L_hat,
-                                   config, E_prev, events, k)
+            applied = _apply_nudge(ds, ev, p, shifts, graph, fvec, L_hat, config, E_prev,
+                                   counts, events, k)
             if applied is not None:
                 ds, ev, E_prev = applied
                 history.last_nudge = k
@@ -453,40 +425,61 @@ def _joint_quiescent(ds, ev, config, last_joint_shift) -> bool:
     return float(np.linalg.norm(gB)) <= config.grad_tol * bscale
 
 
-def _apply_nudge(ds, ev, p, shifts, members, graph, fvec, L_hat, config, E_ref, events, step):
-    """Lift the Fiedler mode, size the step, apply with the energy guard.
+def _safeguard(cand, ev, E, E_ref, p, shifts, L_hat, counts, events, step):
+    """Accept a move to `cand` (evaluation `ev`, energy `E`) or return None.
 
-    Halves the step size until the post-enforcement energy is nonexpansive;
-    returns (state, its evaluation, energy) or None when no admissible size
-    survives.  `ev` is the evaluation at `ds`.
+    A slack below delta gets a Gauss-Seidel sweep; a slack below delta
+    (1 - 1e-6) or E above `E_ref` escalates to the position QP, whose result
+    must not exceed `E_ref`.  Returns (state, evaluation, energy, tag).
+    """
+    tag = "none"
+    if _min_slack(ev) < p.delta * (1.0 - 1e-12):
+        repaired, changed = gs_project_once(cand.packing, shifts, p.delta)
+        if changed:
+            cand = dataclasses.replace(cand, packing=repaired)
+            ev = barrier_energy(repaired, shifts, p, members=ev.contacts)
+            E = lyapunov(cand, ev.value)
+            tag = "gs"
+            counts["gs_repairs"] += 1
+    if _min_slack(ev) >= p.delta * (1.0 - 1e-6) and E <= E_ref + 1e-10:
+        return cand, ev, E, tag
+    try:
+        proj, info, ev_proj = e_project_x(cand, ev, p, shifts, L_hat)
+    except (LinearizedInfeasibleError, FeasibilityError) as exc:
+        logger.debug("projection failed at step %d: %s", step, exc)
+        return None
+    events.append({"step": step, **info})
+    counts["projections_x"] += 1
+    if info["E_after"] > E_ref + 1e-10:
+        return None
+    return proj, ev_proj, info["E_after"], "gs+qp" if tag == "gs" else "qp"
+
+
+def _apply_nudge(ds, ev, p, shifts, graph, fvec, L_hat, config, E_ref, counts, events, step):
+    """Lift the Fiedler mode, size the step, and halve it until `_safeguard`
+    accepts it (an infeasible trial is halved too).  Returns (state, its
+    evaluation, energy) or None.  `ev` is the evaluation at `ds` on the members.
     """
     dxm = lift_mode(ds.packing, graph, fvec)
-    near = build_contact_graph(ds.packing, shifts, config.eps_near, base=members)
+    near = build_contact_graph(ds.packing, shifts, config.eps_near, base=ev.contacts)
     gbar = ev.grad_x + ds.gamma * (ds.packing.x - ds.x_prev)
-    alpha, flipped = nudge_alpha(ds, dxm, near, L_hat, gbar)
-    if alpha <= 0.0 or not np.isfinite(alpha):
+    a, flipped = nudge_alpha(ds, dxm, near, L_hat, gbar)
+    if a <= 0.0 or not np.isfinite(a):
         return None
     dxs = -dxm if flipped else dxm
-    a = alpha
-    margin = config.delta * (1.0 - 1e-6)
     for _ in range(30):
         trial = dataclasses.replace(
             ds, packing=ds.packing.with_x(gauge_project(ds.packing.x + a * dxs)))
-        if min_slack_of(trial.packing, members) < margin:
-            repaired, _ = gs_project_once(trial.packing, shifts, config.delta)
-            trial = dataclasses.replace(trial, packing=repaired)
-            if min_slack_of(trial.packing, members) < margin:
-                try:
-                    trial, info = e_project_x(trial, p, shifts, L_hat, members=members)
-                    events.append({"step": step, **info})
-                except (LinearizedInfeasibleError, FeasibilityError):
-                    a *= 0.5
-                    continue
-        ev_trial = barrier_energy(trial.packing, shifts, p, members=members)
-        e_new = lyapunov(trial, ev_trial.value)
-        if e_new <= E_ref + 1e-10:
-            events.append({"step": step, "kind": "nudge", "alpha": a,
-                           "flipped": flipped, "E_before": E_ref, "E_after": e_new})
+        try:
+            ev_trial = barrier_energy(trial.packing, shifts, p, members=ev.contacts)
+            accepted = _safeguard(trial, ev_trial, lyapunov(trial, ev_trial.value), E_ref,
+                                  p, shifts, L_hat, counts, events, step)
+        except InfeasibleSlackError:
+            accepted = None
+        if accepted is not None:
+            trial, ev_trial, e_new, tag = accepted
+            events.append({"step": step, "kind": "nudge", "alpha": a, "flipped": flipped,
+                           "projection": tag, "E_before": E_ref, "E_after": e_new})
             return trial, ev_trial, e_new
         a *= 0.5
     return None

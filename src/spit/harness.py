@@ -19,7 +19,7 @@ import numpy as np
 
 # estimate_L is unused here, but perfbench's tracer self-test checks that it
 # wraps this import-time binding too
-from .barrier import BarrierParams, estimate_L  # noqa: F401
+from .barrier import BarrierParams, barrier_energy, estimate_L  # noqa: F401
 from .dynamics import DynamicsState, rest_state, run_trajectory
 from .errors import FeasibilityError
 from .geometry import (
@@ -78,6 +78,8 @@ class RunConfig:
     cert_shrink: float = 1.0
 
     def validate(self) -> "RunConfig":
+        if not (self.nu_schedule and all(nu > 0.0 for nu in self.nu_schedule)):
+            raise ValueError("nu_schedule must list positive barrier strengths")
         if self.unsafe:
             return self
         checks = [
@@ -135,7 +137,10 @@ def load_config(path, **overrides) -> RunConfig:
         key, val = (part.strip() for part in line.split("=", 1))
         if key not in fields:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-        kwargs[key] = _coerce(fields[key].type, val)
+        try:
+            kwargs[key] = _coerce(fields[key].type, val)
+        except (KeyError, ValueError):
+            raise ValueError(f"{path}:{lineno}: bad {fields[key].type} {val!r} for {key}") from None
     kwargs.update(overrides)
     return RunConfig(**kwargs).validate()
 
@@ -232,8 +237,8 @@ def _feasibilize(state: PackingState, shifts, config: RunConfig):
             continue
         p = BarrierParams(nu=config.nu, delta=config.delta, R=config.R)
         ds, L_hat, _ = rest_state(state, shifts, p, config, near)
-        ds, _ = e_project_x(ds, p, shifts, L_hat, members=near)
-        state = ds.packing
+        ev = barrier_energy(state, shifts, p, members=near)
+        state = e_project_x(ds, ev, p, shifts, L_hat)[0].packing
     raise FeasibilityError("testbed could not reach the strict-feasibility margin "
                            "in 100 projection rounds")
 
@@ -342,8 +347,7 @@ def certify(config: RunConfig, state: PackingState) -> dict:
         sub = dataclasses.replace(
             config, nu=nu, volume_weight=config.cert_shrink,
             joint_period=config.joint_period if config.joint_period else 10,
-            max_steps=config.cert_max_steps, grad_tol=1e-7,
-            kappa=config.kappa, unsafe=True)
+            max_steps=config.cert_max_steps, grad_tol=1e-7, unsafe=True)
         # run_trajectory sets dt, eta and gamma from its own curvature
         # estimate; only the rest state (v = 0, x_prev = x) is taken from here
         ds = DynamicsState(packing=cur, v=np.zeros_like(cur.x), x_prev=cur.x.copy(),
@@ -353,7 +357,7 @@ def certify(config: RunConfig, state: PackingState) -> dict:
         shifts = build_shift_set(cur.basis, config.R)
         p = BarrierParams(nu=nu, delta=config.delta, R=config.R)
         mus = recover_multipliers(cur, shifts, p)
-        res_B, res_x, comp = kkt_residual(cur, shifts, mus.contacts, mus.clamped)
+        res_B, res_x, comp = kkt_residual(cur, mus.contacts, mus.clamped)
         scale_x = _stationarity_scale(cur, mus)
         levels.append({
             "nu": nu,

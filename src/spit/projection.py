@@ -1,6 +1,6 @@
 """Strict-feasibility safeguards and energy-nonexpansive projections.
 
-Three layers, used in escalation order by the trajectory loop:
+Three layers:
 
 1. `gs_project_once` - one Gauss-Seidel sweep that repairs violated pair
    slacks exactly by symmetric radial moves (cheap, best-effort).
@@ -9,10 +9,14 @@ Three layers, used in escalation order by the trajectory loop:
 3. `e_project_joint` - the same with a basis update block, optionally with a
    volume-descent term for cell shrinking.
 
-2 and 3 share one loop, `_e_project`, and one constraint-row builder,
-`geometry.contact_rows`; they differ only in the basis block.  The QP behind
-them is a small dense active-set solve with deterministic tie-breaking, sized
-for desk-scale problems (N <= 256).
+The trajectory loop escalates 1 to 2 for every Verlet step and nudge trial
+(slack below delta, then below delta (1 - 1e-6) or energy rose) and runs 3 on
+its cadence.  2 and 3 take the barrier evaluation at their input, evaluate on
+its contacts, and hand back the evaluation at their result.  They share one
+loop, `_e_project`, and one constraint-row builder, `geometry.contact_rows`;
+they differ only in the basis block.  The QP behind them is a small dense
+active-set solve with deterministic tie-breaking, sized for desk-scale
+problems (N <= 256).
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .barrier import BarrierParams, barrier_energy, barrier_value
+from .barrier import BarrierEval, BarrierParams, barrier_energy
 from .errors import FeasibilityError, LinearizedInfeasibleError, SingularBasisError
 from .geometry import (
     Contacts,
@@ -177,20 +181,20 @@ def lyapunov(ds, U: float) -> float:
         + 0.5 * ds.gamma * float(np.sum((ds.x - ds.x_prev) ** 2))
 
 
-def e_project_x(ds, p: BarrierParams, shifts: ShiftIndexSet, L_hat: float,
-                members: Contacts | None = None):
+def e_project_x(ds, ev: BarrierEval, p: BarrierParams, shifts: ShiftIndexSet, L_hat: float):
     """Energy-nonexpansive feasibility projection in positions only.
 
     Minimizes the quadratic majorizer of the Lyapunov energy built from the
     current gradient, curvature weight and step-memory anchor, subject to all
-    linearized slack constraints; the velocity is kept unchanged.  Returns the
-    updated dynamics state plus an info dict with the before/after energies.
+    linearized slack constraints; the velocity is kept unchanged.  `ev` is the
+    barrier evaluation at `ds`.  Returns the updated dynamics state, an info
+    dict with the before/after energies, and the evaluation at the result.
     """
-    return _e_project(ds, p, shifts, L_hat, None, 0.0, members)
+    return _e_project(ds, ev, p, shifts, L_hat, None, 0.0)
 
 
-def e_project_joint(ds, p: BarrierParams, shifts: ShiftIndexSet, L_x: float, L_B: float,
-                    volume_weight: float = 0.0, members: Contacts | None = None):
+def e_project_joint(ds, ev: BarrierEval, p: BarrierParams, shifts: ShiftIndexSet,
+                    L_x: float, L_B: float, volume_weight: float = 0.0):
     """Joint (positions, basis) energy-nonexpansive projection.
 
     Minimizes the joint majorizer subject to jointly linearized constraints
@@ -198,14 +202,14 @@ def e_project_joint(ds, p: BarrierParams, shifts: ShiftIndexSet, L_x: float, L_B
     `volume_weight` a cell-volume descent term is added to the basis block and
     the energy-nonexpansiveness backoff is disabled (the energy may then rise
     by design).  Basis nondegeneracy is re-checked; a violating basis move is
-    halved up to 10 times, else dropped.  `info["near"]` holds the result's
-    contacts within R.
+    halved up to 10 times, else dropped.  Returns as `e_project_x`;
+    `info["near"]` holds the result's contacts within R.
     """
-    return _e_project(ds, p, shifts, L_x, L_B, volume_weight, members)
+    return _e_project(ds, ev, p, shifts, L_x, L_B, volume_weight)
 
 
-def _e_project(ds, p: BarrierParams, shifts: ShiftIndexSet, wx: float, wB: float | None,
-               volume_weight: float, members: Contacts | None):
+def _e_project(ds, ev: BarrierEval, p: BarrierParams, shifts: ShiftIndexSet, wx: float,
+               wB: float | None, volume_weight: float):
     """The projection loop of both entry points; positions only when wB is None.
 
     Each round re-anchors the linear model at the current point and solves the
@@ -224,7 +228,6 @@ def _e_project(ds, p: BarrierParams, shifts: ShiftIndexSet, wx: float, wB: float
     if not joint and min_slack_of(state, near.take(near.i == near.j)) < floor:
         raise FeasibilityError(
             "cell-bound (self-image) slack below margin; a joint basis update is required")
-    ev = barrier_energy(state, shifts, p, members=members)
     e_before = lyapunov(ds, ev.value)
     backoffs = 0
     rounds = 0
@@ -236,7 +239,7 @@ def _e_project(ds, p: BarrierParams, shifts: ShiftIndexSet, wx: float, wB: float
     while True:
         if A is None:  # a new anchor
             A, b = _constraint_rows(cur, near, p, joint)
-            evc = barrier_energy(cur, shifts, p, members=members) if cur is not state else ev
+            evc = barrier_energy(cur, shifts, p, members=ev.contacts) if cur is not state else ev
             linear = (evc.grad_x + ds.gamma * (cur.x - ds.x_prev)).ravel()
             if joint:
                 gB = evc.grad_B + (volume_weight * volume_gradient(cur.basis)
@@ -259,7 +262,8 @@ def _e_project(ds, p: BarrierParams, shifts: ShiftIndexSet, wx: float, wB: float
             A = prev_u = None
             continue
         out = dataclasses.replace(ds, packing=cand)
-        e_after = lyapunov(out, barrier_value(cand, shifts, p, members=members))
+        ev_out = barrier_energy(cand, shifts, p, members=ev.contacts)
+        e_after = lyapunov(out, ev_out.value)
         pinned = prev_u is not None and np.allclose(sol.u, prev_u, atol=1e-14, rtol=0.0)
         if volume_weight == 0.0 and e_after > e_before + 1e-12 and backoffs < 30 and not pinned:
             # the curvature weight under-majorized; a larger weight shrinks the
@@ -276,7 +280,7 @@ def _e_project(ds, p: BarrierParams, shifts: ShiftIndexSet, wx: float, wB: float
         if joint:
             info["basis_moved"] = bool(np.any(basis.B != state.basis.B))
             info["near"] = near_cand  # the result's contacts within R, for the caller to reuse
-        return out, info
+        return out, info, ev_out
 
 
 def _admissible_basis(basis: LatticeBasis, H: np.ndarray) -> LatticeBasis:

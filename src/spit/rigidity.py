@@ -212,8 +212,7 @@ def recover_multipliers(state: PackingState, shifts: ShiftIndexSet, p: BarrierPa
                          clamped=np.maximum(raw, 0.0))
 
 
-def kkt_residual(state: PackingState, shifts: ShiftIndexSet, contacts: Contacts,
-                 mu: np.ndarray) -> tuple[float, float, float]:
+def kkt_residual(state: PackingState, contacts: Contacts, mu: np.ndarray) -> tuple[float, float, float]:
     """Stationarity and complementarity residuals for min volume s.t. slacks >= 0.
 
     res_B = ||grad |det B| - sum mu_c grad_B s_c||_F, res_x the gauge-projected

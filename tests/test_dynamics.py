@@ -10,7 +10,7 @@ from hypothesis.strategies import integers as st_integers
 from hypothesis.strategies import sampled_from
 from util import hex_two_sphere, make_ds, pair_state
 
-from spit import barrier, dynamics
+from spit import barrier, dynamics, harness, projection
 from spit.barrier import BarrierParams, barrier_energy, barrier_value, estimate_L, estimate_m
 from spit.dynamics import (
     DynamicsState,
@@ -66,7 +66,6 @@ def test_spit_step_fixed_point():
     assert np.array_equal(out.packing.x, st.x)
     assert ev.value == 0.0 and np.all(ev.grad_x == 0.0)
     assert np.all(out.v == 0.0)
-    assert out.step_index == 1
 
 
 def test_scalar_recursion_matches_symbolic_elimination():
@@ -246,7 +245,8 @@ def test_apply_nudge_inside_loop_is_energy_safe():
         events = []
         E_ref = lyapunov_energy(ds, P, shifts, members)
         ev = barrier_energy(st, shifts, P, members=members)
-        out = _apply_nudge(ds, ev, P, shifts, members, graph, fvec, L, cfg, E_ref, events,
+        counts = {"gs_repairs": 0, "projections_x": 0}
+        out = _apply_nudge(ds, ev, P, shifts, graph, fvec, L, cfg, E_ref, counts, events,
                            step=1)
         if out is None:
             continue
@@ -259,6 +259,38 @@ def test_apply_nudge_inside_loop_is_energy_safe():
         assert min_slack(ds_new.packing, shifts) >= cfg.delta * (1 - 1e-6)
         assert any(e.get("kind") == "nudge" for e in events)
     assert applied_any
+
+
+def test_apply_nudge_repairs_through_the_safeguard():
+    # the mode's geometric cap only keeps gaps open, so on this testbed the
+    # first admissible trial squeezes a pair below delta: Gauss-Seidel and the
+    # position QP repair it, and the repairs land in the run's counts
+    from spit.dynamics import _apply_nudge
+    from spit.projection import lyapunov
+
+    st = random_feasible_state(seed=33, N=6, delta=P.delta, inflate=0.0, jitter=0.02)
+    shifts = build_shift_set(st.basis, P.R)
+    members = contacts_within(st, shifts, P.R)
+    L = estimate_L(st, shifts, P, members=members).value
+    ds = make_ds(st, P, L_hat=L)
+    graph = build_contact_graph(st, shifts, 0.1, base=members)
+    _, fvec = fiedler(graph)
+    ev = barrier_energy(st, shifts, P, members=members)
+    E_ref = lyapunov(ds, ev.value)
+    counts = {"gs_repairs": 0, "projections_x": 0}
+    events = []
+    out = _apply_nudge(ds, ev, P, shifts, graph, fvec, L, RunConfig(N=6, unsafe=True), E_ref,
+                       counts, events, step=1)
+    assert out is not None
+    ds_new, ev_new, e_new = out
+    nudge = [e for e in events if e.get("kind") == "nudge"]
+    assert len(nudge) == 1 and nudge[0]["projection"] == "gs+qp"
+    assert counts["gs_repairs"] >= 1 and counts["projections_x"] >= 1
+    assert sum(e.get("kind") == "qp_x" for e in events) == counts["projections_x"]
+    assert e_new <= E_ref + 1e-10
+    assert min_slack(ds_new.packing, shifts) >= P.delta * (1 - 1e-6)
+    assert e_new == lyapunov(ds_new, barrier_energy(ds_new.packing, shifts, P,
+                                                    members=members).value)
 
 
 def test_local_linear_rate_two_sphere():
@@ -361,13 +393,12 @@ def test_spit_step_returns_the_evaluation_at_its_new_state(seed, N, n, speed, dr
 
 @pytest.mark.parametrize("workload", ["stub32", "certify"])
 def test_one_barrier_evaluation_per_accepted_step(workload, monkeypatch):
-    calls = {"barrier_energy": 0, "barrier_value": 0}
+    # every module that evaluates the barrier during a run, through any binding
+    calls = []
 
-    def counting(name):
-        original = getattr(dynamics, name)
-
+    def counting(original):
         def wrapper(*args, **kwargs):
-            calls[name] += 1
+            calls.append(original.__name__)
             return original(*args, **kwargs)
         return wrapper
 
@@ -377,11 +408,13 @@ def test_one_barrier_evaluation_per_accepted_step(workload, monkeypatch):
     else:
         config = RunConfig(N=4, seed=2, cert_max_steps=20000, unsafe=True)
         st = make_testbed(config).packing
-    for name in calls:
-        monkeypatch.setattr(dynamics, name, counting(name))
+    for module in (dynamics, projection, harness):
+        for name in ("barrier_energy", "barrier_value"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting(getattr(module, name)))
     if workload == "stub32":
         accepted = run_trajectory(config, initial=ds).counts["accepted"]
     else:
         accepted = sum(level["steps"] for level in certify(config, st)["levels"])
     assert accepted >= 200
-    assert sum(calls.values()) <= 1.4 * accepted, (calls, accepted)
+    assert len(calls) <= 1.3 * accepted, (len(calls), accepted)

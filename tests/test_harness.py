@@ -66,6 +66,15 @@ def test_config_file_roundtrip(tmp_path):
     assert cfg.nu_schedule == (0.1, 0.01)
 
 
+@pytest.mark.parametrize("schedule", [(), (0.1, 0.0), (0.1, -1e-3)])
+def test_config_rejects_bad_nu_schedule(schedule):
+    # certify reads nu_schedule[-1] and builds a barrier per entry; no value
+    # of unsafe makes an empty or non-positive schedule runnable
+    for unsafe in (False, True):
+        with pytest.raises(ValueError, match="nu_schedule"):
+            RunConfig(nu_schedule=schedule, unsafe=unsafe).validate()
+
+
 def test_config_file_rejects_unknown_keys(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("nonsense = 1\n")
@@ -228,6 +237,19 @@ def test_cli_unsafe_flag_required_for_out_of_range(tmp_path):
     rc = cli_main(["run", "--config", str(cfg), "--steps", "1", "--unsafe",
                    "--out", str(tmp_path)])
     assert rc == 0
+
+
+@pytest.mark.parametrize("line", ["unsafe = maybe", "N = many", "nu_schedule = 0.1, 0"])
+def test_cli_reports_bad_config_values_with_their_line(tmp_path, capsys, line):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"# header\n{line}\n")
+    rc = cli_main(["run", "--config", str(cfg), "--steps", "1", "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 2 and err.startswith("error: ")
+    key = line.split("=")[0].strip()
+    assert key in err
+    if key != "nu_schedule":  # that one parses; validate refuses it
+        assert f"{cfg}:2:" in err
 
 
 def test_cli_shrink_is_validated(tmp_path, capsys):

@@ -2,9 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis.strategies import floats as st_floats
+from hypothesis.strategies import integers as st_integers
+from hypothesis.strategies import sampled_from
 from util import big_cell, energy_of, make_ds, pair_state
 
 from spit.barrier import BarrierParams, barrier_energy, barrier_value, estimate_L, estimate_L_joint
+from spit.errors import FeasibilityError, InfeasibleSlackError, LinearizedInfeasibleError
 from spit.geometry import LatticeBasis, PackingState, build_shift_set, contacts_within, min_slack
 from spit.harness import random_feasible_state
 from spit.projection import (
@@ -12,6 +17,7 @@ from spit.projection import (
     e_project_joint,
     e_project_x,
     gs_project_once,
+    lyapunov,
     solve_qp,
 )
 
@@ -125,7 +131,7 @@ def test_e_project_x_identity_on_stationary_feasible():
     st = pair_state(10.0)  # no contacts within R: zero gradient, feasible
     shifts = build_shift_set(st.basis, P.R)
     ds = make_ds(st, P, L_hat=1.0)
-    out, info = e_project_x(ds, P, shifts, L_hat=1.0)
+    out, info, _ = e_project_x(ds, barrier_energy(st, shifts, P), P, shifts, L_hat=1.0)
     assert np.allclose(out.packing.x, st.x, atol=1e-14)
     assert info["nonexpansive"]
 
@@ -139,7 +145,7 @@ def test_e_project_x_nonexpansive_on_feasible_inputs():
         v = rng.standard_normal(st.x.shape) * 0.1
         x_prev = st.x + rng.standard_normal(st.x.shape) * 0.01
         ds = make_ds(st, P, L_hat=L, v=v, x_prev=x_prev)
-        out, info = e_project_x(ds, P, shifts, L_hat=L)
+        out, info, _ = e_project_x(ds, barrier_energy(st, shifts, P), P, shifts, L_hat=L)
         e_before = energy_of(ds, P, shifts)
         e_after = energy_of(out, P, shifts)
         assert e_after <= e_before + 1e-10
@@ -157,9 +163,9 @@ def test_e_project_x_two_sphere_single_constraint_oracle():
     ds = make_ds(st, P, L_hat=L)
     # the input sits below delta, so the move is a mandatory repair and the
     # nonexpansive chain need not hold; the solution itself is closed-form
-    out, info = e_project_x(ds, P, shifts, L_hat=L)
-    # hand solution: factor out the barrier gradient by redoing the QP pieces
     ev = barrier_energy(st, shifts, P)
+    out, info, _ = e_project_x(ds, ev, P, shifts, L_hat=L)
+    # hand solution: factor out the barrier gradient by redoing the QP pieces
     gbar = ev.grad_x.ravel()
     r = st.x[0] - st.x[1]
     a = np.concatenate([2 * r, -2 * r])
@@ -182,7 +188,8 @@ def test_e_project_joint_identity_when_stationary():
     st = pair_state(10.0)
     shifts = build_shift_set(st.basis, P.R)
     ds = make_ds(st, P, L_hat=1.0)
-    out, info = e_project_joint(ds, P, shifts, L_x=1.0, L_B=1.0)
+    out, info, _ = e_project_joint(ds, barrier_energy(st, shifts, P), P, shifts,
+                                   L_x=1.0, L_B=1.0)
     assert np.allclose(out.packing.x, st.x, atol=1e-14)
     assert np.allclose(out.packing.basis.B, st.basis.B, atol=1e-14)
     assert not info["basis_moved"]
@@ -194,7 +201,8 @@ def test_e_project_joint_nonexpansive():
         shifts = build_shift_set(st.basis, P.R)
         L = estimate_L_joint(st, shifts, P).value
         ds = make_ds(st, P, L_hat=L)
-        out, info = e_project_joint(ds, P, shifts, L_x=L, L_B=L)
+        out, info, _ = e_project_joint(ds, barrier_energy(st, shifts, P), P, shifts,
+                                       L_x=L, L_B=L)
         assert info["E_after"] <= info["E_before"] + 1e-10
 
 
@@ -207,8 +215,8 @@ def test_e_project_joint_one_dim_self_contact_oracle():
     L = estimate_L_joint(st, shifts, p1).value
     LB = max(L, 1.0)
     ds = make_ds(st, p1, L_hat=LB)
-    out, info = e_project_joint(ds, p1, shifts, L_x=LB, L_B=LB)
     ev = barrier_energy(st, shifts, p1)
+    out, info, _ = e_project_joint(ds, ev, p1, shifts, L_x=LB, L_B=LB)
     gB = float(ev.grad_B[0, 0])
     s0 = b0**2 - 4.0
     aB = 2.0 * b0  # d slack / d basis for the z = 1 self contact
@@ -254,7 +262,7 @@ def test_guard_restores_margin_from_violating_state():
     repaired, changed = gs_project_once(st, shifts, P.delta)
     assert changed
     ds = make_ds(repaired, P, L_hat=L)
-    out, info = e_project_x(ds, P, shifts, L_hat=L)
+    out, info, _ = e_project_x(ds, barrier_energy(repaired, shifts, P), P, shifts, L_hat=L)
     assert min_slack(out.packing, shifts) >= P.delta * (1 - 1e-6)
 
 
@@ -265,6 +273,7 @@ def test_e_project_x_scans_each_state_once(monkeypatch):
     L = estimate_L(st, shifts, P, members=members).value
     rng = np.random.default_rng(0)
     ds = make_ds(st, P, L_hat=L, x_prev=st.x + rng.standard_normal(st.x.shape) * 0.01)
+    ev = barrier_energy(st, shifts, P, members=members)
     calls = []
 
     def counting(*args, **kwargs):
@@ -274,8 +283,37 @@ def test_e_project_x_scans_each_state_once(monkeypatch):
     # every binding of the scan, so that calls through geometry.min_slack count too
     monkeypatch.setattr("spit.geometry.contacts_within", counting)
     monkeypatch.setattr("spit.projection.contacts_within", counting)
-    out, info = e_project_x(ds, P, shifts, L_hat=L, members=members)
+    out, info, _ = e_project_x(ds, ev, P, shifts, L_hat=L)
     assert info["guard_rounds"] == 0 and info["backoffs"] == 0
     # the input state once (self-image check and constraint rows), the result once
     assert len(calls) == 2
     assert calls[0] is st and calls[1] is out.packing
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(seed=st_integers(0, 10_000), N=st_integers(2, 6), n=sampled_from([2, 3]),
+       memory=st_floats(0.0, 0.05), squeeze=st_floats(0.94, 1.0), weight=st_floats(1e-3, 1.0),
+       stretch=st_floats(1.0, 1.4))
+def test_e_project_x_returns_the_evaluation_at_its_result(seed, N, n, memory, squeeze, weight,
+                                                          stretch):
+    # callers keep this evaluation instead of evaluating the projected state,
+    # so it must be the fresh one on the input's contacts, bit for bit
+    st = random_feasible_state(seed=seed, N=N, n=n)
+    st = st.with_x(squeeze * st.x)  # may push pairs below the margin
+    shifts = build_shift_set(st.basis, P.R)
+    members = contacts_within(st, shifts, P.R)
+    rng = np.random.default_rng(seed)
+    try:
+        ev = barrier_energy(st, shifts, P, members=members)
+        L = estimate_L(st, shifts, P, members=members).value
+        ds = make_ds(st, P, L_hat=L, dt=stretch / np.sqrt(2.0 * L),
+                     x_prev=st.x + memory * rng.standard_normal(st.x.shape))
+        # a long step and a weight below L under-majorize: the projection backs off
+        out, info, ev_out = e_project_x(ds, ev, P, shifts, L_hat=weight * L)
+    except (FeasibilityError, LinearizedInfeasibleError, InfeasibleSlackError):
+        return
+    fresh = barrier_energy(out.packing, shifts, P, members=ev.contacts)
+    assert ev_out.value == fresh.value
+    for name in ("grad_x", "grad_B", "slack"):
+        assert np.array_equal(getattr(ev_out, name), getattr(fresh, name)), name
+    assert info["E_after"] == lyapunov(out, fresh.value)
