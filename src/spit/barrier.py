@@ -23,6 +23,7 @@ from .geometry import (
     ShiftIndexSet,
     contacts_within,
     r_vectors,
+    slack_gradient,
 )
 
 
@@ -85,11 +86,7 @@ def barrier_energy(state: PackingState, shifts: ShiftIndexSet, p: BarrierParams,
     r = r_vectors(state, contacts)
     s = np.einsum("mk,mk->m", r, r) - 4.0
     val, d1, _ = phi(s, p)
-    gx = np.zeros_like(state.x)
-    coeff = (2.0 * np.atleast_1d(d1))[:, None] * r
-    np.add.at(gx, contacts.i, coeff)
-    np.subtract.at(gx, contacts.j, coeff)
-    gB = -2.0 * np.einsum("m,ma,mb->ab", np.atleast_1d(d1), r, contacts.z.astype(float))
+    gx, gB = slack_gradient(state, contacts, r, np.atleast_1d(d1))
     return BarrierEval(value=float(np.sum(val)), grad_x=gx, grad_B=gB,
                        contacts=contacts, slack=s)
 
@@ -109,20 +106,10 @@ def _phi12(state: PackingState, contacts: Contacts, p: BarrierParams):
 
 def hvp_x(state: PackingState, shifts: ShiftIndexSet, p: BarrierParams,
           direction: np.ndarray, members: Contacts | None = None) -> np.ndarray:
-    """Apply the position block of the barrier Hessian to a direction field.
-
-    Per contact the i-block receives 4 phi'' <r, p_i - p_j> r + 2 phi' (p_i - p_j),
-    with the opposite sign on the j-block.
-    """
-    contacts = _included(state, shifts, p, members)
-    r, d1, d2 = _phi12(state, contacts, p)
-    q = direction[contacts.i] - direction[contacts.j]
-    rq = np.einsum("mk,mk->m", r, q)
-    g = (4.0 * d2 * rq)[:, None] * r + (2.0 * d1)[:, None] * q
-    out = np.zeros_like(direction, dtype=float)
-    np.add.at(out, contacts.i, g)
-    np.subtract.at(out, contacts.j, g)
-    return out
+    """The position block of the barrier Hessian applied to a direction field:
+    `hvp_joint` with no basis move, read off its position part."""
+    n = state.x.shape[1]
+    return hvp_joint(state, shifts, p, direction, np.zeros((n, n)), members)[0]
 
 
 def hvp_joint(state: PackingState, shifts: ShiftIndexSet, p: BarrierParams,

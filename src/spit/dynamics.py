@@ -23,11 +23,11 @@ region) are redone with a halved time step.
 `run_trajectory` evaluates the barrier once per accepted step: a step's
 second gradient is taken at the gauge-projected new state, so that one
 `BarrierEval` serves as the next step's first (first same as last) and for
-every energy, slack and logged value.  Verlet steps and nudge trials pass one
-acceptance rule, `_safeguard`; it and the joint cadence call projections that
-hand back the evaluation at their result.  Only a Gauss-Seidel repair, a nudge
-trial and a member-list refresh evaluate afresh; a backtrack changes only dt,
-eta, gamma.
+every energy, slack and logged value.  Its contacts are the member list.
+Verlet steps and nudge trials pass one acceptance rule, `_safeguard`; it and
+the joint cadence call projections that hand back the evaluation at their
+result.  Only a Gauss-Seidel repair, a nudge trial, a basis move and a
+member-list refresh evaluate afresh; a backtrack changes only dt, eta, gamma.
 """
 
 from __future__ import annotations
@@ -60,11 +60,10 @@ from .geometry import (
     ShiftIndexSet,
     build_shift_set,
     cell_volume,
-    contacts_within,
     gauge_project,
     volume_gradient,
 )
-from .projection import e_project_joint, e_project_x, gs_project_once, lyapunov
+from .projection import _SLACK_GUARD, e_project_joint, e_project_x, gs_project_once, lyapunov
 from .spectral import (
     NudgeHistory,
     build_contact_graph,
@@ -98,15 +97,21 @@ class DynamicsState:
         if not (0.0 < self.eta * self.dt < 2.0):
             raise ValueError("damping-step product must lie in (0, 2)")
 
+    @classmethod
+    def at_rest(cls, packing: PackingState) -> "DynamicsState":
+        """`packing` with v = 0 and x_prev = x.  dt = eta = 1 and gamma = 0 are
+        placeholders: `run_trajectory` sets its own by the step rule."""
+        return cls(packing=packing, v=np.zeros_like(packing.x), x_prev=packing.x.copy(),
+                   dt=1.0, eta=1.0, gamma=0.0)
+
     @property
     def x(self) -> np.ndarray:
         return self.packing.x
 
 
-def lyapunov_energy(ds: DynamicsState, p: BarrierParams, shifts: ShiftIndexSet,
-                    members: Contacts | None = None) -> float:
+def lyapunov_energy(ds: DynamicsState, p: BarrierParams, shifts: ShiftIndexSet) -> float:
     """Barrier value plus kinetic energy plus the gamma-weighted step memory."""
-    return lyapunov(ds, barrier_value(ds.packing, shifts, p, members=members))
+    return lyapunov(ds, barrier_value(ds.packing, shifts, p))
 
 
 def verlet_update(x, v, dt: float, eta: float, grad_fn):
@@ -123,13 +128,14 @@ def verlet_update(x, v, dt: float, eta: float, grad_fn):
 
 
 def spit_step(ds: DynamicsState, p: BarrierParams, shifts: ShiftIndexSet,
-              members: Contacts | None, ev: BarrierEval) -> tuple[DynamicsState, BarrierEval]:
+              ev: BarrierEval) -> tuple[DynamicsState, BarrierEval]:
     """One damped Verlet step at fixed basis from `ev`, the evaluation at `ds`.
 
-    The second gradient is taken at the gauge-projected midpoint, which is
-    the new state's packing, so that evaluation is returned with the new
-    state.  Signals "midpoint infeasible" when it cannot be taken, so the
-    caller can backtrack instead of projecting mid-step.
+    The second gradient is taken on `ev.contacts` at the gauge-projected
+    midpoint, which is the new state's packing, so that evaluation is
+    returned with the new state.  Signals "midpoint infeasible" when it
+    cannot be taken, so the caller can backtrack instead of projecting
+    mid-step.
     """
     state = ds.packing
     half = []  # (packing, evaluation) at x_half
@@ -139,7 +145,7 @@ def spit_step(ds: DynamicsState, p: BarrierParams, shifts: ShiftIndexSet,
             return ev.grad_x
         packing = state.with_x(x)
         try:
-            half.append((packing, barrier_energy(packing, shifts, p, members=members)))
+            half.append((packing, barrier_energy(packing, shifts, p, members=ev.contacts)))
         except InfeasibleSlackError as exc:
             raise MidpointInfeasibleError("midpoint infeasible") from exc
         return half[0][1].grad_x
@@ -173,14 +179,17 @@ def rest_state(state: PackingState, shifts: ShiftIndexSet, p: BarrierParams, con
 
     Bounds L_hat from above and m_hat from below on `members`, and picks
     (dt, eta) by `select_steps` with the config's eta_dt and c.  Returns the
-    resting state, whose gamma is 1/dt^2 - L_hat/2, with (L_hat, m_hat).
+    resting state under that step rule with (L_hat, m_hat).
     """
     L_hat = estimate_L(state, shifts, p, members=members).value
     m_hat = estimate_m(state, shifts, p, members=members).value
     dt, eta = select_steps(L_hat, max(m_hat, 1e-12), config.eta_dt, config.c)
-    ds = DynamicsState(packing=state, v=np.zeros_like(state.x), x_prev=state.x.copy(),
-                       dt=dt, eta=eta, gamma=1.0 / dt**2 - L_hat / 2.0)
-    return ds, L_hat, m_hat
+    return _with_step(DynamicsState.at_rest(state), dt, eta, L_hat), L_hat, m_hat
+
+
+def _with_step(ds: DynamicsState, dt: float, eta: float, L_hat: float) -> DynamicsState:
+    """`ds` under time step dt and damping eta, with gamma = 1/dt^2 - L_hat/2."""
+    return dataclasses.replace(ds, dt=dt, eta=eta, gamma=1.0 / dt**2 - L_hat / 2.0)
 
 
 def backtrack(ds: DynamicsState, L_hat: float) -> DynamicsState:
@@ -188,8 +197,7 @@ def backtrack(ds: DynamicsState, L_hat: float) -> DynamicsState:
     dt = ds.dt / 2.0
     if dt < 1e-12:
         raise RunAbort("time step collapsed below 1e-12 while backtracking")
-    return dataclasses.replace(ds, dt=dt, eta=ds.eta * 2.0,
-                               gamma=1.0 / dt**2 - L_hat / 2.0)
+    return _with_step(ds, dt, ds.eta * 2.0, L_hat)
 
 
 def companion_coefficients(lam: float, dt: float, eta: float) -> tuple[float, float]:
@@ -287,16 +295,15 @@ def run_trajectory(config, initial: DynamicsState | None = None) -> TrajectoryRe
 
     p = BarrierParams(nu=config.nu, delta=config.delta, R=config.R)
     shifts = build_shift_set(ds.packing.basis, config.R)
-    members = contacts_within(ds.packing, shifts, config.R)
-    rest, L_hat, m_hat = rest_state(ds.packing, shifts, p, config, members)
-    ds = dataclasses.replace(ds, dt=rest.dt, eta=rest.eta, gamma=rest.gamma)
+    ev = barrier_energy(ds.packing, shifts, p)
+    rest, L_hat, m_hat = rest_state(ds.packing, shifts, p, config, ev.contacts)
+    ds = _with_step(ds, rest.dt, rest.eta, L_hat)
 
     history = NudgeHistory(window=config.W)
     rows: list[StepRow] = []
     events: list[dict] = []
     counts = {"accepted": 0, "backtracks": 0, "nudges": 0,
               "projections_x": 0, "projections_joint": 0, "gs_repairs": 0}
-    ev = barrier_energy(ds.packing, shifts, p, members=members)
     E_prev = lyapunov(ds, ev.value)
     terminated = "max_steps"
     last_joint_shift = None  # Frobenius norm of the latest basis move
@@ -305,15 +312,14 @@ def run_trajectory(config, initial: DynamicsState | None = None) -> TrajectoryRe
         "U": ev.value,
         "min_slack": _min_slack(ev),
         "lambda2": _spectrum(build_contact_graph(ds.packing, shifts, config.eps_active,
-                                                 base=members))[0],
+                                                 base=ev.contacts))[0],
         "volume": cell_volume(ds.packing.basis),
     }
 
     for k in range(1, config.max_steps + 1):
         if k > 1 and (k - 1) % REFRESH_STEPS == 0:
-            members = contacts_within(ds.packing, shifts, config.R)
-            _, L_hat, m_hat = rest_state(ds.packing, shifts, p, config, members)
-            ev = barrier_energy(ds.packing, shifts, p, members=members)
+            ev = barrier_energy(ds.packing, shifts, p)
+            _, L_hat, m_hat = rest_state(ds.packing, shifts, p, config, ev.contacts)
             E_prev = lyapunov(ds, ev.value)
 
         if float(np.linalg.norm(ev.grad_x)) <= config.grad_tol \
@@ -324,7 +330,7 @@ def run_trajectory(config, initial: DynamicsState | None = None) -> TrajectoryRe
         backtracks = 0
         while True:
             try:
-                tentative, ev_cand = spit_step(ds, p, shifts, members, ev)
+                tentative, ev_cand = spit_step(ds, p, shifts, ev)
             except MidpointInfeasibleError:
                 E_unproj, accepted = float("nan"), None
             else:
@@ -338,7 +344,7 @@ def run_trajectory(config, initial: DynamicsState | None = None) -> TrajectoryRe
             if backtracks > 60:
                 raise RunAbort(f"no acceptable step after {backtracks} backtracks at step {k}")
             if backtracks % 2 == 0:
-                _, L_hat, m_hat = rest_state(ds.packing, shifts, p, config, members)
+                _, L_hat, m_hat = rest_state(ds.packing, shifts, p, config, ev.contacts)
             ds = backtrack(ds, L_hat)
             E_prev = lyapunov(ds, ev.value)
 
@@ -348,7 +354,7 @@ def run_trajectory(config, initial: DynamicsState | None = None) -> TrajectoryRe
         counts["accepted"] += 1
 
         if config.joint_period and k % config.joint_period == 0:
-            Lj = estimate_L_joint(ds.packing, shifts, p, members=members).value
+            Lj = estimate_L_joint(ds.packing, shifts, p, members=ev.contacts).value
             try:
                 B_old = ds.packing.basis.B
                 ds, info, ev = e_project_joint(ds, ev, p, shifts, L_x=max(Lj, L_hat), L_B=Lj,
@@ -360,18 +366,15 @@ def run_trajectory(config, initial: DynamicsState | None = None) -> TrajectoryRe
                 last_joint_shift = float(np.linalg.norm(ds.packing.basis.B - B_old))
                 projection += "+joint"
                 if basis_moved:  # the projection has scanned the new cell
-                    members = near
-                    rest, L_hat, m_hat = rest_state(ds.packing, shifts, p, config, members)
-                    if rest.dt < ds.dt:
-                        scale = ds.dt / rest.dt
-                        ds = dataclasses.replace(ds, dt=rest.dt, eta=ds.eta * scale)
-                    ds = dataclasses.replace(ds, gamma=1.0 / ds.dt**2 - L_hat / 2.0)
-                    ev = barrier_energy(ds.packing, shifts, p, members=members)
+                    rest, L_hat, m_hat = rest_state(ds.packing, shifts, p, config, near)
+                    dt = min(ds.dt, rest.dt)
+                    ds = _with_step(ds, dt, ds.eta * (ds.dt / dt), L_hat)
+                    ev = barrier_energy(ds.packing, shifts, p, members=near)
                 E_prev = lyapunov(ds, ev.value)
             except (LinearizedInfeasibleError, FeasibilityError) as exc:
                 logger.warning("joint projection skipped at step %d: %s", k, exc)
 
-        graph = build_contact_graph(ds.packing, shifts, config.eps_active, base=members)
+        graph = build_contact_graph(ds.packing, shifts, config.eps_active, base=ev.contacts)
         lam2, fvec = _spectrum(graph)
         nudged = False
         if (fvec is not None and len(history) > 0
@@ -429,8 +432,8 @@ def _safeguard(cand, ev, E, E_ref, p, shifts, L_hat, counts, events, step):
     """Accept a move to `cand` (evaluation `ev`, energy `E`) or return None.
 
     A slack below delta gets a Gauss-Seidel sweep; a slack below delta
-    (1 - 1e-6) or E above `E_ref` escalates to the position QP, whose result
-    must not exceed `E_ref`.  Returns (state, evaluation, energy, tag).
+    (1 - _SLACK_GUARD) or E above `E_ref` escalates to the position QP, whose
+    result must not exceed `E_ref`.  Returns (state, evaluation, energy, tag).
     """
     tag = "none"
     if _min_slack(ev) < p.delta * (1.0 - 1e-12):
@@ -441,7 +444,7 @@ def _safeguard(cand, ev, E, E_ref, p, shifts, L_hat, counts, events, step):
             E = lyapunov(cand, ev.value)
             tag = "gs"
             counts["gs_repairs"] += 1
-    if _min_slack(ev) >= p.delta * (1.0 - 1e-6) and E <= E_ref + 1e-10:
+    if _min_slack(ev) >= p.delta * (1.0 - _SLACK_GUARD) and E <= E_ref + 1e-10:
         return cand, ev, E, tag
     try:
         proj, info, ev_proj = e_project_x(cand, ev, p, shifts, L_hat)
@@ -458,7 +461,7 @@ def _safeguard(cand, ev, E, E_ref, p, shifts, L_hat, counts, events, step):
 def _apply_nudge(ds, ev, p, shifts, graph, fvec, L_hat, config, E_ref, counts, events, step):
     """Lift the Fiedler mode, size the step, and halve it until `_safeguard`
     accepts it (an infeasible trial is halved too).  Returns (state, its
-    evaluation, energy) or None.  `ev` is the evaluation at `ds` on the members.
+    evaluation, energy) or None.  `ev` is the evaluation at `ds` on the member list.
     """
     dxm = lift_mode(ds.packing, graph, fvec)
     near = build_contact_graph(ds.packing, shifts, config.eps_near, base=ev.contacts)

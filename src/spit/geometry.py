@@ -333,6 +333,17 @@ def contact_rows(state: PackingState, contacts: Contacts, r: np.ndarray,
     return A
 
 
+def slack_gradient(state: PackingState, contacts: Contacts, r: np.ndarray,
+                   w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """sum_c w_c (grad_x s_c, grad_B s_c) for s = ||r||^2 - 4: +2 w r on the
+    i-block, -2 w r on the j-block, and -2 w r z^T on the basis."""
+    gx = np.zeros_like(state.x)
+    coeff = (2.0 * w)[:, None] * r
+    np.add.at(gx, contacts.i, coeff)
+    np.subtract.at(gx, contacts.j, coeff)
+    return gx, -2.0 * np.einsum("m,ma,mb->ab", w, r, contacts.z.astype(float))
+
+
 def cell_volume(basis: LatticeBasis) -> float:
     det = float(np.linalg.det(basis.B))
     if abs(det) <= _DET_TOL:

@@ -199,7 +199,11 @@ def cubic_cell(N: int, n: int, inflate: float = 0.0) -> tuple[np.ndarray, Lattic
 
 
 def make_testbed(config: RunConfig) -> DynamicsState:
-    """Jittered near-contact lattice, safeguarded to min_slack >= delta, v = 0."""
+    """Jittered near-contact lattice, safeguarded to min_slack >= delta, at rest.
+
+    The step parameters are `DynamicsState.at_rest` placeholders: the run
+    derives its own from its curvature bound, so set-up takes none.
+    """
     rng = np.random.default_rng(np.random.PCG64(config.seed))
     if config.n == 2:
         x, basis = hexagonal_cell(config.N, config.inflate)
@@ -208,21 +212,18 @@ def make_testbed(config: RunConfig) -> DynamicsState:
     if config.jitter > 0.0:
         x = x + rng.uniform(-config.jitter, config.jitter, size=x.shape)
     state = PackingState.make(x, basis)
-    shifts = build_shift_set(basis, config.R)
-    state, members = _feasibilize(state, shifts, config)
-    p = BarrierParams(nu=config.nu, delta=config.delta, R=config.R)
-    return rest_state(state, shifts, p, config, members)[0]
+    return DynamicsState.at_rest(_feasibilize(state, build_shift_set(basis, config.R), config))
 
 
-def _feasibilize(state: PackingState, shifts, config: RunConfig):
-    """Repair `state` to min slack >= delta; returns it with its contacts within R."""
+def _feasibilize(state: PackingState, shifts, config: RunConfig) -> PackingState:
+    """Repair `state` to min slack >= delta."""
     target = config.delta
     last = -np.inf  # min slack before the latest Gauss-Seidel round
     for round_ in range(100):
         near = contacts_within(state, shifts, config.R)
         s = min_slack_of(state, near)
         if s >= target:
-            return state, near
+            return state
         if s > last:
             state, changed = gs_project_once(state, shifts, config.delta, base=near)
             if changed:
@@ -348,11 +349,7 @@ def certify(config: RunConfig, state: PackingState) -> dict:
             config, nu=nu, volume_weight=config.cert_shrink,
             joint_period=config.joint_period if config.joint_period else 10,
             max_steps=config.cert_max_steps, grad_tol=1e-7, unsafe=True)
-        # run_trajectory sets dt, eta and gamma from its own curvature
-        # estimate; only the rest state (v = 0, x_prev = x) is taken from here
-        ds = DynamicsState(packing=cur, v=np.zeros_like(cur.x), x_prev=cur.x.copy(),
-                           dt=1.0, eta=1.0, gamma=0.0)
-        record = run_trajectory(sub, initial=ds)
+        record = run_trajectory(sub, initial=DynamicsState.at_rest(cur))
         cur = record.final_state.packing
         shifts = build_shift_set(cur.basis, config.R)
         p = BarrierParams(nu=nu, delta=config.delta, R=config.R)

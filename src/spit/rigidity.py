@@ -23,6 +23,7 @@ from .geometry import (
     contact_rows,
     contacts_within,
     r_vectors,
+    slack_gradient,
     slack_values,
     volume_gradient,
 )
@@ -221,12 +222,8 @@ def kkt_residual(state: PackingState, contacts: Contacts, mu: np.ndarray) -> tup
     mu = np.asarray(mu, dtype=float)
     r = r_vectors(state, contacts)
     s = np.einsum("mk,mk->m", r, r) - 4.0
-    gB = -2.0 * np.einsum("m,ma,mb->ab", mu, r, contacts.z.astype(float))
+    gx, gB = slack_gradient(state, contacts, r, mu)
     res_B = float(np.linalg.norm(volume_gradient(state.basis) - gB))
-    gx = np.zeros_like(state.x)
-    coeff = (2.0 * mu)[:, None] * r
-    np.add.at(gx, contacts.i, coeff)
-    np.subtract.at(gx, contacts.j, coeff)
     gx = gx - gx.mean(axis=0)
     res_x = float(np.linalg.norm(gx))
     comp = float(np.sum(mu * np.maximum(s, 0.0)))

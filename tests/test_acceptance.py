@@ -254,7 +254,7 @@ def test_criterion_5_local_linear_rate_matches_companion_roots():
     errs = []
     ev = barrier_energy(ds.packing, shifts, P)
     for _ in range(400):
-        ds, ev = spit_step(ds, P, shifts, None, ev)
+        ds, ev = spit_step(ds, P, shifts, ev)
         errs.append(float(np.linalg.norm(ds.packing.x - st_star.x)))
     tail = np.array(errs[-200:])
     rho_fit = float(np.exp(np.polyfit(np.arange(200), np.log(tail), 1)[0]))

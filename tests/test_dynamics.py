@@ -62,7 +62,7 @@ def test_spit_step_fixed_point():
     st = pair_state(10.0)  # no contacts: zero gradient
     shifts = build_shift_set(st.basis, P.R)
     ds = make_ds(st, P, L_hat=1.0)
-    out, ev = spit_step(ds, P, shifts, None, barrier_energy(st, shifts, P))
+    out, ev = spit_step(ds, P, shifts, barrier_energy(st, shifts, P))
     assert np.array_equal(out.packing.x, st.x)
     assert ev.value == 0.0 and np.all(ev.grad_x == 0.0)
     assert np.all(out.v == 0.0)
@@ -150,7 +150,7 @@ def test_backtracking_reaches_descent():
     for halvings in range(41):
         e0 = lyapunov_energy(ds, P, shifts)
         try:
-            out, _ = spit_step(ds, P, shifts, None, barrier_energy(ds.packing, shifts, P))
+            out, _ = spit_step(ds, P, shifts, barrier_energy(ds.packing, shifts, P))
             e1 = lyapunov_energy(out, P, shifts)
             if e1 <= e0 + 1e-10:
                 break
@@ -229,6 +229,7 @@ def test_apply_nudge_inside_loop_is_energy_safe():
     from spit.dynamics import _apply_nudge
     from spit.harness import random_feasible_state
     from spit.geometry import contacts_within
+    from spit.projection import lyapunov
 
     applied_any = False
     for seed in range(8):
@@ -243,7 +244,7 @@ def test_apply_nudge_inside_loop_is_energy_safe():
         _, fvec = fiedler(graph)
         cfg = RunConfig(N=6, unsafe=True)
         events = []
-        E_ref = lyapunov_energy(ds, P, shifts, members)
+        E_ref = lyapunov(ds, barrier_value(st, shifts, P, members=members))
         ev = barrier_energy(st, shifts, P, members=members)
         counts = {"gs_repairs": 0, "projections_x": 0}
         out = _apply_nudge(ds, ev, P, shifts, graph, fvec, L, cfg, E_ref, counts, events,
@@ -253,7 +254,8 @@ def test_apply_nudge_inside_loop_is_energy_safe():
         ds_new, ev_new, e_new = out
         applied_any = True
         assert e_new <= E_ref + 1e-10
-        assert e_new == lyapunov_energy(ds_new, P, shifts, members)
+        assert e_new == lyapunov(ds_new,
+                                 barrier_value(ds_new.packing, shifts, P, members=members))
         assert np.array_equal(ev_new.grad_x,
                               barrier_energy(ds_new.packing, shifts, P, members=members).grad_x)
         assert min_slack(ds_new.packing, shifts) >= cfg.delta * (1 - 1e-6)
@@ -324,7 +326,7 @@ def test_local_linear_rate_two_sphere():
     errs = []
     ev = barrier_energy(ds.packing, shifts, P)
     for _ in range(400):
-        ds, ev = spit_step(ds, P, shifts, None, ev)
+        ds, ev = spit_step(ds, P, shifts, ev)
         errs.append(float(np.linalg.norm(ds.packing.x - x_star)))
     tail = np.array(errs[-200:])
     assert np.all(tail > 1e-13)
@@ -368,6 +370,22 @@ def test_rest_state_takes_one_eigensolve(monkeypatch):
     assert len(calls) == 3
 
 
+def test_make_testbed_takes_no_eigensolve(monkeypatch):
+    # the run derives dt, eta and gamma from its own curvature bound, so
+    # set-up takes none
+    calls = []
+    spectrum = barrier._gauge_spectrum
+
+    def counting(H, N, n):
+        calls.append(H.shape)
+        return spectrum(H, N, n)
+
+    monkeypatch.setattr(barrier, "_gauge_spectrum", counting)
+    ds = make_testbed(RunConfig(N=16, seed=3))
+    assert calls == []
+    assert np.all(ds.v == 0.0) and np.array_equal(ds.x_prev, ds.packing.x)
+
+
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(seed=st_integers(0, 10_000), N=st_integers(1, 7), n=sampled_from([2, 3]),
        speed=st_floats(0.0, 0.05), drift=st_floats(-1.0, 1.0))
@@ -380,10 +398,12 @@ def test_spit_step_returns_the_evaluation_at_its_new_state(seed, N, n, speed, dr
     rng = np.random.default_rng(seed)
     v = speed * rng.standard_normal(st.x.shape) + drift * speed  # a nonzero mean too
     ds = make_ds(st, P, L_hat=estimate_L(st, shifts, P, members=members).value, v=v)
+    ev0 = barrier_energy(st, shifts, P, members=members)
     try:
-        new, ev = spit_step(ds, P, shifts, members, barrier_energy(st, shifts, P, members=members))
+        new, ev = spit_step(ds, P, shifts, ev0)
     except MidpointInfeasibleError:
         return
+    assert ev.contacts is ev0.contacts  # the member list travels with the evaluation
     assert gauge_project(new.packing.x) is new.packing.x
     fresh = barrier_energy(new.packing, shifts, P, members=members)
     assert ev.value == fresh.value
