@@ -28,6 +28,10 @@ Verlet steps and nudge trials pass one acceptance rule, `_safeguard`; it and
 the joint cadence call projections that hand back the evaluation at their
 result.  Only a Gauss-Seidel repair, a nudge trial, a basis move and a
 member-list refresh evaluate afresh; a backtrack changes only dt, eta, gamma.
+
+The contact graph is rebuilt every step but solved only when its pair edges,
+all the Laplacian reads, change; a step whose evaluation proves it edgeless
+builds none (`_spectrum`).
 """
 
 from __future__ import annotations
@@ -307,12 +311,12 @@ def run_trajectory(config, initial: DynamicsState | None = None) -> TrajectoryRe
     E_prev = lyapunov(ds, ev.value)
     terminated = "max_steps"
     last_joint_shift = None  # Frobenius norm of the latest basis move
+    solved = {}  # the last Fiedler solve and its pair edges, for `_spectrum`
     initial_metrics = {
         "E": E_prev,
         "U": ev.value,
         "min_slack": _min_slack(ev),
-        "lambda2": _spectrum(build_contact_graph(ds.packing, shifts, config.eps_active,
-                                                 base=ev.contacts))[0],
+        "lambda2": _spectrum(ds.packing, ev, shifts, config.eps_active, solved)[1],
         "volume": cell_volume(ds.packing.basis),
     }
 
@@ -374,8 +378,7 @@ def run_trajectory(config, initial: DynamicsState | None = None) -> TrajectoryRe
             except (LinearizedInfeasibleError, FeasibilityError) as exc:
                 logger.warning("joint projection skipped at step %d: %s", k, exc)
 
-        graph = build_contact_graph(ds.packing, shifts, config.eps_active, base=ev.contacts)
-        lam2, fvec = _spectrum(graph)
+        graph, lam2, fvec = _spectrum(ds.packing, ev, shifts, config.eps_active, solved)
         nudged = False
         if (fvec is not None and len(history) > 0
                 and nudge_trigger(history, lam2, config.kappa, m_hat, L_hat, k, config.K)):
@@ -402,12 +405,28 @@ def _min_slack(ev: BarrierEval) -> float:
     return float(np.min(ev.slack, initial=np.inf))
 
 
-def _spectrum(graph) -> tuple[float, np.ndarray | None]:
-    """Fiedler value and vector, or (0.0, None) without pair edges: lambda2 is 0
-    there and every lifted mode is zero, so no nudge could move a sphere."""
-    if bool(np.all(graph.loop_mask)):  # also every graph of one sphere
-        return 0.0, None
-    return fiedler(graph)
+def _spectrum(state, ev, shifts, eps, solved) -> tuple:
+    """(graph, lambda2, Fiedler vector) of the contact graph at `state`, scale eps.
+
+    Without pair edges lambda2 is 0 and the vector None (every lifted mode is
+    zero), and no graph is built when `ev`'s least slack d^2 - 4 shows every
+    member beyond the graph's d^2 <= (2 + eps)^2 (1e-12 covers the rounding).
+    The Laplacian reads only the pair edges, so while they equal those of the
+    last solve in `solved`, that deterministic solve is returned, read-only;
+    the normals and gaps a nudge uses come from the graph, built afresh.
+    """
+    if _min_slack(ev) > (2.0 + eps) ** 2 - 4.0 + 1e-12:
+        return None, 0.0, None
+    graph = build_contact_graph(state, shifts, eps, base=ev.contacts)
+    pair = ~graph.loop_mask
+    if not pair.any():  # also every graph of one sphere
+        return graph, 0.0, None
+    edges = np.stack([graph.edges.i[pair], graph.edges.j[pair]])
+    if not np.array_equal(edges, solved.get("edges")):
+        lam2, vec = fiedler(graph)
+        vec.flags.writeable = False
+        solved.update(edges=edges, spectrum=(lam2, vec))
+    return graph, *solved["spectrum"]
 
 
 def _joint_quiescent(ds, ev, config, last_joint_shift) -> bool:

@@ -227,6 +227,8 @@ def contacts_within(state: PackingState, shifts: ShiftIndexSet, radius: float,
     """Canonical contacts whose separation does not exceed `radius`: all of
     them by a cell list over the state's own basis (`shifts` is not consulted),
     or those among the rows of `base`."""
+    if radius < 0.0:
+        raise ValueError("radius must be nonnegative")
     table = base if base is not None else _cell_candidates(state, radius)
     r = r_vectors(state, table)
     d2 = np.einsum("mk,mk->m", r, r)

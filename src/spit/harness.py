@@ -98,6 +98,7 @@ class RunConfig:
             (self.volume_weight >= 0.0, "volume_weight must be nonnegative"),
             (self.cert_shrink >= 0.0, "cert_shrink must be nonnegative"),
             (self.grad_tol >= 0.0, "grad_tol must be nonnegative"),
+            (min(self.eps_active, self.eps_near) >= 0.0, "graph scales must be nonnegative"),
         ]
         for ok, msg in checks:
             if not ok:

@@ -2,7 +2,7 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines; every tolerance is pinned here, nothing is calibrated at runtime.  The
-last test pins the bytes of the two outputs a refactor must not change.
+last two tests pin the bytes of the outputs a refactor must not change.
 """
 
 import hashlib
@@ -369,9 +369,11 @@ def test_criterion_10_byte_identical_csv(cli_csvs):
 # sha256 of the stub32 seed-7 trajectory.csv and of the certify report of the
 # N=4 seed-2 testbed as the CLI writes it.  A refactor leaves both unchanged; a
 # deliberate numeric change updates them and names the moved column.  Last
-# moved by the dense curvature bounds: dt, E, U, kinetic and min_slack.
+# moved by the dense curvature bounds: dt, E, U, kinetic and min_slack.  The
+# third is the 50-step N=256 seed-13 run of the run-hex256 benchmark workload.
 STUB32_SEED7_CSV_SHA256 = "c9aa64b2f3cf4fce9cf283e5fe5f62152c19a79e03b76b33a86455210807a8e1"
 CERTIFY_N4_SEED2_SHA256 = "82b5eb758cadcaa65bae7b0ced27f0df45dfe88c86a471d8ba9f7e3cc5b62070"
+HEX256_SEED13_CSV_SHA256 = "c4bdd7927939477a9e8436369a2ca7d431d2c0d50652e93740d5953abe86b5c3"
 
 
 def test_pinned_output_hashes(stub_run, cert_report):
@@ -381,8 +383,10 @@ def test_pinned_output_hashes(stub_run, cert_report):
     blob = json.dumps(report, sort_keys=True, indent=1, default=float) + "\n"
     assert csv_sha == STUB32_SEED7_CSV_SHA256
     assert hashlib.sha256(blob.encode()).hexdigest() == CERTIFY_N4_SEED2_SHA256
-    print("\n[pinned outputs] PASS - stub32 seed 7 CSV and N=4 seed 2 certify report "
-          "match their pinned sha256")
+    hex256 = run_trajectory(config_from_preset("stub32", N=256, max_steps=50, seed=13))
+    assert hashlib.sha256(hex256.to_csv().encode()).hexdigest() == HEX256_SEED13_CSV_SHA256
+    print("\n[pinned outputs] PASS - stub32 seed 7 CSV, N=4 seed 2 certify report and "
+          "N=256 seed 13 CSV match their pinned sha256")
 
 
 # sha256 of the trajectory.csv of two runs that take the safeguard paths the

@@ -438,3 +438,70 @@ def test_one_barrier_evaluation_per_accepted_step(workload, monkeypatch):
         accepted = sum(level["steps"] for level in certify(config, st)["levels"])
     assert accepted >= 200
     assert len(calls) <= 1.3 * accepted, (len(calls), accepted)
+
+
+@pytest.mark.parametrize("N, steps, seed", [(32, 200, 7), (256, 50, 13)])
+def test_fiedler_solved_once_per_contact_graph(N, steps, seed, monkeypatch):
+    # lambda2 and its vector depend only on the pair edges, so the loop solves
+    # once per change of the edge list and hands back that solve bit for bit
+    solves, spectra = [], []
+    solve, spectrum = dynamics.fiedler, dynamics._spectrum
+
+    def counting(graph):
+        solves.append(graph)
+        return solve(graph)
+
+    def recording(*args):
+        spectra.append(spectrum(*args))
+        return spectra[-1]
+
+    monkeypatch.setattr(dynamics, "fiedler", counting)
+    monkeypatch.setattr(dynamics, "_spectrum", recording)
+    run_trajectory(config_from_preset("stub32", N=N, max_steps=steps, seed=seed))
+    last, changes = None, 0
+    for graph, lam2, vec in spectra:
+        if vec is None:
+            assert lam2 == 0.0
+            continue
+        pair = ~graph.loop_mask
+        edges = np.stack([graph.edges.i[pair], graph.edges.j[pair]])
+        changes += last is None or not np.array_equal(edges, last)
+        last = edges
+        fresh_lam2, fresh_vec = solve(graph)
+        assert lam2 == fresh_lam2 and vec.tobytes() == fresh_vec.tobytes()
+    assert len(spectra) == steps + 1 and len(solves) == changes < len(spectra)
+    assert not vec.flags.writeable
+    with pytest.raises(ValueError):
+        vec[0] = 0.0  # a caller cannot corrupt the stored solve
+
+
+@pytest.mark.parametrize("gap", [-1e-9, 0.0, 1e-9, 1e-3])
+def test_spectrum_skips_only_edgeless_graphs(gap):
+    # the slack test skips the graph only when it has no edge, down to a pair
+    # at exactly d = 2 + eps
+    eps = 0.05
+    st = pair_state(2.0 + eps + gap)
+    shifts = build_shift_set(st.basis, P.R)
+    ev = barrier_energy(st, shifts, P)
+    edges = len(build_contact_graph(st, shifts, eps, base=ev.contacts))
+    assert edges == (gap <= 0.0)
+    graph, lam2, vec = dynamics._spectrum(st, ev, shifts, eps, {})
+    assert (graph is None) == (edges == 0)
+    assert lam2 == pytest.approx(2.0 * edges) and (vec is None) == (edges == 0)
+
+
+def test_certify_builds_no_contact_graph(monkeypatch):
+    # eps_active = 1e-6 lies below every slack the safeguard lets through, so
+    # each evaluation proves the graph edgeless before one is built
+    built = []
+    build = dynamics.build_contact_graph
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "build_contact_graph", counting)
+    config = RunConfig(N=4, seed=2, cert_max_steps=20000, unsafe=True)
+    report = certify(config, make_testbed(config).packing)
+    assert sum(level["steps"] for level in report["levels"]) >= 200
+    assert built == []

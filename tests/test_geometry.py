@@ -255,3 +255,12 @@ def test_contacts_within_matches_brute_force_oracle(n, N, seed, reach):
     # a run's shift set serves a radius at least the one asked for (spectral: 2 + eps < R)
     shifts = build_shift_set(basis, radius + 1.0)
     assert_same_contacts(contacts_within(state, shifts, radius), oracle_contacts(state, radius))
+
+
+def test_contacts_within_rejects_negative_radius():
+    # with a base list the squared radius alone would select the rows
+    st = pair_state(2.1)
+    shifts = build_shift_set(st.basis, 2.5)
+    for base in (None, contacts_within(st, shifts, 2.5)):
+        with pytest.raises(ValueError, match="radius must be nonnegative"):
+            contacts_within(st, shifts, -1.0, base=base)

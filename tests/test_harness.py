@@ -38,6 +38,15 @@ def test_config_rejects_negative_weights(key):
     RunConfig(**{key: 0.0}).validate()
 
 
+@pytest.mark.parametrize("key", ["eps_active", "eps_near"])
+def test_config_rejects_negative_graph_scales(key):
+    # a negative near scale would drop every near edge and with them the
+    # nudge's geometric cap
+    with pytest.raises(ValueError, match="graph scales"):
+        RunConfig(**{key: -0.5}).validate()
+    RunConfig(**{key: 0.0}).validate()
+
+
 def test_config_presets():
     cfg = config_from_preset("stub32")
     assert cfg.N == 32 and cfg.nu == 1e-2 and cfg.delta == 1e-3
@@ -213,6 +222,14 @@ def test_cli_spectra_two_sphere(tmp_path, capsys):
     lam = float(out.splitlines()[0].split("=")[1])
     assert lam == pytest.approx(2.0, abs=1e-12)
     assert "sandwich ok" in out
+
+
+def test_cli_spectra_rejects_negative_graph_scale(tmp_path, capsys):
+    from util import pair_state
+    save_state(tmp_path / "pair.json", pair_state(2.0))
+    rc = cli_main(["spectra", str(tmp_path / "pair.json"), "--eps=-3"])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: radius must be nonnegative\n"
 
 
 def test_cli_spectra_rejects_large_exact_cheeger(tmp_path, capsys):
