@@ -11,6 +11,7 @@ pulls pairs toward a finite preferred slack, which is what packs the cell.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -23,7 +24,9 @@ from .geometry import (
     ShiftIndexSet,
     contacts_within,
     r_vectors,
+    scatter_add,
     slack_gradient,
+    slack_values,
 )
 
 
@@ -54,24 +57,34 @@ def phi(s, p: BarrierParams):
     s = np.asarray(s, dtype=float)
     if np.any(s <= 0.0):
         raise InfeasibleSlackError("infeasible slack")
-    nu, d = p.nu, p.delta
-    value = -nu * np.log(s) + (nu / (2.0 * d)) * (s - d) ** 2
-    d1 = -nu / s + (nu / d) * (s - d)
-    d2 = nu / s**2 + nu / d
+    value, d1, d2 = _phi0(s, p), _phi1(s, p), _phi2(s, p)
     if value.ndim == 0:
         return float(value), float(d1), float(d2)
     return value, d1, d2
 
 
+def _phi0(s, p: BarrierParams):
+    return -p.nu * np.log(s) + (p.nu / (2.0 * p.delta)) * (s - p.delta) ** 2
+
+
+def _phi1(s, p: BarrierParams):
+    return -p.nu / s + (p.nu / p.delta) * (s - p.delta)
+
+
+def _phi2(s, p: BarrierParams):
+    return p.nu / s**2 + p.nu / p.delta
+
+
 @dataclass(frozen=True)
 class BarrierEval:
-    """One barrier evaluation: scalar value, both gradients, per-contact slacks."""
+    """One barrier evaluation: value, both gradients, per-contact slacks and their minimum."""
 
     value: float
     grad_x: np.ndarray
     grad_B: np.ndarray
     contacts: Contacts
     slack: np.ndarray
+    min_slack: float
 
 
 def _included(state: PackingState, shifts: ShiftIndexSet, p: BarrierParams,
@@ -79,16 +92,25 @@ def _included(state: PackingState, shifts: ShiftIndexSet, p: BarrierParams,
     return members if members is not None else contacts_within(state, shifts, p.R)
 
 
-def barrier_energy(state: PackingState, shifts: ShiftIndexSet, p: BarrierParams,
-                   members: Contacts | None = None) -> BarrierEval:
-    """Sum phi over included contacts and assemble both gradients by chain rule."""
-    contacts = _included(state, shifts, p, members)
+def _slacks(state: PackingState, contacts: Contacts):
+    """r, the slacks ||r||^2 - 4 and their minimum (inf if none); raises if it is <= 0."""
     r = r_vectors(state, contacts)
     s = np.einsum("mk,mk->m", r, r) - 4.0
-    val, d1, _ = phi(s, p)
-    gx, gB = slack_gradient(state, contacts, r, np.atleast_1d(d1))
-    return BarrierEval(value=float(np.sum(val)), grad_x=gx, grad_B=gB,
-                       contacts=contacts, slack=s)
+    least = float(s.min()) if s.size else float("inf")
+    if least <= 0.0:
+        raise InfeasibleSlackError("infeasible slack")
+    return r, s, least
+
+
+def barrier_energy(state: PackingState, shifts: ShiftIndexSet, p: BarrierParams,
+                   members: Contacts | None = None) -> BarrierEval:
+    """Sum phi over included contacts and assemble both gradients by chain rule.
+    Only phi and phi' are evaluated; each sum runs over the contacts in order."""
+    contacts = _included(state, shifts, p, members)
+    r, s, least = _slacks(state, contacts)
+    gx, gB = slack_gradient(state, contacts, r, _phi1(s, p))
+    return BarrierEval(value=float(_phi0(s, p).sum()), grad_x=gx, grad_B=gB,
+                       contacts=contacts, slack=s, min_slack=least)
 
 
 def barrier_value(state: PackingState, shifts: ShiftIndexSet, p: BarrierParams,
@@ -98,10 +120,8 @@ def barrier_value(state: PackingState, shifts: ShiftIndexSet, p: BarrierParams,
 
 
 def _phi12(state: PackingState, contacts: Contacts, p: BarrierParams):
-    r = r_vectors(state, contacts)
-    s = np.einsum("mk,mk->m", r, r) - 4.0
-    _, d1, d2 = phi(s, p)
-    return r, np.atleast_1d(d1), np.atleast_1d(d2)
+    r, s, _ = _slacks(state, contacts)
+    return r, _phi1(s, p), _phi2(s, p)
 
 
 def hvp_x(state: PackingState, shifts: ShiftIndexSet, p: BarrierParams,
@@ -144,31 +164,35 @@ def hessian(state: PackingState, contacts: Contacts, p: BarrierParams,
     blocks and subtracts it from (i, j) and (j, i); jointly it also adds -K z^T
     (resp. +K z^T) to the i (resp. j) rows of the basis columns and K (x) z z^T
     to the basis block.  Self-image contacts cancel out of every position row,
-    so only pairs are assembled there, and those rows stay exactly zero.
+    so only pairs are assembled there, and those rows stay exactly zero.  Each
+    entry sums its (i, i), (j, j), (i, j), (j, i), then basis-column terms in contact order.
     """
     N, n = state.x.shape
-    D = N * n + (n * n if joint else 0)
-    H = np.zeros((D, D))
+    Nn = N * n
+    D = Nn + (n * n if joint else 0)
     r, d1, d2 = _phi12(state, contacts, p)
     K = (4.0 * d2)[:, None, None] * r[:, :, None] * r[:, None, :] \
         + (2.0 * d1)[:, None, None] * np.eye(n)
     pair = contacts.i != contacts.j
-    i, j, Kp, all_ = contacts.i[pair], contacts.j[pair], K[pair], slice(None)
-    Hx = np.zeros((N, n, N, n))
-    np.add.at(Hx, (i, all_, i, all_), Kp)
-    np.add.at(Hx, (j, all_, j, all_), Kp)
-    np.subtract.at(Hx, (i, all_, j, all_), Kp)
-    np.subtract.at(Hx, (j, all_, i, all_), Kp)
-    H[:N * n, :N * n] = Hx.reshape(N * n, N * n)
+    i, j, Kp = contacts.i[pair], contacts.j[pair], K[pair]
+    m, a = i.shape[0], np.arange(n)
+    # the terms' block rows u n are u[:4m], their block columns u[2m:]; entry
+    # (a, b) of block (u, v) is at (u n + a) D + v n + b
+    u = np.concatenate([i, j, i, j, j, i]) * n
+    at = [((u[:4 * m] * D + u[2 * m:])[:, None, None] + (a[:, None] * D + a)).ravel()]
+    terms = [Kp, Kp, -Kp, -Kp]
     if joint:
         zf = contacts.z.astype(float)
-        Kz = Kp[:, :, :, None] * zf[pair][:, None, None, :]
-        C = np.zeros((N, n, n, n))
-        np.subtract.at(C, i, Kz)
-        np.add.at(C, j, Kz)
-        H[:N * n, N * n:] = C.reshape(N * n, n * n)
-        H[N * n:, :N * n] = H[:N * n, N * n:].T
-        H[N * n:, N * n:] = np.einsum("mac,mb,md->abcd", K, zf, zf).reshape(n * n, n * n)
+        # entry (a, c) of the basis columns of block row u is at (u n + a) D + N n + c
+        c = a[:, None] * D + Nn + np.arange(n * n)
+        at.append(((u[:2 * m] * D)[:, None, None] + c).ravel())
+        Kz = (Kp[:, :, :, None] * zf[pair][:, None, None, :]).reshape(m, n, n * n)
+        terms += [-Kz, Kz]
+    terms = np.concatenate([t.ravel() for t in terms])
+    H = scatter_add(np.concatenate(at), terms, D * D).reshape(D, D)
+    if joint:
+        H[Nn:, :Nn] = H[:Nn, Nn:].T
+        H[Nn:, Nn:] = np.einsum("mac,mb,md->abcd", K, zf, zf).reshape(n * n, n * n)
     return H
 
 
@@ -189,12 +213,21 @@ def _gauge_spectrum(H: np.ndarray, N: int, n: int) -> tuple[np.ndarray, float]:
     one (A the shifted matrix, ||A||_2 <= ||H||_F + s), which is the margin.
     """
     D = H.shape[0]
-    s = float(np.linalg.norm(H)) + 1.0
+    h = H.ravel(order="K")
+    s = float(np.sqrt(h.dot(h))) + 1.0  # np.linalg.norm(H), term for term
+    T = _translations(N, n, D)
+    w = np.linalg.eigvalsh(H + s * (T @ T.T))
+    return w[:D - n], D * float(np.finfo(float).eps) * (2.0 * s - 1.0)
+
+
+@functools.lru_cache(maxsize=8)
+def _translations(N: int, n: int, D: int) -> np.ndarray:
+    """The n orthonormal translation modes of N spheres, as columns of D rows."""
     T = np.zeros((D, n))
     for a in range(n):
         T[a:N * n:n, a] = 1.0 / np.sqrt(N)
-    w = np.linalg.eigvalsh(H + s * (T @ T.T))
-    return w[:D - n], D * float(np.finfo(float).eps) * (2.0 * s - 1.0)
+    T.flags.writeable = False  # shared by every caller
+    return T
 
 
 def _position_spectrum(state: PackingState, contacts: Contacts, p: BarrierParams):
@@ -208,7 +241,7 @@ def _position_spectrum(state: PackingState, contacts: Contacts, p: BarrierParams
 
 
 def _max_abs_bound(w: np.ndarray, margin: float) -> CurvatureBound:
-    return CurvatureBound(max(float(np.max(np.abs(w), initial=0.0)) + margin, 1e-12), 1, True)
+    return CurvatureBound(max(float(abs(w).max(initial=0.0)) + margin, 1e-12), 1, True)
 
 
 def estimate_L(state: PackingState, shifts: ShiftIndexSet, p: BarrierParams,
@@ -257,5 +290,4 @@ def observed_slack_cap(state: PackingState, shifts: ShiftIndexSet, p: BarrierPar
     contacts = _included(state, shifts, p, members)
     if len(contacts) == 0:
         return p.delta
-    r = r_vectors(state, contacts)
-    return max(float(np.max(np.einsum("mk,mk->m", r, r) - 4.0)), p.delta)
+    return max(float(np.max(slack_values(state, contacts))), p.delta)

@@ -156,7 +156,7 @@ def spit_step(ds: DynamicsState, p: BarrierParams, shifts: ShiftIndexSet,
 
     _, v_new = verlet_update(state.x, ds.v, ds.dt, ds.eta, grad_fn)
     packing, ev_new = half[0]
-    return dataclasses.replace(ds, packing=packing, v=gauge_project(v_new), x_prev=state.x), ev_new
+    return DynamicsState(packing, gauge_project(v_new), state.x, ds.dt, ds.eta, ds.gamma), ev_new
 
 
 def select_steps(L_hat: float, m_hat: float, target_eta_dt: float, c: float) -> tuple[float, float]:
@@ -315,7 +315,7 @@ def run_trajectory(config, initial: DynamicsState | None = None) -> TrajectoryRe
     initial_metrics = {
         "E": E_prev,
         "U": ev.value,
-        "min_slack": _min_slack(ev),
+        "min_slack": ev.min_slack,
         "lambda2": _spectrum(ds.packing, ev, shifts, config.eps_active, solved)[1],
         "volume": cell_volume(ds.packing.basis),
     }
@@ -392,17 +392,12 @@ def run_trajectory(config, initial: DynamicsState | None = None) -> TrajectoryRe
         history.push(lam2)
 
         rows.append(StepRow(step=k, E=E_prev, U=ev.value,
-                            kinetic=0.5 * float(np.sum(ds.v * ds.v)), min_slack=_min_slack(ev),
+                            kinetic=0.5 * float((ds.v * ds.v).sum()), min_slack=ev.min_slack,
                             lambda2=lam2, dt=dt_step, backtracked=backtracks, nudged=nudged,
                             projection=projection, E_before=E_before, E_unprojected=E_unproj))
 
     return TrajectoryRecord(rows=rows, events=events, final_state=ds, terminated=terminated,
                             counts=counts, initial=initial_metrics)
-
-
-def _min_slack(ev: BarrierEval) -> float:
-    """`min_slack_of` the evaluated contacts, read off the evaluation."""
-    return float(np.min(ev.slack, initial=np.inf))
 
 
 def _spectrum(state, ev, shifts, eps, solved) -> tuple:
@@ -415,7 +410,7 @@ def _spectrum(state, ev, shifts, eps, solved) -> tuple:
     last solve in `solved`, that deterministic solve is returned, read-only;
     the normals and gaps a nudge uses come from the graph, built afresh.
     """
-    if _min_slack(ev) > (2.0 + eps) ** 2 - 4.0 + 1e-12:
+    if ev.min_slack > (2.0 + eps) ** 2 - 4.0 + 1e-12:
         return None, 0.0, None
     graph = build_contact_graph(state, shifts, eps, base=ev.contacts)
     pair = ~graph.loop_mask
@@ -455,7 +450,7 @@ def _safeguard(cand, ev, E, E_ref, p, shifts, L_hat, counts, events, step):
     result must not exceed `E_ref`.  Returns (state, evaluation, energy, tag).
     """
     tag = "none"
-    if _min_slack(ev) < p.delta * (1.0 - 1e-12):
+    if ev.min_slack < p.delta * (1.0 - 1e-12):
         repaired, changed = gs_project_once(cand.packing, shifts, p.delta)
         if changed:
             cand = dataclasses.replace(cand, packing=repaired)
@@ -463,7 +458,7 @@ def _safeguard(cand, ev, E, E_ref, p, shifts, L_hat, counts, events, step):
             E = lyapunov(cand, ev.value)
             tag = "gs"
             counts["gs_repairs"] += 1
-    if _min_slack(ev) >= p.delta * (1.0 - _SLACK_GUARD) and E <= E_ref + 1e-10:
+    if ev.min_slack >= p.delta * (1.0 - _SLACK_GUARD) and E <= E_ref + 1e-10:
         return cand, ev, E, tag
     try:
         proj, info, ev_proj = e_project_x(cand, ev, p, shifts, L_hat)

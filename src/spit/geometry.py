@@ -21,10 +21,11 @@ from .errors import SingularBasisError
 
 _DET_TOL = 1e-12
 _SIGMA_LO, _SIGMA_HI = 1e-4, 1e8  # the cell nondegeneracy window on eig(B^T B)
+_GAUGE_TOL = 64.0 * np.finfo(float).eps  # relative residual mean gauge_project leaves alone
 
 
 def gauge_project(x: np.ndarray) -> np.ndarray:
-    """Subtract the mean point so the centers sum to zero.
+    """Subtract the mean point, `x.sum(0) / N` (the sum and division of `np.mean`).
 
     Exactly idempotent: once the residual mean falls below a few ulps of the
     coordinate scale the input array is returned unchanged.
@@ -32,9 +33,9 @@ def gauge_project(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.size == 0:
         return x
-    m = x.mean(axis=0)
-    scale = max(1.0, float(np.max(np.abs(x))))
-    if float(np.max(np.abs(m))) <= 64.0 * np.finfo(float).eps * scale:
+    m = x.sum(0) / x.shape[0]
+    residual = float(abs(m).max())  # bounded by _GAUGE_TOL max(1, max |x|)
+    if residual <= _GAUGE_TOL or residual <= _GAUGE_TOL * float(abs(x).max()):
         return x
     return x - m
 
@@ -49,6 +50,7 @@ class LatticeBasis:
     """
 
     B: np.ndarray
+    volume: float = field(init=False, repr=False, compare=False)  # |det B|
     _grids: dict = field(default_factory=dict, init=False, repr=False, compare=False)  # cell lists
 
     def __post_init__(self):
@@ -56,7 +58,8 @@ class LatticeBasis:
         if B.ndim != 2 or B.shape[0] != B.shape[1]:
             raise ValueError("basis must be a square matrix")
         object.__setattr__(self, "B", B)
-        if abs(float(np.linalg.det(B))) <= _DET_TOL:
+        object.__setattr__(self, "volume", abs(float(np.linalg.det(B))))
+        if self.volume <= _DET_TOL:
             raise SingularBasisError("singular basis")
         w = np.linalg.eigvalsh(B.T @ B)
         if w[0] < _SIGMA_LO or w[-1] > _SIGMA_HI:
@@ -136,6 +139,12 @@ class Contacts:
 
     def __len__(self) -> int:
         return self.i.shape[0]
+
+    @functools.cached_property
+    def ends(self) -> np.ndarray:
+        """Flat index k n + a of axis a at each contact's i end, then at each j end."""
+        n = self.z.shape[1]
+        return (np.concatenate([self.i, self.j])[:, None] * n + np.arange(n)).ravel()
 
     def take(self, mask_or_idx) -> "Contacts":
         return Contacts(self.i[mask_or_idx], self.j[mask_or_idx], self.z[mask_or_idx])
@@ -325,11 +334,10 @@ def contact_rows(state: PackingState, contacts: Contacts, r: np.ndarray,
     """
     N, n = state.x.shape
     m = len(contacts)
-    A = np.zeros((m, N * n + (n * n if c is not None else 0)))
-    rows = np.arange(m)
-    for axis in range(n):
-        A[rows, contacts.i * n + axis] += r[:, axis]
-        A[rows, contacts.j * n + axis] -= r[:, axis]
+    D = N * n + (n * n if c is not None else 0)
+    # +r at each row's i end, then -r at its j end: a self row sums to exactly 0
+    at = (np.arange(m) * D)[:, None] + contacts.ends.reshape(2, m, n)
+    A = scatter_add(at.ravel(), np.concatenate([r, -r]).ravel(), m * D).reshape(m, D)
     if c is not None:
         A[:, N * n:] = -np.einsum("ma,mb->mab", r, c).reshape(m, n * n)
     return A
@@ -338,24 +346,27 @@ def contact_rows(state: PackingState, contacts: Contacts, r: np.ndarray,
 def slack_gradient(state: PackingState, contacts: Contacts, r: np.ndarray,
                    w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """sum_c w_c (grad_x s_c, grad_B s_c) for s = ||r||^2 - 4: +2 w r on the
-    i-block, -2 w r on the j-block, and -2 w r z^T on the basis."""
-    gx = np.zeros_like(state.x)
+    i-block, -2 w r on the j-block, and -2 w r z^T on the basis.  Each position
+    entry sums its i-block terms, then its j-block terms, in contact order."""
     coeff = (2.0 * w)[:, None] * r
-    np.add.at(gx, contacts.i, coeff)
-    np.subtract.at(gx, contacts.j, coeff)
-    return gx, -2.0 * np.einsum("m,ma,mb->ab", w, r, contacts.z.astype(float))
+    gx = scatter_add(contacts.ends, np.concatenate([coeff, -coeff]).ravel(), state.x.size)
+    gB = -2.0 * np.einsum("m,ma,mb->ab", w, r, contacts.z.astype(float))
+    return gx.reshape(state.x.shape), gB
+
+
+def scatter_add(at: np.ndarray, terms: np.ndarray, size: int) -> np.ndarray:
+    """Sum of the terms at each index < size, added one by one in array order like `np.add.at`."""
+    return np.bincount(at, terms, size).astype(float, copy=False)  # an empty one is integer
 
 
 def cell_volume(basis: LatticeBasis) -> float:
-    det = float(np.linalg.det(basis.B))
-    if abs(det) <= _DET_TOL:
-        raise SingularBasisError("singular basis")
-    return abs(det)
+    """|det B|, computed and checked when the basis was built."""
+    return basis.volume
 
 
 def volume_gradient(basis: LatticeBasis) -> np.ndarray:
     """Gradient of |det B|, i.e. |det B| B^{-T} at a nonsingular basis."""
-    return cell_volume(basis) * np.linalg.inv(basis.B).T
+    return basis.volume * np.linalg.inv(basis.B).T
 
 
 def min_slack(state: PackingState, shifts: ShiftIndexSet, radius: float | None = None) -> float:
@@ -366,6 +377,4 @@ def min_slack(state: PackingState, shifts: ShiftIndexSet, radius: float | None =
 
 def min_slack_of(state: PackingState, contacts: Contacts) -> float:
     """Minimum slack over the given contacts, with no radius filter; inf if none."""
-    if len(contacts) == 0:
-        return float("inf")
-    return float(np.min(slack_values(state, contacts)))
+    return float(slack_values(state, contacts).min(initial=np.inf))

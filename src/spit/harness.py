@@ -416,6 +416,8 @@ def spectra_report(state: PackingState, R: float, eps: float,
     sandwich when the graph is small enough."""
     from .spectral import build_contact_graph, cheeger_check, fiedler
 
+    if not eps >= 0.0:  # as RunConfig refuses a negative eps_active or eps_near
+        raise ValueError("graph scales must be nonnegative")
     shifts = build_shift_set(state.basis, R)
     graph = build_contact_graph(state, shifts, eps)
     lam2, vec = fiedler(graph)

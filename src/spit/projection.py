@@ -100,7 +100,7 @@ class QuadraticProgram:
     b: np.ndarray
 
     def __post_init__(self):
-        if np.any(self.diag <= 0.0):
+        if (self.diag <= 0.0).any():
             raise ValueError("quadratic weights must be strictly positive")
 
 
@@ -122,7 +122,7 @@ def solve_qp(qp: QuadraticProgram) -> QPSolution:
     qinv = 1.0 / qp.diag
     c = qp.linear
     m = qp.b.shape[0]
-    feas_tol = _QP_TOL * max(1.0, float(np.max(np.abs(qp.b))) if m else 1.0)
+    feas_tol = _QP_TOL * max(1.0, float(abs(qp.b).max()) if m else 1.0)
 
     def kkt(working: list[int]) -> tuple[np.ndarray, np.ndarray]:
         if not working:
@@ -139,12 +139,12 @@ def solve_qp(qp: QuadraticProgram) -> QPSolution:
     working: list[int] = []
     for it in range(1, 3 * max(m, 1) + 31):
         u, mu_w = kkt(working)
-        if working and float(np.min(mu_w)) < -_QP_TOL:
-            working.pop(int(np.argmin(mu_w)))
+        if working and float(mu_w.min()) < -_QP_TOL:
+            working.pop(int(mu_w.argmin()))
             continue
         if m:
             viol = qp.b - qp.A @ u
-            k = int(np.argmax(viol))
+            k = int(viol.argmax())
             if viol[k] > feas_tol:
                 if k in working:
                     raise LinearizedInfeasibleError("linearized infeasible")
@@ -170,15 +170,16 @@ def _constraint_rows(state: PackingState, near: Contacts, p: BarrierParams,
         keep &= near.i != near.j
     cons = near.take(keep)
     r = r_vectors(state, cons)
-    A = 2.0 * contact_rows(state, cons, r, cons.z.astype(float) if joint else None)
+    A = contact_rows(state, cons, r, cons.z.astype(float) if joint else None)
+    A *= 2.0  # in place: the rows are a view of their buffer, so 2.0 * A would copy
     return A, p.delta - (np.einsum("mk,mk->m", r, r) - 4.0)
 
 
 def lyapunov(ds, U: float) -> float:
     """Lyapunov energy U + 0.5 ||v||^2 + (gamma / 2) ||x - x_prev||^2 of a
     dynamics state whose barrier value is U."""
-    return U + 0.5 * float(np.sum(ds.v * ds.v)) \
-        + 0.5 * ds.gamma * float(np.sum((ds.x - ds.x_prev) ** 2))
+    return U + 0.5 * float((ds.v * ds.v).sum()) \
+        + 0.5 * ds.gamma * float(((ds.x - ds.x_prev) ** 2).sum())
 
 
 def e_project_x(ds, ev: BarrierEval, p: BarrierParams, shifts: ShiftIndexSet, L_hat: float):
@@ -278,7 +279,7 @@ def _e_project(ds, ev: BarrierEval, p: BarrierParams, shifts: ShiftIndexSet, wx:
                     n_constraints=A.shape[0], n_active=len(sol.active),
                     nonexpansive=bool(volume_weight > 0.0 or e_after <= e_before + 1e-10))
         if joint:
-            info["basis_moved"] = bool(np.any(basis.B != state.basis.B))
+            info["basis_moved"] = bool((basis.B != state.basis.B).any())
             info["near"] = near_cand  # the result's contacts within R, for the caller to reuse
         return out, info, ev_out
 

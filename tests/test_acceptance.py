@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from util import (
     hex_single_sphere,
+    known_optimum_2d,
     sliding_column_state,
     square_single_sphere,
 )
@@ -282,6 +283,15 @@ def test_criterion_6_continuation_kkt(cert_report):
     assert duration < 120.0, f"criterion 6 took {duration:.1f}s"
     print(f"\n[acceptance 6] PASS - continuation converged at 4 barrier levels, "
           f"comp {comps[0]:.2e} -> {comps[-1]:.2e}, rigid cell ({duration:.1f}s)")
+
+
+def test_certify_reaches_the_known_optimum(cert_report):
+    """The N=4 cell ends at the triangular-lattice volume V* (test_known_optima.py)."""
+    cfg, report, _ = cert_report
+    v_star = known_optimum_2d(cfg.N, cfg.delta)
+    assert report["final_volume"] == pytest.approx(v_star, rel=1e-9, abs=0.0)
+    print(f"\n[known optimum] PASS - N=4 certify ends at V* = {v_star!r} "
+          f"(relative {report['final_volume'] / v_star - 1.0:.1e})")
 
 
 def test_criterion_7_poincare_and_cheeger(run_segments):

@@ -357,3 +357,53 @@ def test_gradient_outputs_gauge_invariant():
     ev2 = barrier_energy(moved, shifts, P, members=members)
     assert np.allclose(ev.grad_x, ev2.grad_x, atol=1e-10)
     assert abs(float(np.sum(ev.grad_x))) <= 1e-12  # mean-zero by construction
+
+
+def _same(got, want) -> bool:
+    return got.dtype == want.dtype and got.shape == want.shape and np.array_equal(got, want)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(**_STATES, members=sampled_from(["all", "self-image only", "none"]),
+       shift=sampled_from([0.0, 1e-15, 0.5, 1e6]))
+def test_kernels_match_their_add_at_references(seed, N, n, members, shift):
+    """The hot-path kernels reproduce the assembly they replaced bit for bit:
+    `np.bincount` scatters against `np.add.at`, `x.sum(0) / N` against
+    `np.mean`, phi and phi' alone against `phi`."""
+    from util import (
+        ref_barrier_energy,
+        ref_contact_rows,
+        ref_gauge_project,
+        ref_gauge_spectrum,
+        ref_hessian,
+        ref_slack_gradient,
+    )
+
+    from spit.barrier import _gauge_spectrum
+    from spit.geometry import contact_rows, gauge_project, r_vectors, slack_gradient
+
+    st = random_feasible_state(seed=seed, N=N, n=n)
+    shifts = build_shift_set(st.basis, P.R)
+    near = contacts_within(st, shifts, P.R)
+    c = {"all": near, "self-image only": near.take(near.i == near.j),
+         "none": near.take(np.zeros(len(near), dtype=bool))}[members]
+    rng = np.random.default_rng(seed)
+    # off-center inputs take the subtracting branch, centered ones the identity
+    x = st.x + shift * rng.standard_normal(n) + 1e-12 * rng.standard_normal(st.x.shape)
+    for y in (st.x, x):
+        assert _same(gauge_project(y), ref_gauge_project(y))
+    r, w = r_vectors(st, c), rng.standard_normal(len(c))
+    for got, want in zip(slack_gradient(st, c, r, w), ref_slack_gradient(st, c, r, w)):
+        assert _same(got, want)
+    for z in (None, c.z.astype(float)):
+        assert _same(contact_rows(st, c, r, z), ref_contact_rows(st, c, r, z))
+    ev = barrier_energy(st, shifts, P, members=c)
+    value, gx, gB, s = ref_barrier_energy(st, c, P)
+    assert ev.value == value
+    assert _same(ev.grad_x, gx) and _same(ev.grad_B, gB) and _same(ev.slack, s)
+    assert ev.min_slack == float(np.min(s, initial=np.inf))
+    for joint in (False, True):
+        H = hessian(st, c, P, joint=joint)
+        assert _same(H, ref_hessian(st, c, P, joint=joint))
+        (w_got, m_got), (w_want, m_want) = _gauge_spectrum(H, N, n), ref_gauge_spectrum(H, N, n)
+        assert _same(w_got, w_want) and m_got == m_want

@@ -227,9 +227,10 @@ def test_cli_spectra_two_sphere(tmp_path, capsys):
 def test_cli_spectra_rejects_negative_graph_scale(tmp_path, capsys):
     from util import pair_state
     save_state(tmp_path / "pair.json", pair_state(2.0))
-    rc = cli_main(["spectra", str(tmp_path / "pair.json"), "--eps=-3"])
-    assert rc == 2
-    assert capsys.readouterr().err == "error: radius must be nonnegative\n"
+    for eps in ("-3", "-1", "-1e-9"):  # -1 and -1e-9 once gave lambda2 = 0 for an empty graph
+        rc = cli_main(["spectra", str(tmp_path / "pair.json"), f"--eps={eps}"])
+        assert rc == 2, eps
+        assert capsys.readouterr().err == "error: graph scales must be nonnegative\n", eps
 
 
 def test_cli_spectra_rejects_large_exact_cheeger(tmp_path, capsys):

@@ -120,6 +120,12 @@ def dense_hessian_x(state: PackingState, shifts, p: BarrierParams, members=None)
     return H
 
 
+def known_optimum_2d(N: int, delta: float) -> float:
+    """V* = N 2 sqrt(3) ((4 + delta) / 4): N triangular-lattice disks at slack delta,
+    the least cell volume any 2-D packing of N disks can reach (Thue; Fejes Toth)."""
+    return N * 2.0 * np.sqrt(3.0) * ((4.0 + delta) / 4.0)
+
+
 def gauge_basis(N: int, n: int) -> np.ndarray:
     """Orthonormal basis of mean-zero displacement fields, flattened."""
     cols = []
@@ -133,3 +139,98 @@ def gauge_basis(N: int, n: int) -> np.ndarray:
     q, r = np.linalg.qr(proj)
     keep = np.abs(np.diag(r)) > 1e-10
     return q[:, keep]
+
+
+# -- reference kernels -------------------------------------------------------
+# The assembly the hot-path kernels replaced, kept verbatim as bit-identity
+# oracles: the rewritten kernels must reproduce them with np.array_equal.
+
+def ref_gauge_project(x: np.ndarray) -> np.ndarray:
+    """`geometry.gauge_project` by `np.mean`."""
+    x = np.asarray(x, dtype=float)
+    if x.size == 0:
+        return x
+    m = x.mean(axis=0)
+    scale = max(1.0, float(np.max(np.abs(x))))
+    if float(np.max(np.abs(m))) <= 64.0 * np.finfo(float).eps * scale:
+        return x
+    return x - m
+
+
+def ref_slack_gradient(state: PackingState, contacts, r: np.ndarray, w: np.ndarray):
+    """`geometry.slack_gradient` by `np.add.at` and `np.subtract.at`."""
+    gx = np.zeros_like(state.x)
+    coeff = (2.0 * w)[:, None] * r
+    np.add.at(gx, contacts.i, coeff)
+    np.subtract.at(gx, contacts.j, coeff)
+    return gx, -2.0 * np.einsum("m,ma,mb->ab", w, r, contacts.z.astype(float))
+
+
+def ref_barrier_energy(state: PackingState, contacts, p: BarrierParams):
+    """(value, grad_x, grad_B, slack) of `barrier.barrier_energy` through `phi`."""
+    from spit.barrier import phi
+    from spit.geometry import r_vectors
+
+    r = r_vectors(state, contacts)
+    s = np.einsum("mk,mk->m", r, r) - 4.0
+    val, d1, _ = phi(s, p)
+    gx, gB = ref_slack_gradient(state, contacts, r, np.atleast_1d(d1))
+    return float(np.sum(val)), gx, gB, s
+
+
+def ref_hessian(state: PackingState, contacts, p: BarrierParams, joint: bool = False):
+    """`barrier.hessian` by four (six when joint) `np.add.at` passes."""
+    from spit.barrier import phi
+    from spit.geometry import r_vectors
+
+    N, n = state.x.shape
+    D = N * n + (n * n if joint else 0)
+    H = np.zeros((D, D))
+    r = r_vectors(state, contacts)
+    _, d1, d2 = phi(np.einsum("mk,mk->m", r, r) - 4.0, p)
+    d1, d2 = np.atleast_1d(d1), np.atleast_1d(d2)
+    K = (4.0 * d2)[:, None, None] * r[:, :, None] * r[:, None, :] \
+        + (2.0 * d1)[:, None, None] * np.eye(n)
+    pair = contacts.i != contacts.j
+    i, j, Kp, all_ = contacts.i[pair], contacts.j[pair], K[pair], slice(None)
+    Hx = np.zeros((N, n, N, n))
+    np.add.at(Hx, (i, all_, i, all_), Kp)
+    np.add.at(Hx, (j, all_, j, all_), Kp)
+    np.subtract.at(Hx, (i, all_, j, all_), Kp)
+    np.subtract.at(Hx, (j, all_, i, all_), Kp)
+    H[:N * n, :N * n] = Hx.reshape(N * n, N * n)
+    if joint:
+        zf = contacts.z.astype(float)
+        Kz = Kp[:, :, :, None] * zf[pair][:, None, None, :]
+        C = np.zeros((N, n, n, n))
+        np.subtract.at(C, i, Kz)
+        np.add.at(C, j, Kz)
+        H[:N * n, N * n:] = C.reshape(N * n, n * n)
+        H[N * n:, :N * n] = H[:N * n, N * n:].T
+        H[N * n:, N * n:] = np.einsum("mac,mb,md->abcd", K, zf, zf).reshape(n * n, n * n)
+    return H
+
+
+def ref_contact_rows(state: PackingState, contacts, r: np.ndarray, c=None) -> np.ndarray:
+    """`geometry.contact_rows` by fancy-indexed `+=` and `-=` per axis."""
+    N, n = state.x.shape
+    m = len(contacts)
+    A = np.zeros((m, N * n + (n * n if c is not None else 0)))
+    rows = np.arange(m)
+    for axis in range(n):
+        A[rows, contacts.i * n + axis] += r[:, axis]
+        A[rows, contacts.j * n + axis] -= r[:, axis]
+    if c is not None:
+        A[:, N * n:] = -np.einsum("ma,mb->mab", r, c).reshape(m, n * n)
+    return A
+
+
+def ref_gauge_spectrum(H: np.ndarray, N: int, n: int):
+    """`barrier._gauge_spectrum` with `np.linalg.norm` and a fresh translation basis."""
+    D = H.shape[0]
+    s = float(np.linalg.norm(H)) + 1.0
+    T = np.zeros((D, n))
+    for a in range(n):
+        T[a:N * n:n, a] = 1.0 / np.sqrt(N)
+    w = np.linalg.eigvalsh(H + s * (T @ T.T))
+    return w[:D - n], D * float(np.finfo(float).eps) * (2.0 * s - 1.0)
