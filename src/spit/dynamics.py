@@ -370,10 +370,11 @@ def run_trajectory(config, initial: DynamicsState | None = None) -> TrajectoryRe
                 last_joint_shift = float(np.linalg.norm(ds.packing.basis.B - B_old))
                 projection += "+joint"
                 if basis_moved:  # the projection has scanned the new cell
-                    rest, L_hat, m_hat = rest_state(ds.packing, shifts, p, config, near)
+                    if near.key != ev.contacts.key:  # `ev` was taken on the old member list
+                        ev = barrier_energy(ds.packing, shifts, p, members=near)
+                    rest, L_hat, m_hat = rest_state(ds.packing, shifts, p, config, ev.contacts)
                     dt = min(ds.dt, rest.dt)
                     ds = _with_step(ds, dt, ds.eta * (ds.dt / dt), L_hat)
-                    ev = barrier_energy(ds.packing, shifts, p, members=near)
                 E_prev = lyapunov(ds, ev.value)
             except (LinearizedInfeasibleError, FeasibilityError) as exc:
                 logger.warning("joint projection skipped at step %d: %s", k, exc)

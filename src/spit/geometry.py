@@ -146,6 +146,11 @@ class Contacts:
         n = self.z.shape[1]
         return (np.concatenate([self.i, self.j])[:, None] * n + np.arange(n)).ravel()
 
+    @functools.cached_property
+    def key(self) -> tuple:
+        """The table by value: two tables hold the same contacts iff their keys are equal."""
+        return self.z.shape, self.i.tobytes() + self.j.tobytes() + self.z.tobytes()
+
     def take(self, mask_or_idx) -> "Contacts":
         return Contacts(self.i[mask_or_idx], self.j[mask_or_idx], self.z[mask_or_idx])
 
