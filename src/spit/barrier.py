@@ -155,6 +155,16 @@ def hvp_joint(state: PackingState, shifts: ShiftIndexSet, p: BarrierParams,
     return out_x, out_B
 
 
+def contact_blocks(state: PackingState, contacts: Contacts, p: BarrierParams) -> np.ndarray:
+    """K_c = 4 phi'' r r^T + 2 phi' I, the Hessian of phi(||r||^2 - 4) in r, per
+    contact: an (m, n, n) array.  `hessian` and `HessianChange` are built from it."""
+    r, d1, d2 = _phi12(state, contacts, p)
+    m, n = r.shape
+    K = ((4.0 * d2)[:, None] * r)[:, :, None] * r[:, None, :]
+    K.reshape(m, n * n)[:, ::n + 1] += (2.0 * d1)[:, None]  # the diagonal, in place
+    return K
+
+
 def hessian(state: PackingState, contacts: Contacts, p: BarrierParams,
             joint: bool = False) -> np.ndarray:
     """Dense barrier Hessian: the operator of `hvp_x` (or of `hvp_joint`) as a matrix.
@@ -170,9 +180,7 @@ def hessian(state: PackingState, contacts: Contacts, p: BarrierParams,
     N, n = state.x.shape
     Nn = N * n
     D = Nn + (n * n if joint else 0)
-    r, d1, d2 = _phi12(state, contacts, p)
-    K = (4.0 * d2)[:, None, None] * r[:, :, None] * r[:, None, :] \
-        + (2.0 * d1)[:, None, None] * np.eye(n)
+    K = contact_blocks(state, contacts, p)
     pair = contacts.i != contacts.j
     i, j, Kp = contacts.i[pair], contacts.j[pair], K[pair]
     m, a = i.shape[0], np.arange(n)
@@ -194,6 +202,51 @@ def hessian(state: PackingState, contacts: Contacts, p: BarrierParams,
         H[Nn:, :Nn] = H[:Nn, Nn:].T
         H[Nn:, Nn:] = np.einsum("mac,mb,md->abcd", K, zf, zf).reshape(n * n, n * n)
     return H
+
+
+class HessianChange:
+    """Bounds d >= ||H - H_anchor||_2 for the Hessians `hessian` assembles on
+    one contact table (the joint ones when `joint`), from the blocks of
+    `contact_blocks` at the anchor state and at another.
+
+    H - H_anchor is assembled from dK_c = K_c - K_anchor_c alone.  By block
+    Gershgorin (Feingold & Varga, Pacific J. Math. 12, 1962) its norm is at most
+    the largest sum of block norms along a block row, with ||dK_c||_2 <=
+    ||dK_c||_F: a pair adds 2 ||dK_c|| to the rows of both its spheres, jointly
+    also ||dK_c|| ||z_c|| for the basis columns; the basis row gets 2 ||dK_c||
+    ||z_c|| per pair and ||dK_c|| ||z_c||^2 per contact.  The row pattern
+    depends on the table only, so it is built once here.
+
+    Roundoff margin: each entry of either assembly, of dK and of this bound
+    sums at most m + n^2 + 8 terms, so with tol = (m + n^2 + 8) eps an entry of
+    the computed H - H_anchor is off by at most tol (|K_c| + |K_anchor_c|) per
+    term, and ||K_c||_F <= ||K_anchor_c||_F + ||dK_c||_F.  Each weight
+    therefore gains 2 tol ||K_anchor_c||_F and the bound a factor 1 + 4 tol.
+    """
+
+    def __init__(self, contacts: Contacts, K_anchor: np.ndarray, joint: bool = False):
+        m, n = K_anchor.shape[:2]
+        self.tol = (m + n * n + 8) * float(np.finfo(float).eps)
+        self.K_anchor = K_anchor
+        self.floor = 2.0 * self.tol * np.sqrt(np.einsum("mab,mab->m", K_anchor, K_anchor))
+        pair = contacts.i != contacts.j
+        self.ends = np.concatenate([contacts.i[pair], contacts.j[pair]])  # sphere of each pair end
+        self.of = np.tile(np.flatnonzero(pair), 2)  # and its contact
+        self.coef = np.full(self.of.shape, 2.0)
+        self.basis = None  # the basis row's weight per contact
+        if joint:
+            zn = np.sqrt(np.einsum("ma,ma->m", contacts.z, contacts.z).astype(float))
+            self.coef += zn[self.of]
+            self.basis = 2.0 * zn * pair + zn * zn
+
+    def bound(self, K: np.ndarray) -> float:
+        """d >= ||H - H_anchor||_2 for the blocks K of the same table at another state."""
+        dK = K - self.K_anchor
+        w = np.sqrt(np.einsum("mab,mab->m", dK, dK)) + self.floor
+        d = float(np.bincount(self.ends, self.coef * w[self.of]).max(initial=0.0))
+        if self.basis is not None:
+            d = max(d, float(self.basis @ w))
+        return d * (1.0 + 4.0 * self.tol)
 
 
 class CurvatureBound(NamedTuple):

@@ -14,11 +14,14 @@ The certified quantity is the Lyapunov energy
 
 which is non-increasing across a step whenever 0 < eta dt < 2 and
 L_hat dt^2 <= 1/2 hold for a valid curvature bound L_hat.  L_hat comes from
-`barrier.estimate_L`, a dense eigensolve of the position Hessian plus its
-roundoff margin, so it is a certified upper bound at the state where it is
-taken.  Between refreshes the curvature can still grow, so the trajectory
-loop also checks descent directly: steps that raise E (or leave the feasible
-region) are redone with a halved time step.
+the run's `CurvatureAnchors`: either a dense eigensolve of the position
+Hessian plus its roundoff margin (an anchor), or the anchor's bound plus a
+block-Gershgorin bound on how far the Hessian has changed since (Weyl's
+inequality).  Either way it is a certified upper bound at the state where it
+is taken, at most THETA above the anchor's.  Between refreshes the curvature
+can still grow, so the trajectory loop also checks descent directly: steps
+that raise E (or leave the feasible region) are redone with a halved time
+step.
 
 `run_trajectory` evaluates the barrier once per accepted step: a step's
 second gradient is taken at the gauge-projected new state, so that one
@@ -26,8 +29,9 @@ second gradient is taken at the gauge-projected new state, so that one
 every energy, slack and logged value.  Its contacts are the member list.
 Verlet steps and nudge trials pass one acceptance rule, `_safeguard`; it and
 the joint cadence call projections that hand back the evaluation at their
-result.  Only a Gauss-Seidel repair, a nudge trial, a basis move and a
-member-list refresh evaluate afresh; a backtrack changes only dt, eta, gamma.
+result.  Only a Gauss-Seidel repair, a nudge trial, a member-list refresh and
+a basis move whose scanned contacts differ from the member list evaluate
+afresh; a backtrack changes only dt, eta, gamma.
 
 The contact graph is rebuilt every step but solved only when its pair edges,
 all the Laplacian reads, change; a step whose evaluation proves it edgeless
@@ -39,14 +43,17 @@ from __future__ import annotations
 import dataclasses
 import logging
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .barrier import (
     BarrierEval,
     BarrierParams,
+    HessianChange,
     barrier_energy,
     barrier_value,
+    contact_blocks,
     estimate_L,
     estimate_L_joint,
     estimate_m,
@@ -82,6 +89,9 @@ logger = logging.getLogger("spit")
 CSV_COLUMNS = ("step", "E", "U", "kinetic", "min_slack", "lambda2", "dt",
                "backtracked", "nudged", "projection")
 REFRESH_STEPS = 25  # the member list and curvature bounds are rebuilt this often
+# an anchor's spectrum serves while the Hessian change bound stays within this
+# share of its L; at 0.1 a bound is at most 10 % above the anchor's L
+THETA = 0.1
 
 
 @dataclass(frozen=True)
@@ -177,16 +187,64 @@ def select_steps(L_hat: float, m_hat: float, target_eta_dt: float, c: float) -> 
     return float(dt), float(target_eta_dt / dt)
 
 
+class _Anchor(NamedTuple):
+    key: tuple  # `Contacts.key` of the member list
+    change: HessianChange  # from its `contact_blocks` at the anchor state
+    L: float
+    m: float
+
+
+class CurvatureAnchors:
+    """Weyl-anchored curvature bounds for one run: one anchor per Hessian kind.
+
+    An estimate on the member list of the kind's anchor (position or joint
+    Hessian) is L_hat = L_a + d and m_hat = max(m_a - d, 0) with d =
+    `HessianChange.bound` >= ||H - H_a||_2, certified by Weyl's inequality
+    |lambda_k(H) - lambda_k(H_a)| <= ||H - H_a||_2 on the gauge subspace.  Any
+    other estimate, and one whose d exceeds `theta` L_a, is a dense solve
+    (`estimate_L` and `estimate_m`, or `estimate_L_joint`, whose m is 0) that
+    becomes the kind's anchor.  `solves` and `updates` count the two.
+    """
+
+    def __init__(self, shifts: ShiftIndexSet, p: BarrierParams, theta: float = THETA):
+        self.shifts, self.p, self.theta = shifts, p, theta
+        self.latest: dict[bool, _Anchor] = {}  # keyed by `joint`
+        self.solves = self.updates = 0
+
+    def bounds(self, state: PackingState, members: Contacts,
+               joint: bool = False) -> tuple[float, float]:
+        """(L_hat, m_hat) of the position Hessian (or the joint one) at `state` on `members`."""
+        K = contact_blocks(state, members, self.p)
+        anchor = self.latest.get(joint)
+        if anchor is not None and anchor.key == members.key:
+            d = anchor.change.bound(K)
+            if d <= self.theta * anchor.L:
+                self.updates += 1
+                return anchor.L + d, max(anchor.m - d, 0.0)
+        if joint:
+            L, m = estimate_L_joint(state, self.shifts, self.p, members=members).value, 0.0
+        else:
+            L = estimate_L(state, self.shifts, self.p, members=members).value
+            m = estimate_m(state, self.shifts, self.p, members=members).value
+        self.latest[joint] = _Anchor(members.key, HessianChange(members, K, joint), L, m)
+        self.solves += 1
+        return L, m
+
+
 def rest_state(state: PackingState, shifts: ShiftIndexSet, p: BarrierParams, config,
-               members: Contacts) -> tuple[DynamicsState, float, float]:
+               members: Contacts, anchors: CurvatureAnchors | None = None
+               ) -> tuple[DynamicsState, float, float]:
     """`state` at rest (v = 0, x_prev = x) under the step rule at its curvature.
 
-    Bounds L_hat from above and m_hat from below on `members`, and picks
-    (dt, eta) by `select_steps` with the config's eta_dt and c.  Returns the
-    resting state under that step rule with (L_hat, m_hat).
+    Bounds L_hat from above and m_hat from below on `members`: through a
+    run's `anchors`, a Weyl update of its position anchor while that serves,
+    else a dense eigensolve that becomes the anchor; without a store, by one
+    dense eigensolve.  Picks (dt, eta) by `select_steps` with the config's
+    eta_dt and c.  Returns the resting state under that step rule with
+    (L_hat, m_hat).
     """
-    L_hat = estimate_L(state, shifts, p, members=members).value
-    m_hat = estimate_m(state, shifts, p, members=members).value
+    anchors = anchors if anchors is not None else CurvatureAnchors(shifts, p)
+    L_hat, m_hat = anchors.bounds(state, members)
     dt, eta = select_steps(L_hat, max(m_hat, 1e-12), config.eta_dt, config.c)
     return _with_step(DynamicsState.at_rest(state), dt, eta, L_hat), L_hat, m_hat
 
@@ -300,7 +358,8 @@ def run_trajectory(config, initial: DynamicsState | None = None) -> TrajectoryRe
     p = BarrierParams(nu=config.nu, delta=config.delta, R=config.R)
     shifts = build_shift_set(ds.packing.basis, config.R)
     ev = barrier_energy(ds.packing, shifts, p)
-    rest, L_hat, m_hat = rest_state(ds.packing, shifts, p, config, ev.contacts)
+    anchors = CurvatureAnchors(shifts, p)  # per run, like `solved`: repeats stay identical
+    rest, L_hat, m_hat = rest_state(ds.packing, shifts, p, config, ev.contacts, anchors)
     ds = _with_step(ds, rest.dt, rest.eta, L_hat)
 
     history = NudgeHistory(window=config.W)
@@ -323,7 +382,7 @@ def run_trajectory(config, initial: DynamicsState | None = None) -> TrajectoryRe
     for k in range(1, config.max_steps + 1):
         if k > 1 and (k - 1) % REFRESH_STEPS == 0:
             ev = barrier_energy(ds.packing, shifts, p)
-            _, L_hat, m_hat = rest_state(ds.packing, shifts, p, config, ev.contacts)
+            _, L_hat, m_hat = rest_state(ds.packing, shifts, p, config, ev.contacts, anchors)
             E_prev = lyapunov(ds, ev.value)
 
         if float(np.linalg.norm(ev.grad_x)) <= config.grad_tol \
@@ -348,7 +407,8 @@ def run_trajectory(config, initial: DynamicsState | None = None) -> TrajectoryRe
             if backtracks > 60:
                 raise RunAbort(f"no acceptable step after {backtracks} backtracks at step {k}")
             if backtracks % 2 == 0:
-                _, L_hat, m_hat = rest_state(ds.packing, shifts, p, config, ev.contacts)
+                _, L_hat, m_hat = rest_state(ds.packing, shifts, p, config, ev.contacts,
+                                             anchors)
             ds = backtrack(ds, L_hat)
             E_prev = lyapunov(ds, ev.value)
 
@@ -358,7 +418,7 @@ def run_trajectory(config, initial: DynamicsState | None = None) -> TrajectoryRe
         counts["accepted"] += 1
 
         if config.joint_period and k % config.joint_period == 0:
-            Lj = estimate_L_joint(ds.packing, shifts, p, members=ev.contacts).value
+            Lj = anchors.bounds(ds.packing, ev.contacts, joint=True)[0]
             try:
                 B_old = ds.packing.basis.B
                 ds, info, ev = e_project_joint(ds, ev, p, shifts, L_x=max(Lj, L_hat), L_B=Lj,
@@ -372,7 +432,8 @@ def run_trajectory(config, initial: DynamicsState | None = None) -> TrajectoryRe
                 if basis_moved:  # the projection has scanned the new cell
                     if near.key != ev.contacts.key:  # `ev` was taken on the old member list
                         ev = barrier_energy(ds.packing, shifts, p, members=near)
-                    rest, L_hat, m_hat = rest_state(ds.packing, shifts, p, config, ev.contacts)
+                    rest, L_hat, m_hat = rest_state(ds.packing, shifts, p, config, ev.contacts,
+                                                    anchors)
                     dt = min(ds.dt, rest.dt)
                     ds = _with_step(ds, dt, ds.eta * (ds.dt / dt), L_hat)
                 E_prev = lyapunov(ds, ev.value)
@@ -397,6 +458,7 @@ def run_trajectory(config, initial: DynamicsState | None = None) -> TrajectoryRe
                             lambda2=lam2, dt=dt_step, backtracked=backtracks, nudged=nudged,
                             projection=projection, E_before=E_before, E_unprojected=E_unproj))
 
+    counts.update(curvature_solves=anchors.solves, curvature_updates=anchors.updates)
     return TrajectoryRecord(rows=rows, events=events, final_state=ds, terminated=terminated,
                             counts=counts, initial=initial_metrics)
 

@@ -76,6 +76,12 @@ def cert_report():
 
 
 @pytest.fixture(scope="module")
+def hex256_run():
+    """The 50-step N=256 seed-13 run of the run-hex256 benchmark workload."""
+    return run_trajectory(config_from_preset("stub32", N=256, max_steps=50, seed=13))
+
+
+@pytest.fixture(scope="module")
 def run_segments():
     """A stub32 trajectory executed in five segments to sample mid-run graphs."""
     cfg = config_from_preset("stub32", max_steps=100)
@@ -379,32 +385,44 @@ def test_criterion_10_byte_identical_csv(cli_csvs):
 # sha256 of the stub32 seed-7 trajectory.csv and of the certify report of the
 # N=4 seed-2 testbed as the CLI writes it.  A refactor leaves both unchanged; a
 # deliberate numeric change updates them and names the moved column.  Last
-# moved by the dense curvature bounds: dt, E, U, kinetic and min_slack.  The
-# third is the 50-step N=256 seed-13 run of the run-hex256 benchmark workload.
-STUB32_SEED7_CSV_SHA256 = "c9aa64b2f3cf4fce9cf283e5fe5f62152c19a79e03b76b33a86455210807a8e1"
-CERTIFY_N4_SEED2_SHA256 = "82b5eb758cadcaa65bae7b0ced27f0df45dfe88c86a471d8ba9f7e3cc5b62070"
-HEX256_SEED13_CSV_SHA256 = "c4bdd7927939477a9e8436369a2ca7d431d2c0d50652e93740d5953abe86b5c3"
+# moved by the Weyl-anchored curvature bounds: E, U, kinetic, min_slack and,
+# where a basis move caps it, dt; the certify report's step counts and
+# residuals, not its final volume.  The third is the 50-step N=256 seed-13 run
+# of the run-hex256 benchmark workload.
+STUB32_SEED7_CSV_SHA256 = "f7da6102dcfb2f1e56f801214567cc7131a40af6380dc05cad7d71fddd5f3f3f"
+CERTIFY_N4_SEED2_SHA256 = "494af9efabe5b21aa7d3bddbd0b3e1b457e22b991ed2b7145a25406f1a032767"
+HEX256_SEED13_CSV_SHA256 = "e0f3da5eaaf4b67a8ac5af38cb6d48c2a2c6e4baade2aaa8c5bde9b50708bf97"
 
 
-def test_pinned_output_hashes(stub_run, cert_report):
+def test_pinned_output_hashes(stub_run, cert_report, hex256_run):
     _, record, _ = stub_run
     _, report, _ = cert_report
     csv_sha = hashlib.sha256(record.to_csv().encode()).hexdigest()
     blob = json.dumps(report, sort_keys=True, indent=1, default=float) + "\n"
     assert csv_sha == STUB32_SEED7_CSV_SHA256
     assert hashlib.sha256(blob.encode()).hexdigest() == CERTIFY_N4_SEED2_SHA256
-    hex256 = run_trajectory(config_from_preset("stub32", N=256, max_steps=50, seed=13))
-    assert hashlib.sha256(hex256.to_csv().encode()).hexdigest() == HEX256_SEED13_CSV_SHA256
+    assert hashlib.sha256(hex256_run.to_csv().encode()).hexdigest() == HEX256_SEED13_CSV_SHA256
     print("\n[pinned outputs] PASS - stub32 seed 7 CSV, N=4 seed 2 certify report and "
           "N=256 seed 13 CSV match their pinned sha256")
 
 
+def test_anchored_curvature_counts(hex256_run, cert_report):
+    # with dense bounds all 12 of the N=256 run's curvature estimates were
+    # eigensolves and certify took 6,706 steps; Weyl-anchored bounds solve at
+    # most 8 and may cost up to 4 % more steps, being up to THETA looser
+    counts = hex256_run.counts
+    assert counts["curvature_solves"] + counts["curvature_updates"] == 12
+    assert counts["curvature_solves"] <= 8
+    _, report, _ = cert_report
+    assert sum(lv["steps"] for lv in report["levels"]) <= 1.04 * 6706
+
+
 # sha256 of the trajectory.csv of two runs that take the safeguard paths the
-# runs above never take: a disordered stub32 (3 backtracks, 1 Gauss-Seidel
-# repair, 40 joint projections) and a run whose nudge trigger fires (2 nudges).
+# runs above never take: a disordered stub32 (3 backtracks, 2 Gauss-Seidel
+# repairs, 40 joint projections) and a run whose nudge trigger fires (2 nudges).
 SAFEGUARD_PATH_CSV_SHA256 = {
-    "backtrack_gs_repair": "c5f994652f740055d83b788065473acd807647a314a69bd8698ee051d33c35fe",
-    "nudge": "88b25ca4342a325196542e8fb64e8f2eb8288561228b8f75049df8a25c782877",
+    "backtrack_gs_repair": "ec3f91eca81d5006da030bf927f61443f8493150dd32415248a128120199529c",
+    "nudge": "3abc1b1d3453ceffeaee36fc552d172a2256178b4d0ebbb725c060ea418e6789",
 }
 
 
@@ -417,7 +435,7 @@ def test_pinned_safeguard_path_hashes():
     }
     records = {name: run_trajectory(cfg) for name, cfg in configs.items()}
     assert records["backtrack_gs_repair"].counts["backtracks"] == 3
-    assert records["backtrack_gs_repair"].counts["gs_repairs"] == 1
+    assert records["backtrack_gs_repair"].counts["gs_repairs"] == 2
     assert records["nudge"].counts["nudges"] == 2
     for name, record in records.items():
         assert hashlib.sha256(record.to_csv().encode()).hexdigest() == \

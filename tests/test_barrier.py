@@ -9,6 +9,7 @@ from util import (
     dense_hessian_x,
     fd_gradient,
     gauge_basis,
+    gauge_eigs,
     hex_two_sphere,
     pair_state,
     rel_err,
@@ -254,14 +255,6 @@ def _hvp_matrices(st, shifts, members):
     return Hx, np.stack(cols, axis=1)
 
 
-def _gauge_eigs(H, N, n, joint=False):
-    Q = gauge_basis(N, n)
-    if joint:
-        Q = np.block([[Q, np.zeros((N * n, n * n))],
-                      [np.zeros((n * n, Q.shape[1])), np.eye(n * n)]])
-    return np.linalg.eigvalsh(Q.T @ H @ Q)
-
-
 _STATES = dict(seed=st_integers(0, 10_000), N=st_integers(1, 7), n=sampled_from([2, 3]))
 
 
@@ -291,12 +284,12 @@ def test_curvature_estimates_bracket_the_hvp_spectrum(seed, N, n):
                  estimate_L_joint(st, shifts, P, members=members)]
     assert all(e.converged and e.iters == 1 for e in estimates)
     L, m, Lj = (e.value for e in estimates)
-    w = _gauge_eigs(Hx, N, n)  # empty for N = 1: no gauge directions
+    w = gauge_eigs(Hx, N, n)  # empty for N = 1: no gauge directions
     top = float(np.max(np.abs(w), initial=0.0))
     assert top <= L <= max(top * (1.0 + 1e-9), 1e-12)
     lam_min = float(w[0]) if N > 1 else 0.0
     assert max(lam_min - 1e-9 * top, 0.0) <= m <= max(lam_min, 0.0)
-    top_j = float(np.max(np.abs(_gauge_eigs(Hj, N, n, joint=True))))
+    top_j = float(np.max(np.abs(gauge_eigs(Hj, N, n, joint=True))))
     assert top_j <= Lj <= max(top_j * (1.0 + 1e-9), 1e-12)
 
 

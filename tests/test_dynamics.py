@@ -7,12 +7,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis.strategies import floats as st_floats
 from hypothesis.strategies import integers as st_integers
+from hypothesis.strategies import lists as st_lists
 from hypothesis.strategies import sampled_from
-from util import hex_two_sphere, make_ds, pair_state
+from util import gauge_eigs, hex_two_sphere, make_ds, pair_state
 
 from spit import barrier, dynamics, harness, projection
-from spit.barrier import BarrierParams, barrier_energy, barrier_value, estimate_L, estimate_m
+from spit.barrier import (
+    BarrierParams,
+    HessianChange,
+    barrier_energy,
+    barrier_value,
+    contact_blocks,
+    estimate_L,
+    estimate_m,
+    hessian,
+)
 from spit.dynamics import (
+    CurvatureAnchors,
     DynamicsState,
     backtrack,
     companion_coefficients,
@@ -25,8 +36,17 @@ from spit.dynamics import (
     spit_step,
     verlet_update,
 )
-from spit.errors import MidpointInfeasibleError, RunAbort
-from spit.geometry import ShiftIndexSet, build_shift_set, contacts_within, gauge_project, min_slack
+from spit.errors import MidpointInfeasibleError, RunAbort, SingularBasisError
+from spit.geometry import (
+    LatticeBasis,
+    PackingState,
+    ShiftIndexSet,
+    build_shift_set,
+    contacts_within,
+    gauge_project,
+    min_slack,
+    min_slack_of,
+)
 from spit.harness import RunConfig, certify, config_from_preset, make_testbed, random_feasible_state
 from spit.spectral import build_contact_graph, fiedler
 
@@ -505,3 +525,50 @@ def test_certify_builds_no_contact_graph(monkeypatch):
     report = certify(config, make_testbed(config).packing)
     assert sum(level["steps"] for level in report["levels"]) >= 200
     assert built == []
+
+
+def _moved(state, members, op, rng):
+    """`state` after a random position ("x") or basis move, unchanged if the move
+    leaves a member slack nonpositive or the cell degenerate."""
+    step = 0.03 * rng.standard_normal(state.x.shape if op == "x" else state.basis.B.shape)
+    try:
+        moved = (state.with_x(state.x + step) if op == "x"
+                 else PackingState.make(state.x, LatticeBasis(state.basis.B + step)))
+    except SingularBasisError:
+        return state
+    return moved if min_slack_of(moved, members) > 0.0 else state
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(seed=st_integers(0, 10_000), N=st_integers(1, 5), n=sampled_from([2, 3]),
+       ops=st_lists(sampled_from(["x", "B", "drop", "copy"]), min_size=1, max_size=6))
+def test_anchored_curvature_bounds_hold_after_moves_and_member_changes(seed, N, n, ops):
+    # theta = inf: every estimate on an anchor's member list is an update, however far
+    # the state has moved since, so the change bound alone carries the certificate
+    rng = np.random.default_rng(seed)
+    state = random_feasible_state(seed=seed, N=N, n=n)
+    shifts = build_shift_set(state.basis, P.R)
+    members = contacts_within(state, shifts, P.R)
+    anchors = CurvatureAnchors(shifts, P, theta=np.inf)
+    anchor_state = {}
+    for op in ["start"] + ops:
+        if op == "drop":
+            members = members.take(rng.random(len(members)) < 0.7)
+        elif op == "copy":  # equal by value, a new object
+            members = members.take(slice(None))
+        elif op != "start":
+            state = _moved(state, members, op, rng)
+        for joint in (False, True):
+            solves = anchors.solves
+            L_hat, m_hat = anchors.bounds(state, members, joint=joint)
+            H = hessian(state, members, P, joint=joint)
+            if anchors.solves > solves:
+                anchor_state[joint] = state
+            else:
+                a = anchor_state[joint]
+                change = HessianChange(members, contact_blocks(a, members, P), joint)
+                d = change.bound(contact_blocks(state, members, P))
+                assert d >= np.linalg.norm(H - hessian(a, members, P, joint=joint), 2)
+            w = gauge_eigs(H, N, n, joint=joint)  # empty for positions at N = 1
+            assert L_hat >= float(np.abs(w).max(initial=0.0))
+            assert 0.0 <= m_hat <= (max(float(w[0]), 0.0) if w.size else 0.0)

@@ -141,6 +141,16 @@ def gauge_basis(N: int, n: int) -> np.ndarray:
     return q[:, keep]
 
 
+def gauge_eigs(H: np.ndarray, N: int, n: int, joint: bool = False) -> np.ndarray:
+    """Eigenvalues of a position (or joint) Hessian on the gauge subspace, ascending,
+    by explicit projection onto `gauge_basis` (test oracle)."""
+    Q = gauge_basis(N, n)
+    if joint:
+        Q = np.block([[Q, np.zeros((N * n, n * n))],
+                      [np.zeros((n * n, Q.shape[1])), np.eye(n * n)]])
+    return np.linalg.eigvalsh(Q.T @ H @ Q)
+
+
 # -- reference kernels -------------------------------------------------------
 # The assembly the hot-path kernels replaced, kept verbatim as bit-identity
 # oracles: the rewritten kernels must reproduce them with np.array_equal.
