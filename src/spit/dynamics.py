@@ -201,13 +201,13 @@ class CurvatureAnchors:
     Hessian) is L_hat = L_a + d and m_hat = max(m_a - d, 0) with d =
     `HessianChange.bound` >= ||H - H_a||_2, certified by Weyl's inequality
     |lambda_k(H) - lambda_k(H_a)| <= ||H - H_a||_2 on the gauge subspace.  Any
-    other estimate, and one whose d exceeds `theta` L_a, is a dense solve
+    other estimate, and one whose d exceeds THETA L_a, is a dense solve
     (`estimate_L` and `estimate_m`, or `estimate_L_joint`, whose m is 0) that
     becomes the kind's anchor.  `solves` and `updates` count the two.
     """
 
-    def __init__(self, shifts: ShiftIndexSet, p: BarrierParams, theta: float = THETA):
-        self.shifts, self.p, self.theta = shifts, p, theta
+    def __init__(self, shifts: ShiftIndexSet, p: BarrierParams):
+        self.shifts, self.p = shifts, p
         self.latest: dict[bool, _Anchor] = {}  # keyed by `joint`
         self.solves = self.updates = 0
 
@@ -218,7 +218,7 @@ class CurvatureAnchors:
         anchor = self.latest.get(joint)
         if anchor is not None and anchor.key == members.key:
             d = anchor.change.bound(K)
-            if d <= self.theta * anchor.L:
+            if d <= THETA * anchor.L:
                 self.updates += 1
                 return anchor.L + d, max(anchor.m - d, 0.0)
         if joint:

@@ -1,6 +1,7 @@
 """Integrator arithmetic, step rules, Lyapunov descent, trajectory loop."""
 
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -543,32 +544,33 @@ def _moved(state, members, op, rng):
 @given(seed=st_integers(0, 10_000), N=st_integers(1, 5), n=sampled_from([2, 3]),
        ops=st_lists(sampled_from(["x", "B", "drop", "copy"]), min_size=1, max_size=6))
 def test_anchored_curvature_bounds_hold_after_moves_and_member_changes(seed, N, n, ops):
-    # theta = inf: every estimate on an anchor's member list is an update, however far
-    # the state has moved since, so the change bound alone carries the certificate
     rng = np.random.default_rng(seed)
     state = random_feasible_state(seed=seed, N=N, n=n)
     shifts = build_shift_set(state.basis, P.R)
     members = contacts_within(state, shifts, P.R)
-    anchors = CurvatureAnchors(shifts, P, theta=np.inf)
-    anchor_state = {}
-    for op in ["start"] + ops:
-        if op == "drop":
-            members = members.take(rng.random(len(members)) < 0.7)
-        elif op == "copy":  # equal by value, a new object
-            members = members.take(slice(None))
-        elif op != "start":
-            state = _moved(state, members, op, rng)
-        for joint in (False, True):
-            solves = anchors.solves
-            L_hat, m_hat = anchors.bounds(state, members, joint=joint)
-            H = hessian(state, members, P, joint=joint)
-            if anchors.solves > solves:
-                anchor_state[joint] = state
-            else:
-                a = anchor_state[joint]
-                change = HessianChange(members, contact_blocks(a, members, P), joint)
-                d = change.bound(contact_blocks(state, members, P))
-                assert d >= np.linalg.norm(H - hessian(a, members, P, joint=joint), 2)
-            w = gauge_eigs(H, N, n, joint=joint)  # empty for positions at N = 1
-            assert L_hat >= float(np.abs(w).max(initial=0.0))
-            assert 0.0 <= m_hat <= (max(float(w[0]), 0.0) if w.size else 0.0)
+    anchors = CurvatureAnchors(shifts, P)
+    anchor_state = {}  # of each kind's latest anchor
+    # THETA = inf: every estimate on an anchor's member list is an update, however
+    # far the state has moved since, so the change bound alone carries the certificate
+    with mock.patch.object(dynamics, "THETA", np.inf):
+        for op in ["start"] + ops:
+            if op == "drop":
+                members = members.take(rng.random(len(members)) < 0.7)
+            elif op == "copy":  # equal by value, a new object
+                members = members.take(slice(None))
+            elif op != "start":
+                state = _moved(state, members, op, rng)
+            for joint in (False, True):
+                solves = anchors.solves
+                L_hat, m_hat = anchors.bounds(state, members, joint=joint)
+                H = hessian(state, members, P, joint=joint)
+                if anchors.solves > solves:
+                    anchor_state[joint] = state
+                else:
+                    a = anchor_state[joint]
+                    change = HessianChange(members, contact_blocks(a, members, P), joint)
+                    d = change.bound(contact_blocks(state, members, P))
+                    assert d >= np.linalg.norm(H - hessian(a, members, P, joint=joint), 2)
+                w = gauge_eigs(H, N, n, joint=joint)  # empty for positions at N = 1
+                assert L_hat >= float(np.abs(w).max(initial=0.0))
+                assert 0.0 <= m_hat <= (max(float(w[0]), 0.0) if w.size else 0.0)
