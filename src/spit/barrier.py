@@ -12,6 +12,7 @@ pulls pairs toward a finite preferred slack, which is what packs the cell.
 from __future__ import annotations
 
 import functools
+import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -24,7 +25,6 @@ from .geometry import (
     ShiftIndexSet,
     contacts_within,
     r_vectors,
-    scatter_add,
     slack_gradient,
     slack_values,
 )
@@ -166,7 +166,7 @@ def contact_blocks(state: PackingState, contacts: Contacts, p: BarrierParams) ->
 
 
 def hessian(state: PackingState, contacts: Contacts, p: BarrierParams,
-            joint: bool = False) -> np.ndarray:
+            joint: bool = False, out: np.ndarray | None = None) -> np.ndarray:
     """Dense barrier Hessian: the operator of `hvp_x` (or of `hvp_joint`) as a matrix.
 
     Rows and columns follow `x.ravel()`, then `B.ravel()` when `joint`.  Each
@@ -176,6 +176,7 @@ def hessian(state: PackingState, contacts: Contacts, p: BarrierParams,
     to the basis block.  Self-image contacts cancel out of every position row,
     so only pairs are assembled there, and those rows stay exactly zero.  Each
     entry sums its (i, i), (j, j), (i, j), (j, i), then basis-column terms in contact order.
+    A C-contiguous D x D float `out` is zeroed and receives the matrix in place of a new one.
     """
     N, n = state.x.shape
     Nn = N * n
@@ -184,21 +185,22 @@ def hessian(state: PackingState, contacts: Contacts, p: BarrierParams,
     pair = contacts.i != contacts.j
     i, j, Kp = contacts.i[pair], contacts.j[pair], K[pair]
     m, a = i.shape[0], np.arange(n)
-    # the terms' block rows u n are u[:4m], their block columns u[2m:]; entry
-    # (a, b) of block (u, v) is at (u n + a) D + v n + b
+    H = np.empty((D, D)) if out is None else out
+    H.fill(0.0)
+    # np.add.at adds in array order from 0.0, as `geometry.scatter_add` does,
+    # but in place; the terms' block rows u n are u[:4m], their block columns
+    # u[2m:], and entry (a, b) of block (u, v) is at (u n + a) D + v n + b
     u = np.concatenate([i, j, i, j, j, i]) * n
-    at = [((u[:4 * m] * D + u[2 * m:])[:, None, None] + (a[:, None] * D + a)).ravel()]
-    terms = [Kp, Kp, -Kp, -Kp]
+    np.add.at(H.reshape(-1),
+              ((u[:4 * m] * D + u[2 * m:])[:, None, None] + (a[:, None] * D + a)).ravel(),
+              np.concatenate([Kp, Kp, -Kp, -Kp]).ravel())
     if joint:
         zf = contacts.z.astype(float)
         # entry (a, c) of the basis columns of block row u is at (u n + a) D + N n + c
         c = a[:, None] * D + Nn + np.arange(n * n)
-        at.append(((u[:2 * m] * D)[:, None, None] + c).ravel())
         Kz = (Kp[:, :, :, None] * zf[pair][:, None, None, :]).reshape(m, n, n * n)
-        terms += [-Kz, Kz]
-    terms = np.concatenate([t.ravel() for t in terms])
-    H = scatter_add(np.concatenate(at), terms, D * D).reshape(D, D)
-    if joint:
+        np.add.at(H.reshape(-1), ((u[:2 * m] * D)[:, None, None] + c).ravel(),
+                  np.concatenate([-Kz, Kz]).ravel())
         H[Nn:, :Nn] = H[:Nn, Nn:].T
         H[Nn:, Nn:] = np.einsum("mac,mb,md->abcd", K, zf, zf).reshape(n * n, n * n)
     return H
@@ -264,23 +266,36 @@ def _gauge_spectrum(H: np.ndarray, N: int, n: int) -> tuple[np.ndarray, float]:
     `eigvalsh` returns them as its n largest values.  For the symmetric
     eigensolver each computed eigenvalue lies within D eps ||A||_2 of an exact
     one (A the shifted matrix, ||A||_2 <= ||H||_F + s), which is the margin.
+    A is built in `_buffer`, so `H` is left alone unless it is that buffer.
     """
     D = H.shape[0]
     h = H.ravel(order="K")
     s = float(np.sqrt(h.dot(h))) + 1.0  # np.linalg.norm(H), term for term
-    T = _translations(N, n, D)
-    w = np.linalg.eigvalsh(H + s * (T @ T.T))
+    w = np.linalg.eigvalsh(_shift_translations(H, N, n, s, _scratch(D, N, n)))
     return w[:D - n], D * float(np.finfo(float).eps) * (2.0 * s - 1.0)
 
 
-@functools.lru_cache(maxsize=8)
-def _translations(N: int, n: int, D: int) -> np.ndarray:
-    """The n orthonormal translation modes of N spheres, as columns of D rows."""
-    T = np.zeros((D, n))
+def _shift_translations(H: np.ndarray, N: int, n: int, s: float, out: np.ndarray) -> np.ndarray:
+    """H + s T T^T into `out` (which may be H), T the n orthonormal translation
+    modes of N spheres, bit for bit: T T^T holds t^2 (t = 1/sqrt(N)) where a
+    position row and column share their component, else 0."""
+    np.add(H, 0.0, out=out)  # as H + s * 0 does, this turns -0.0 into 0.0
+    t = 1.0 / np.sqrt(N)
     for a in range(n):
-        T[a:N * n:n, a] = 1.0 / np.sqrt(N)
-    T.flags.writeable = False  # shared by every caller
-    return T
+        out[a:N * n:n, a:N * n:n] += s * (t * t)
+    return out
+
+
+def _scratch(D: int, N: int, n: int) -> np.ndarray:
+    return _buffer(N, n, threading.get_ident())[:D * D].reshape(D, D)
+
+
+@functools.lru_cache(maxsize=1)
+def _buffer(N: int, n: int, thread: int) -> np.ndarray:
+    """Room for a thread's joint Hessian of N spheres in n dimensions; a position
+    Hessian takes its head.  Dense estimates reuse it, as a fresh D x D array
+    page-faults in again on every call; it is never handed to a caller."""
+    return np.empty((N * n + n * n) ** 2)
 
 
 def _position_spectrum(state: PackingState, contacts: Contacts, p: BarrierParams):
@@ -289,8 +304,16 @@ def _position_spectrum(state: PackingState, contacts: Contacts, p: BarrierParams
     key, memo = (state.x.tobytes(), state.basis.B.tobytes(), p), contacts._memo
     if key not in memo:
         memo.clear()
-        memo[key] = _gauge_spectrum(hessian(state, contacts, p), *state.x.shape)
+        memo[key] = _dense_spectrum(state, contacts, p, joint=False)
     return memo[key]
+
+
+def _dense_spectrum(state: PackingState, contacts: Contacts, p: BarrierParams, joint: bool):
+    """`_gauge_spectrum` of the Hessian, assembled in the scratch buffer it is shifted in."""
+    N, n = state.x.shape
+    D = N * n + (n * n if joint else 0)
+    H = hessian(state, contacts, p, joint, out=_scratch(D, N, n))
+    return _gauge_spectrum(H, N, n)
 
 
 def _max_abs_bound(w: np.ndarray, margin: float) -> CurvatureBound:
@@ -320,8 +343,7 @@ def estimate_L_joint(state: PackingState, shifts: ShiftIndexSet, p: BarrierParam
     """Certified upper bound on the spectral norm of the joint Hessian
     (gauge positions and basis together)."""
     contacts = _included(state, shifts, p, members)
-    return _max_abs_bound(*_gauge_spectrum(hessian(state, contacts, p, joint=True),
-                                           *state.x.shape))
+    return _max_abs_bound(*_dense_spectrum(state, contacts, p, joint=True))
 
 
 def lipschitz_bound(p: BarrierParams, slack_cap: float, radius: float, count: int) -> float:

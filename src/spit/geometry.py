@@ -374,6 +374,12 @@ def volume_gradient(basis: LatticeBasis) -> np.ndarray:
     return basis.volume * np.linalg.inv(basis.B).T
 
 
+def volume_hessian_bound(basis: LatticeBasis) -> float:
+    """(n - 1) ||B||_F^(n - 2) >= ||Hessian of |det B|||_2 (1 in 2-D): by the SVD that
+    norm is the one at diag(sigma), at most (n - 1) times n - 2 singular values."""
+    return (basis.n - 1) * float(np.linalg.norm(basis.B)) ** (basis.n - 2)
+
+
 def min_slack(state: PackingState, shifts: ShiftIndexSet, radius: float | None = None) -> float:
     """Minimum slack over canonical contacts within the interaction radius."""
     radius = shifts.R if radius is None else radius

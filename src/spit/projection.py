@@ -41,6 +41,7 @@ from .geometry import (
     r_vectors,
     slack_values,
     volume_gradient,
+    volume_hessian_bound,
 )
 
 logger = logging.getLogger("spit")
@@ -200,12 +201,15 @@ def e_project_joint(ds, ev: BarrierEval, p: BarrierParams, shifts: ShiftIndexSet
 
     Minimizes the joint majorizer subject to jointly linearized constraints
     and applies (x, B) <- (y*, B + H*), keeping the velocity.  With a positive
-    `volume_weight` a cell-volume descent term is added to the basis block and
-    the energy-nonexpansiveness backoff is disabled (the energy may then rise
-    by design).  Basis nondegeneracy is re-checked; a violating basis move is
-    halved up to 10 times, else dropped.  Returns as `e_project_x`;
+    `volume_weight` a cell-volume descent term is added to the basis block,
+    whose weight then covers that term's curvature too, and the energy-
+    nonexpansiveness backoff is disabled (the energy may then rise by design).
+    A basis move that breaks nondegeneracy is halved up to 10 times, else
+    dropped; one that leaves a self-image slack below the margin (contacts
+    beyond R are not linearized) is halved up to 10 times.  Returns as `e_project_x`;
     `info["near"]` holds the result's contacts within R.
     """
+    L_B = max(L_B, volume_weight * volume_hessian_bound(ds.packing.basis))
     return _e_project(ds, ev, p, shifts, L_x, L_B, volume_weight)
 
 
@@ -250,10 +254,17 @@ def _e_project(ds, ev: BarrierEval, p: BarrierParams, shifts: ShiftIndexSet, wx:
         if joint:
             diag = np.concatenate([diag, np.full(n * n, wB)])
         sol = solve_qp(QuadraticProgram(diag=diag, linear=linear, A=A, b=b))
-        basis = _admissible_basis(cur.basis, sol.u[N * n:].reshape(n, n)) if joint else cur.basis
-        cand = PackingState.make(gauge_project(cur.x + sol.u[: N * n].reshape(N, n)), basis)
-        near_cand = contacts_within(cand, shifts, p.R)
-        if min_slack_of(cand, near_cand) < floor:
+        x, uB = gauge_project(cur.x + sol.u[: N * n].reshape(N, n)), sol.u[N * n:].reshape(n, -1)
+        for _ in range(10):  # only a shorter basis move restores a self-image slack
+            basis = _admissible_basis(cur.basis, uB) if joint else cur.basis
+            cand = PackingState.make(x, basis)
+            near_cand = contacts_within(cand, shifts, p.R)
+            least = min_slack_of(cand, near_cand)
+            if least >= floor or basis is cur.basis or min_slack_of(
+                    cand, near_cand.take(near_cand.i == near_cand.j)) >= floor:
+                break
+            uB = 0.5 * uB
+        if least < floor:
             rounds += 1
             if rounds > 6:
                 raise FeasibilityError(("joint " if joint else "")

@@ -400,3 +400,34 @@ def test_kernels_match_their_add_at_references(seed, N, n, members, shift):
         assert _same(H, ref_hessian(st, c, P, joint=joint))
         (w_got, m_got), (w_want, m_want) = _gauge_spectrum(H, N, n), ref_gauge_spectrum(H, N, n)
         assert _same(w_got, w_want) and m_got == m_want
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 5, 7, 32, 256])
+@pytest.mark.parametrize("n", [2, 3])
+def test_translation_shift_in_place_keeps_the_bits_of_the_sum(N, n):
+    """H + s T T^T built in place (T the translation modes) has the bits of the
+    sum, -0.0 entries included, which the sum turns into 0.0; 1/sqrt(N) is
+    inexact when N is not a square.  `_gauge_spectrum` leaves its argument
+    alone and returns the eigenvalues and margin of the sum's eigensolve."""
+    from util import ref_gauge_spectrum
+
+    from spit.barrier import _gauge_spectrum, _shift_translations
+
+    rng = np.random.default_rng(10 * N + n)
+    for D in (N * n, N * n + n * n):
+        H = rng.standard_normal((D, D))
+        H += H.T
+        zero = rng.random((D, D)) < 0.2
+        H[zero | zero.T] = -0.0
+        s = float(np.linalg.norm(H)) + 1.0
+        T = np.zeros((D, n))
+        for a in range(n):
+            T[a:N * n:n, a] = 1.0 / np.sqrt(N)
+        want = (H + s * (T @ T.T)).view(np.uint64)
+        got = H.copy()
+        _shift_translations(got, N, n, s, out=got)
+        assert np.array_equal(got.view(np.uint64), want)
+        before = H.copy()
+        (w, margin), (w_ref, margin_ref) = _gauge_spectrum(H, N, n), ref_gauge_spectrum(H, N, n)
+        assert np.array_equal(w.view(np.uint64), w_ref.view(np.uint64)) and margin == margin_ref
+        assert np.array_equal(H.view(np.uint64), before.view(np.uint64))

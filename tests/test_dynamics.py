@@ -574,3 +574,32 @@ def test_anchored_curvature_bounds_hold_after_moves_and_member_changes(seed, N, 
                 w = gauge_eigs(H, N, n, joint=joint)  # empty for positions at N = 1
                 assert L_hat >= float(np.abs(w).max(initial=0.0))
                 assert 0.0 <= m_hat <= (max(float(w[0]), 0.0) if w.size else 0.0)
+
+
+def test_dense_estimates_reuse_their_memory(monkeypatch):
+    """After a run's first dense estimate of a kind, each later one of that
+    kind allocates less than one D x D float array (tracemalloc), and a repeat
+    of the run writes the same CSV bytes."""
+    import tracemalloc
+
+    peaks = {"estimate_L": [], "estimate_L_joint": []}
+    for name, seen in peaks.items():
+        def traced(*args, estimate=getattr(dynamics, name), seen=seen, **kwargs):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            out = estimate(*args, **kwargs)
+            seen.append(tracemalloc.get_traced_memory()[1] - base)
+            return out
+
+        monkeypatch.setattr(dynamics, name, traced)
+    config = config_from_preset("stub64", max_steps=30, seed=0)
+    tracemalloc.start()
+    try:
+        csv = run_trajectory(config).to_csv()
+    finally:
+        tracemalloc.stop()
+    Nn = config.N * config.n
+    for name, D in (("estimate_L", Nn), ("estimate_L_joint", Nn + config.n ** 2)):
+        assert len(peaks[name]) >= 3
+        assert max(peaks[name][1:]) < D * D * 8
+    assert run_trajectory(config).to_csv() == csv

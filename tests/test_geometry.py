@@ -25,6 +25,7 @@ from spit.geometry import (
     r_vectors,
     slack_values,
     volume_gradient,
+    volume_hessian_bound,
 )
 from spit.harness import random_feasible_state
 
@@ -264,3 +265,18 @@ def test_contacts_within_rejects_negative_radius():
     for base in (None, contacts_within(st, shifts, 2.5)):
         with pytest.raises(ValueError, match="radius must be nonnegative"):
             contacts_within(st, shifts, -1.0, base=base)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_volume_hessian_bound_covers_the_hessian(n):
+    """det B is a polynomial of degree n <= 3 in B, so central differences of
+    step 1 are its exact second derivatives; |det B| has the same Hessian up
+    to sign."""
+    rng = np.random.default_rng(n)
+    E = np.eye(n * n).reshape(n * n, n, n)
+    for _ in range(20):
+        basis = LatticeBasis(2.0 * np.eye(n) + rng.standard_normal((n, n)))
+        B, det = basis.B, np.linalg.det
+        Hess = np.array([[det(B + e + f) - det(B + e - f) - det(B - e + f) + det(B - e - f)
+                          for f in E] for e in E]) / 4.0
+        assert np.linalg.norm(Hess, 2) <= volume_hessian_bound(basis) * (1.0 + 1e-9) + 1e-12

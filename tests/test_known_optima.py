@@ -26,10 +26,6 @@ def test_one_disk_reaches_the_triangular_optimum():
     assert volume == pytest.approx(v_star, rel=1e-15, abs=0.0)
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP items 3 and 7: with no contact within R at the start, every basis "
-    "step is rejected and each level stops with a false 'gradient' after 10 "
-    "steps, 69 % above V*"))
 def test_one_loose_disk_reaches_the_triangular_optimum():
     volume, v_star = _certified_volume(inflate=0.3)
     assert volume == pytest.approx(v_star, rel=1e-9, abs=0.0)
