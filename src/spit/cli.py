@@ -100,10 +100,9 @@ def cmd_certify(args) -> int:
     for level in report["levels"]:
         print(f"  nu={level['nu']:g}: res_x={level['res_x']:.3e} "
               f"res_B={level['res_B']:.3e} comp={level['comp']:.3e}")
-    for conv in ("shift", "literal"):
-        entry = report[f"rigidity_{conv}"]
-        print(f"  rigidity[{conv}]: rigid={entry['rigid']} "
-              f"nontrivial_dim={entry['nontrivial_dim']}")
+    entry = report["rigidity_shift"]  # no prestress margin when no contact is active
+    print(f"  rigidity: rigid={entry['rigid']} nontrivial_dim={entry['nontrivial_dim']} "
+          f"prestress_margin={entry.get('prestress_min_eig', float('nan')):.4g}")
     return 0
 
 

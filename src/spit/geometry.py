@@ -335,7 +335,7 @@ def contact_rows(state: PackingState, contacts: Contacts, r: np.ndarray,
     flattened basis block: +r on block i, -r on block j, -r c^T on the basis.
     Rows of self contacts are zero in the position block.  With c = z the
     rows are half the slack gradients (grad_x s, grad_B s); the rigidity
-    motion operator uses c = B z or c = r.
+    motion operator uses c = B z.
     """
     N, n = state.x.shape
     m = len(contacts)

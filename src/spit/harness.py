@@ -340,8 +340,9 @@ def certify(config: RunConfig, state: PackingState) -> dict:
 
     Re-minimizes volume-plus-barrier at each barrier strength in the schedule
     (joint projections carry the volume term with weight `cert_shrink`), then
-    reports stationarity/complementarity residuals per level and the rigidity
-    and prestress verdicts under both motion conventions.
+    reports stationarity/complementarity residuals per level, then the
+    rigidity verdict and the prestress verdict with its margin, both on the
+    nontrivial motions, under the key `rigidity_shift`.
     """
     levels = []
     cur = state
@@ -392,22 +393,15 @@ def _rigidity_report(config: RunConfig, state: PackingState) -> dict:
     act = active_set(state, shifts, tol_active)
     p = BarrierParams(nu=config.nu_schedule[-1], delta=config.delta, R=config.R)
     mus = recover_multipliers(state, shifts, p, members=act) if len(act) else None
-    out = {"active_contacts": len(act), "active_tol": tol_active,
-           "licq_sigma_min": licq_sigma_min(state, act) if len(act) else None}
-    for convention in ("shift", "literal"):
-        rig = is_periodically_rigid(state, act, convention=convention)
-        entry = {
-            "rigid": rig.rigid,
-            "nontrivial_dim": rig.nontrivial_dim,
-            "null_dim": rig.null_dim,
-            "rank_margin": None if not np.isfinite(rig.rank_margin) else rig.rank_margin,
-        }
-        if mus is not None:
-            flag, min_eig = prestress_stable(state, act, mus.clamped, convention=convention)
-            entry["prestress_stable"] = flag
-            entry["prestress_min_eig"] = None if np.isinf(min_eig) else min_eig
-        out[f"rigidity_{convention}"] = entry
-    return out
+    rig = is_periodically_rigid(state, act)
+    entry = {"rigid": rig.rigid, "nontrivial_dim": rig.nontrivial_dim,
+             "rank_margin": rig.rank_margin if np.isfinite(rig.rank_margin) else None}
+    if mus is not None:
+        entry["prestress_stable"], entry["prestress_min_eig"] = \
+            prestress_stable(state, act, mus.clamped)
+    return {"active_contacts": len(act), "active_tol": tol_active,
+            "licq_sigma_min": licq_sigma_min(state, act) if len(act) else None,
+            "rigidity_shift": entry}
 
 
 def spectra_report(state: PackingState, R: float, eps: float,

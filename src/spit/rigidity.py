@@ -1,11 +1,13 @@
 """Periodic infinitesimal rigidity, prestress certification, KKT residuals.
 
 A periodic motion is a pair (u, A): vertex velocities plus a cell velocity
-A = dB/dt B^{-1}.  Active contacts impose r^T (u_i - u_j - A t) = 0 in the
-default "shift" convention (the cell term acts on the lattice shift t = B z),
-which is the convention under which rigid-body motions are exactly in the
-kernel.  A "literal" convention with the cell term acting on r itself is kept
-behind a switch for comparison; rigid rotations then fail the kernel test.
+A = dB/dt B^{-1}.  Active contacts impose r^T (u_i - u_j - A t) = 0 with the
+cell term acting on the lattice shift t = B z, under which rigid translations
+and rotations are exactly in the kernel of this motion operator M.  Both
+verdicts come from M on C, an orthonormal basis of the complement of the
+trivial motions: the framework is rigid when M C has full column rank, and a
+stress is strictly prestress stable when its quadratic form, built from M
+with unit-normal rows, is positive definite on C.
 """
 
 from __future__ import annotations
@@ -55,25 +57,15 @@ def active_set(state: PackingState, shifts: ShiftIndexSet, tol_active: float) ->
     return near.take(np.abs(s) <= tol_active)
 
 
-def _cell_term(state: PackingState, active: Contacts, convention: str) -> np.ndarray:
-    r = r_vectors(state, active)
-    if convention == "shift":
-        return active.z.astype(float) @ state.basis.B.T, r
-    if convention == "literal":
-        return r, r
-    raise ValueError(f"unknown motion convention {convention!r}")
-
-
-def motion_operator(state: PackingState, active: Contacts,
-                    convention: str = "shift") -> np.ndarray:
+def motion_operator(state: PackingState, active: Contacts) -> np.ndarray:
     """Dense operator whose kernel is the space of periodic motions.
 
-    Row per active contact: m -> r^T (u_i - u_j - A t), acting on the
-    flattened (u, A) vector.  For z = 0 contacts the cell block vanishes and
-    the row reduces to r^T (u_i - u_j).
+    Row per active contact: m -> r^T (u_i - u_j - A t) with t = B z, acting
+    on the flattened (u, A) vector.  For z = 0 contacts the cell block
+    vanishes and the row reduces to r^T (u_i - u_j).
     """
-    t, r = _cell_term(state, active, convention)
-    return contact_rows(state, active, r, t)
+    return contact_rows(state, active, r_vectors(state, active),
+                        active.z.astype(float) @ state.basis.B.T)
 
 
 def trivial_motion_basis(state: PackingState) -> np.ndarray:
@@ -100,51 +92,43 @@ def trivial_motion_basis(state: PackingState) -> np.ndarray:
     return q
 
 
+def _nontrivial_motions(state: PackingState) -> np.ndarray:
+    """Orthonormal basis C of the complement of the trivial motions."""
+    T = trivial_motion_basis(state)
+    return np.linalg.qr(T, mode="complete")[0][:, T.shape[1]:]
+
+
+def _normal_rows(state: PackingState, active: Contacts) -> np.ndarray:
+    """The motion operator with each row divided by ||r||: n^T (u_i - u_j - A t)."""
+    norms = np.linalg.norm(r_vectors(state, active), axis=1)
+    return motion_operator(state, active) / np.maximum(norms, 1e-300)[:, None]
+
+
 @dataclass(frozen=True)
 class RigidityResult:
     rigid: bool
     nontrivial_dim: int
     basis: np.ndarray          # (N*n + n*n, nontrivial_dim)
-    null_dim: int
-    singular_values: np.ndarray
     rank_margin: float         # smallest kept / largest dropped singular value
 
 
-def is_periodically_rigid(state: PackingState, active: Contacts,
-                          convention: str = "shift") -> RigidityResult:
-    """Nullspace of the motion operator, quotiented by rigid-body motions.
+def is_periodically_rigid(state: PackingState, active: Contacts) -> RigidityResult:
+    """Nullspace of the motion operator M on the nontrivial motions C.
 
-    Rank decisions use singular values against _RANK_TOL times the largest one.
-    Rigid iff no nontrivial motion survives the quotient.
+    One SVD of M C; rank decisions use singular values against _RANK_TOL
+    times the largest one.  Rigid iff M C has full column rank.  With no
+    singular value dropped the rank margin is +inf.
     """
-    N, n = state.x.shape
-    dim = N * n + n * n
-    T = trivial_motion_basis(state)
-    if len(active) == 0:
-        null = np.eye(dim)
-        svals = np.zeros(0)
-        rank_margin = np.inf
-    else:
-        M = motion_operator(state, active, convention)
-        _, svals, Vt = np.linalg.svd(M, full_matrices=True)
-        smax = svals[0] if svals.size else 0.0
-        rank = int(np.sum(svals > _RANK_TOL * max(smax, 1e-300)))
-        kept = svals[rank - 1] if rank else np.inf
-        dropped = svals[rank] if rank < svals.size else 0.0
-        rank_margin = float(kept / dropped) if dropped > 0 else np.inf
-        null = Vt[rank:].T
-    # project rigid-body motions out of the kernel
-    W = null - T @ (T.T @ null)
-    if W.shape[1]:
-        U, ws, _ = np.linalg.svd(W, full_matrices=False)
-        keep = ws > _RANK_TOL * max(1.0, ws[0] if ws.size else 1.0)
-        basis = U[:, keep]
-    else:
-        basis = W
+    C = _nontrivial_motions(state)
+    _, svals, Vt = np.linalg.svd(motion_operator(state, active) @ C, full_matrices=True)
+    smax = svals[0] if svals.size else 0.0
+    rank = int(np.sum(svals > _RANK_TOL * max(smax, 1e-300)))
+    kept = svals[rank - 1] if rank else np.inf
+    dropped = svals[rank] if rank < svals.size else 0.0
+    basis = C @ Vt[rank:].T
     k = basis.shape[1]
     return RigidityResult(rigid=(k == 0), nontrivial_dim=k, basis=basis,
-                          null_dim=null.shape[1], singular_values=svals,
-                          rank_margin=rank_margin)
+                          rank_margin=float(kept / dropped) if dropped > 0 else np.inf)
 
 
 def _omega_array(active: Contacts, omega) -> np.ndarray:
@@ -155,40 +139,33 @@ def _omega_array(active: Contacts, omega) -> np.ndarray:
 
 
 def stress_energy(state: PackingState, active: Contacts, omega,
-                  motion: MotionVector, convention: str = "shift") -> float:
+                  motion: MotionVector) -> float:
     """Quadratic form of an equilibrium stress on a motion:
     sum_c omega_c (n_c^T (u_i - u_j - A t_c))^2 with unit normals n = r/||r||."""
-    w = _omega_array(active, omega)
-    t, r = _cell_term(state, active, convention)
-    rel = motion.u[active.i] - motion.u[active.j] - t @ motion.A.T
-    norms = np.linalg.norm(r, axis=1)
-    vals = np.einsum("mk,mk->m", r, rel) / np.maximum(norms, 1e-300)
-    return float(np.sum(w * vals * vals))
+    vals = _normal_rows(state, active) @ motion.flat()
+    return float(np.sum(_omega_array(active, omega) * vals * vals))
 
 
-def prestress_stable(state: PackingState, active: Contacts, omega,
-                     convention: str = "shift") -> tuple[bool, float]:
+def prestress_stable(state: PackingState, active: Contacts, omega) -> tuple[bool, float]:
     """Is the stress quadratic form positive definite on nontrivial motions?
 
-    Returns the flag plus the smallest restricted eigenvalue; an already-rigid
-    framework has no nontrivial motions and reports (True, +inf).
+    The form of claim (iv) (Connelly & Whiteley, SIAM J. Discrete Math. 9,
+    1996) on a motion m = (u, A) is
+
+        sum_c omega_c (n_c^T (u_i - u_j - A t_c))^2 = m^T M^T diag(omega/||r||^2) M m.
+
+    Returns the flag and the form's least eigenvalue on the complement C of
+    the trivial motions, that of (P C)^T diag(omega) (P C) with P the motion
+    operator M in unit-normal rows: a margin, finite whenever any contact is
+    active.  A nontrivial flex m has M m = 0, and so has its nonzero
+    component in the span of C (M annihilates the trivial motions), where the
+    form therefore vanishes.  Positive definiteness on C thus rules out every
+    nontrivial flex: strict prestress stability implies periodic
+    infinitesimal rigidity.
     """
-    rig = is_periodically_rigid(state, active, convention)
-    if rig.nontrivial_dim == 0:
-        return True, float("inf")
-    w = _omega_array(active, omega)
-    t, r = _cell_term(state, active, convention)
-    norms = np.maximum(np.linalg.norm(r, axis=1), 1e-300)
-    N, n = state.x.shape
-    k = rig.nontrivial_dim
-    P = np.zeros((len(active), k))
-    for col in range(k):
-        mv = MotionVector.from_flat(rig.basis[:, col], N, n)
-        rel = mv.u[active.i] - mv.u[active.j] - t @ mv.A.T
-        P[:, col] = np.einsum("mk,mk->m", r, rel) / norms
-    G = P.T @ (w[:, None] * P)
-    G = 0.5 * (G + G.T)
-    min_eig = float(np.linalg.eigvalsh(G)[0])
+    PC = _normal_rows(state, active) @ _nontrivial_motions(state)
+    G = PC.T @ (_omega_array(active, omega)[:, None] * PC)
+    min_eig = float(np.linalg.eigvalsh(0.5 * (G + G.T))[0])
     return min_eig > 1e-10, min_eig
 
 

@@ -235,7 +235,7 @@ def test_random_feasible_state_is_feasible_on_every_pair():
     assert_same_contacts(contacts_within(st, build_shift_set(st.basis, 2.5), 2.5), near)
 
 
-@settings(derandomize=True, max_examples=40, deadline=None)
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
 @given(n=st_sampled_from([2, 3]), N=st_integers(1, 40), seed=st_integers(0, 2**31),
        reach=st_floats(0.1, 2.5))
 @example(n=2, N=40, seed=1, reach=0.1)  # many cells per axis

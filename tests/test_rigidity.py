@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
-from util import hex_single_sphere, pair_state, square_single_sphere
+from hypothesis import given, settings
+from hypothesis.strategies import integers as st_integers
+from hypothesis.strategies import sampled_from as st_sampled_from
+from util import hex_single_sphere, pair_state, ref_is_periodically_rigid, square_single_sphere
 
 from spit.barrier import BarrierParams, barrier_energy, phi
 from spit.geometry import (
@@ -76,14 +79,14 @@ def test_motion_operator_annihilates_trivial_motions():
         act = contacts_within(st, shifts, P.R)
         if len(act) == 0:
             continue
-        M = motion_operator(st, act, convention="shift")
+        M = motion_operator(st, act)
         for mv in _trivial_motions(st):
             assert np.max(np.abs(M @ mv.flat())) <= 1e-10
 
 
-def test_motion_operator_literal_convention_breaks_rotations():
-    # pair contact with r = (2, 0) reached through the shift t = (0, 2):
-    # the rotation row is exactly r^T W t = -4 under the literal convention
+def test_motion_operator_keeps_rotations_through_shifted_contacts():
+    # pair contact with r = (2, 0) reached through the shift t = (0, 2): the
+    # cell term acts on t, so a rigid rotation stays in the kernel
     basis = LatticeBasis(np.array([[40.0, 0.0], [0.0, 2.0]]))
     st = PackingState(x=np.array([[1.0, 1.0], [-1.0, -1.0]]), basis=basis)
     act = Contacts(np.array([0]), np.array([1]), np.array([[0, 1]]))
@@ -91,17 +94,15 @@ def test_motion_operator_literal_convention_breaks_rotations():
     assert np.allclose(r, [2.0, 0.0])
     W = np.array([[0.0, -1.0], [1.0, 0.0]])
     mv = MotionVector(st.x @ W.T, W)
-    M_shift = motion_operator(st, act, convention="shift")
-    M_literal = motion_operator(st, act, convention="literal")
-    assert abs(float((M_shift @ mv.flat())[0])) <= 1e-12
-    assert float((M_literal @ mv.flat())[0]) == pytest.approx(-4.0)
+    M = motion_operator(st, act)
+    assert abs(float((M @ mv.flat())[0])) <= 1e-12
 
 
 def test_motion_operator_dilation_rows():
     st = hex_single_sphere()
     shifts = build_shift_set(st.basis, P.R)
     act = active_set(st, shifts, tol_active=1e-9)
-    M = motion_operator(st, act, convention="shift")
+    M = motion_operator(st, act)
     mv = MotionVector(st.x.copy(), np.eye(2))  # uniform dilation
     vals = M @ mv.flat()
     assert np.allclose(np.abs(vals), 4.0, atol=1e-9)  # r^T r = 4 per contact
@@ -110,7 +111,7 @@ def test_motion_operator_dilation_rows():
 def test_motion_operator_zero_shift_rows_ignore_cell():
     st = pair_state(2.0)
     act = Contacts(np.array([0]), np.array([1]), np.array([[0, 0]]))
-    M = motion_operator(st, act, convention="shift")
+    M = motion_operator(st, act)
     flat_A_block = M[:, st.N * st.n:]
     assert np.all(flat_A_block == 0.0)
 
@@ -119,7 +120,7 @@ def test_hexagonal_packing_is_rigid():
     st = hex_single_sphere()
     shifts = build_shift_set(st.basis, P.R)
     act = active_set(st, shifts, tol_active=1e-9)
-    rig = is_periodically_rigid(st, act, convention="shift")
+    rig = is_periodically_rigid(st, act)
     assert rig.rigid
     assert rig.nontrivial_dim == 0
 
@@ -129,11 +130,11 @@ def test_square_packing_shears():
     shifts = build_shift_set(st.basis, P.R)
     act = active_set(st, shifts, tol_active=1e-9)
     assert len(act) == 2
-    rig = is_periodically_rigid(st, act, convention="shift")
+    rig = is_periodically_rigid(st, act)
     assert not rig.rigid
     assert rig.nontrivial_dim >= 1
     # the surviving motion is a genuine flex, orthogonal to the trivial space
-    M = motion_operator(st, act, convention="shift")
+    M = motion_operator(st, act)
     T = trivial_motion_basis(st)
     for col in range(rig.nontrivial_dim):
         w = rig.basis[:, col]
@@ -196,13 +197,13 @@ def test_stress_energy_nonnegative_for_nonnegative_stress():
         assert stress_energy(st, act, omega, mv) >= 0.0
 
 
-def test_prestress_rigid_framework_sentinel():
+def test_prestress_rigid_framework_margin():
     st = hex_single_sphere()
     shifts = build_shift_set(st.basis, P.R)
     act = active_set(st, shifts, tol_active=1e-9)
     flag, min_eig = prestress_stable(st, act, np.ones(len(act)))
     assert flag
-    assert min_eig == np.inf
+    assert min_eig == pytest.approx(3.0, rel=1e-12)
 
 
 def test_prestress_square_fails_for_any_nonnegative_stress():
@@ -233,6 +234,30 @@ def test_prestress_negative_stress_goes_negative():
     flag, min_eig = prestress_stable(pert, act, omega)
     assert not flag
     assert min_eig < 0.0
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(n=st_sampled_from([2, 3]), N=st_integers(1, 6), seed=st_integers(0, 10_000),
+       tol=st_sampled_from([0.1, 0.5, np.inf]))
+def test_one_operator_verdicts_on_random_states(n, N, seed, tol):
+    """Prestress stability implies rigidity; the flex basis is orthonormal,
+    annihilated by M and orthogonal to the trivial motions; and the verdict
+    matches the kernel-then-quotient reference."""
+    st = random_feasible_state(seed=seed, N=N, n=n)
+    act = active_set(st, build_shift_set(st.basis, P.R), tol_active=tol)
+    rng = np.random.default_rng(seed)
+    omega = rng.uniform(0.0, 2.0, len(act)) * (rng.uniform(size=len(act)) < 0.8)
+    rig = is_periodically_rigid(st, act)
+    stable, margin = prestress_stable(st, act, omega)
+    assert np.isfinite(margin)
+    assert rig.rigid or not stable
+    k = rig.nontrivial_dim
+    assert rig.basis.shape == (st.N * n + n * n, k)
+    assert np.max(np.abs(rig.basis.T @ rig.basis - np.eye(k)), initial=0.0) <= 1e-9
+    assert np.max(np.abs(motion_operator(st, act) @ rig.basis), initial=0.0) <= 1e-9
+    assert np.max(np.abs(trivial_motion_basis(st).T @ rig.basis), initial=0.0) <= 1e-9
+    ref_rigid, ref_dim, _ = ref_is_periodically_rigid(st, act)
+    assert (rig.rigid, k) == (ref_rigid, ref_dim)
 
 
 def test_recover_multipliers_values():

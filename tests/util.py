@@ -244,3 +244,32 @@ def ref_gauge_spectrum(H: np.ndarray, N: int, n: int):
         T[a:N * n:n, a] = 1.0 / np.sqrt(N)
     w = np.linalg.eigvalsh(H + s * (T @ T.T))
     return w[:D - n], D * float(np.finfo(float).eps) * (2.0 * s - 1.0)
+
+
+def ref_is_periodically_rigid(state: PackingState, active, rank_tol: float = 1e-8):
+    """`rigidity.is_periodically_rigid` as a kernel SVD of the motion operator,
+    then a quotient SVD after projecting the trivial motions out of the kernel.
+    Returns (rigid, nontrivial_dim, basis)."""
+    from spit.rigidity import motion_operator, trivial_motion_basis
+
+    N, n = state.x.shape
+    dim = N * n + n * n
+    T = trivial_motion_basis(state)
+    if len(active) == 0:
+        null = np.eye(dim)
+    else:
+        M = motion_operator(state, active)
+        _, svals, Vt = np.linalg.svd(M, full_matrices=True)
+        smax = svals[0] if svals.size else 0.0
+        rank = int(np.sum(svals > rank_tol * max(smax, 1e-300)))
+        null = Vt[rank:].T
+    # project rigid-body motions out of the kernel
+    W = null - T @ (T.T @ null)
+    if W.shape[1]:
+        U, ws, _ = np.linalg.svd(W, full_matrices=False)
+        keep = ws > rank_tol * max(1.0, ws[0] if ws.size else 1.0)
+        basis = U[:, keep]
+    else:
+        basis = W
+    k = basis.shape[1]
+    return k == 0, k, basis
