@@ -33,9 +33,9 @@ result.  Only a Gauss-Seidel repair, a nudge trial, a member-list refresh and
 a basis move whose scanned contacts differ from the member list evaluate
 afresh; a backtrack changes only dt, eta, gamma.
 
-The contact graph is rebuilt every step but solved only when its pair edges,
-all the Laplacian reads, change; a step whose evaluation proves it edgeless
-builds none (`_spectrum`).
+Each step's Fiedler value is solved, values only, when the contact graph's
+pair edges, read off the evaluation's slacks, change (`_spectrum`); only a
+nudge builds the graph and its Fiedler vector (`_apply_nudge`).
 """
 
 from __future__ import annotations
@@ -79,6 +79,7 @@ from .spectral import (
     NudgeHistory,
     build_contact_graph,
     fiedler,
+    fiedler_value,
     lift_mode,
     nudge_alpha,
     nudge_trigger,
@@ -370,12 +371,12 @@ def run_trajectory(config, initial: DynamicsState | None = None) -> TrajectoryRe
     E_prev = lyapunov(ds, ev.value)
     terminated = "max_steps"
     last_joint_shift = None  # Frobenius norm of the latest basis move
-    solved = {}  # the last Fiedler solve and its pair edges, for `_spectrum`
+    solved = {}  # the last Fiedler value and its pair edges, for `_spectrum`
     initial_metrics = {
         "E": E_prev,
         "U": ev.value,
         "min_slack": ev.min_slack,
-        "lambda2": _spectrum(ds.packing, ev, shifts, config.eps_active, solved)[1],
+        "lambda2": _spectrum(ds.packing, ev, config.eps_active, solved)[1],
         "volume": cell_volume(ds.packing.basis),
     }
 
@@ -440,12 +441,11 @@ def run_trajectory(config, initial: DynamicsState | None = None) -> TrajectoryRe
             except (LinearizedInfeasibleError, FeasibilityError) as exc:
                 logger.warning("joint projection skipped at step %d: %s", k, exc)
 
-        graph, lam2, fvec = _spectrum(ds.packing, ev, shifts, config.eps_active, solved)
+        edges, lam2 = _spectrum(ds.packing, ev, config.eps_active, solved)
         nudged = False
-        if (fvec is not None and len(history) > 0
+        if (edges is not None and len(history) > 0
                 and nudge_trigger(history, lam2, config.kappa, m_hat, L_hat, k, config.K)):
-            applied = _apply_nudge(ds, ev, p, shifts, graph, fvec, L_hat, config, E_prev,
-                                   counts, events, k)
+            applied = _apply_nudge(ds, ev, p, shifts, L_hat, config, E_prev, counts, events, k)
             if applied is not None:
                 ds, ev, E_prev = applied
                 history.last_nudge = k
@@ -463,28 +463,26 @@ def run_trajectory(config, initial: DynamicsState | None = None) -> TrajectoryRe
                             counts=counts, initial=initial_metrics)
 
 
-def _spectrum(state, ev, shifts, eps, solved) -> tuple:
-    """(graph, lambda2, Fiedler vector) of the contact graph at `state`, scale eps.
+def _spectrum(state, ev, eps, solved) -> tuple:
+    """(pair edges, lambda2) of the contact graph at `state`, scale eps.
 
-    Without pair edges lambda2 is 0 and the vector None (every lifted mode is
-    zero), and no graph is built when `ev`'s least slack d^2 - 4 shows every
-    member beyond the graph's d^2 <= (2 + eps)^2 (1e-12 covers the rounding).
-    The Laplacian reads only the pair edges, so while they equal those of the
-    last solve in `solved`, that deterministic solve is returned, read-only;
-    the normals and gaps a nudge uses come from the graph, built afresh.
+    The edges are `ev`'s members other than self-images with slack d^2 - 4 <=
+    (2 + eps)^2 - 4, exactly `build_contact_graph(..., base=ev.contacts)`'s
+    d^2 <= (2 + eps)^2: x - 4 is exact for every double x in [2, 2^54)
+    (Sterbenz below 8, a multiple of ulp(x) above).  Without an edge (most
+    such steps show at `ev.min_slack`) the edges are None and lambda2 0; it
+    is solved only when the edges differ from the last solve's in `solved`.
     """
-    if ev.min_slack > (2.0 + eps) ** 2 - 4.0 + 1e-12:
-        return None, 0.0, None
-    graph = build_contact_graph(state, shifts, eps, base=ev.contacts)
-    pair = ~graph.loop_mask
-    if not pair.any():  # also every graph of one sphere
-        return graph, 0.0, None
-    edges = np.stack([graph.edges.i[pair], graph.edges.j[pair]])
+    cap = (2.0 + eps) * (2.0 + eps) - 4.0
+    if ev.min_slack > cap:
+        return None, 0.0
+    keep = (ev.slack <= cap) & (ev.contacts.i != ev.contacts.j)
+    if not keep.any():  # also every graph of one sphere
+        return None, 0.0
+    edges = np.stack([ev.contacts.i[keep], ev.contacts.j[keep]])
     if not np.array_equal(edges, solved.get("edges")):
-        lam2, vec = fiedler(graph)
-        vec.flags.writeable = False
-        solved.update(edges=edges, spectrum=(lam2, vec))
-    return graph, *solved["spectrum"]
+        solved.update(edges=edges, lambda2=fiedler_value(state.N, edges))
+    return edges, solved["lambda2"]
 
 
 def _joint_quiescent(ds, ev, config, last_joint_shift) -> bool:
@@ -535,12 +533,13 @@ def _safeguard(cand, ev, E, E_ref, p, shifts, L_hat, counts, events, step):
     return proj, ev_proj, info["E_after"], "gs+qp" if tag == "gs" else "qp"
 
 
-def _apply_nudge(ds, ev, p, shifts, graph, fvec, L_hat, config, E_ref, counts, events, step):
-    """Lift the Fiedler mode, size the step, and halve it until `_safeguard`
-    accepts it (an infeasible trial is halved too).  Returns (state, its
-    evaluation, energy) or None.  `ev` is the evaluation at `ds` on the member list.
+def _apply_nudge(ds, ev, p, shifts, L_hat, config, E_ref, counts, events, step):
+    """Lift the contact graph's Fiedler mode, size the step, and halve it until
+    `_safeguard` accepts it (an infeasible trial is halved too).  Returns (state,
+    its evaluation, energy) or None.  `ev` is the evaluation at `ds` on the member list.
     """
-    dxm = lift_mode(ds.packing, graph, fvec)
+    graph = build_contact_graph(ds.packing, shifts, config.eps_active, base=ev.contacts)
+    dxm = lift_mode(ds.packing, graph, fiedler(graph)[1])
     near = build_contact_graph(ds.packing, shifts, config.eps_near, base=ev.contacts)
     gbar = ev.grad_x + ds.gamma * (ds.packing.x - ds.x_prev)
     a, flipped = nudge_alpha(ds, dxm, near, L_hat, gbar)

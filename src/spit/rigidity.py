@@ -30,7 +30,7 @@ from .geometry import (
     volume_gradient,
 )
 
-_RANK_TOL = 1e-8  # singular values below this share of the largest count as zero
+_RANK_TOL = 1e-8  # values below this share of the largest count as zero (rank, prestress)
 
 
 @dataclass(frozen=True)
@@ -157,7 +157,8 @@ def prestress_stable(state: PackingState, active: Contacts, omega) -> tuple[bool
     Returns the flag and the form's least eigenvalue on the complement C of
     the trivial motions, that of (P C)^T diag(omega) (P C) with P the motion
     operator M in unit-normal rows: a margin, finite whenever any contact is
-    active.  A nontrivial flex m has M m = 0, and so has its nonzero
+    active; the flag asks for more than _RANK_TOL times the largest, whatever
+    the stress scale.  A nontrivial flex m has M m = 0, and so has its nonzero
     component in the span of C (M annihilates the trivial motions), where the
     form therefore vanishes.  Positive definiteness on C thus rules out every
     nontrivial flex: strict prestress stability implies periodic
@@ -165,8 +166,8 @@ def prestress_stable(state: PackingState, active: Contacts, omega) -> tuple[bool
     """
     PC = _normal_rows(state, active) @ _nontrivial_motions(state)
     G = PC.T @ (_omega_array(active, omega)[:, None] * PC)
-    min_eig = float(np.linalg.eigvalsh(0.5 * (G + G.T))[0])
-    return min_eig > 1e-10, min_eig
+    w = np.linalg.eigvalsh(0.5 * (G + G.T))
+    return float(w[0]) > _RANK_TOL * float(w[-1]), float(w[0])
 
 
 @dataclass(frozen=True)

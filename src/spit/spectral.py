@@ -1,10 +1,10 @@
 """Contact graphs and their spectra; energy-safe spectral nudges.
 
 The contact graph has one vertex per sphere and one edge per (near-)touching
-canonical contact, lattice images included.  Its Fiedler value, from a dense
-eigensolve at every size, drives the nudge trigger; the Fiedler vector is
-lifted to a geometric displacement along contact normals.  Cheeger and
-Poincare checks are exact-at-small-scale test oracles for the same Laplacian.
+canonical contact, lattice images included.  Its Fiedler value, from a
+values-only dense eigensolve, drives the nudge trigger; a nudge lifts the
+Fiedler vector to a geometric displacement along contact normals.  Cheeger
+and Poincare checks are exact-at-small-scale test oracles for the Laplacian.
 """
 
 from __future__ import annotations
@@ -40,6 +40,11 @@ class ContactGraph:
     def loop_mask(self) -> np.ndarray:
         return self.edges.i == self.edges.j
 
+    @property
+    def pair_edges(self) -> np.ndarray:  # (2, m) ends of the non-loop edges, in order
+        pair = ~self.loop_mask
+        return np.stack([self.edges.i[pair], self.edges.j[pair]])
+
 
 def build_contact_graph(state: PackingState, shifts: ShiftIndexSet, eps: float,
                         base: Contacts | None = None) -> ContactGraph:
@@ -49,20 +54,16 @@ def build_contact_graph(state: PackingState, shifts: ShiftIndexSet, eps: float,
     dist = np.linalg.norm(r, axis=1)
     normals = r / np.maximum(dist, 1e-300)[:, None]
     gaps = dist - 2.0
-    degrees = np.zeros(state.N, dtype=np.int64)
     pair = near.i != near.j
-    np.add.at(degrees, near.i[pair], 1)
-    np.add.at(degrees, near.j[pair], 1)
+    degrees = np.bincount(np.concatenate([near.i[pair], near.j[pair]]), minlength=state.N)
     return ContactGraph(n_vertices=state.N, edges=near, normals=normals,
                         gaps=gaps, degrees=degrees)
 
 
-def laplacian(graph: ContactGraph) -> np.ndarray:
-    """Combinatorial Laplacian; multi-edges count with multiplicity."""
-    N = graph.n_vertices
+def laplacian(N: int, edges: np.ndarray) -> np.ndarray:
+    """Combinatorial Laplacian of (2, m) pair edges; multi-edges count with multiplicity."""
     L = np.zeros((N, N))
-    pair = ~graph.loop_mask
-    i, j = graph.edges.i[pair], graph.edges.j[pair]
+    i, j = edges
     # small integer entries: the sums are exact whatever the order
     np.add.at(L, (i, i), 1.0)
     np.add.at(L, (j, j), 1.0)
@@ -100,11 +101,23 @@ def fiedler(graph: ContactGraph, tol: float = 1e-10) -> tuple[float, np.ndarray]
     if N < 2:
         raise ValueError("fiedler value needs at least two vertices")
     Q = _ones_complement(N)
-    w, V = np.linalg.eigh(Q.T @ laplacian(graph) @ Q)
+    w, V = np.linalg.eigh(Q.T @ laplacian(N, graph.pair_edges) @ Q)
     lam = float(w[0])
     if abs(lam) < tol:
         lam = max(lam, 0.0)
     return lam, _sign_fix(Q @ V[:, 0])
+
+
+def fiedler_value(N: int, edges: np.ndarray, tol: float = 1e-10) -> float:
+    """`fiedler`'s value alone from (2, m) pair edges: the least eigenvalue of
+    L + s 11^T / N, whose s = 2 max-degree + 1 > lambda_max(L) (Gershgorin)
+    lifts the ones-mode above the rest of the spectrum.  Same clamp."""
+    if N < 2:
+        raise ValueError("fiedler value needs at least two vertices")
+    L = laplacian(N, edges)
+    L += (2.0 * L.diagonal().max() + 1.0) / N
+    lam = float(np.linalg.eigvalsh(L)[0])
+    return max(lam, 0.0) if abs(lam) < tol else lam
 
 
 @dataclass(frozen=True)
@@ -124,14 +137,13 @@ def cheeger_check(graph: ContactGraph) -> CheegerReport:
         raise ValueError("exact Cheeger limited to small graphs")
     if N < 2:
         raise ValueError("Cheeger constant needs at least two vertices")
-    lam2, _ = fiedler(graph)
+    lam2 = fiedler_value(N, graph.pair_edges)
     masks = np.arange(1, 1 << N, dtype=np.uint32)
     sizes = np.zeros(masks.shape, dtype=np.int64)
     for bit in range(N):
         sizes += (masks >> bit) & 1
     cross = np.zeros(masks.shape, dtype=np.int64)
-    pair = ~graph.loop_mask
-    for i, j in zip(graph.edges.i[pair], graph.edges.j[pair]):
+    for i, j in graph.pair_edges.T:
         cross += ((masks >> int(i)) ^ (masks >> int(j))) & 1
     valid = sizes <= N / 2
     h = float(np.min(cross[valid] / sizes[valid]))
@@ -147,11 +159,11 @@ def poincare_check(graph: ContactGraph, u: np.ndarray, tol: float = 1e-9) -> boo
     u = np.asarray(u, dtype=float)
     if abs(float(np.sum(u))) > 1e-9 * max(1.0, float(np.max(np.abs(u))) * len(u)):
         raise ValueError("vector must be mean-zero")
-    lam2, _ = fiedler(graph)
+    edges = graph.pair_edges
+    lam2 = fiedler_value(graph.n_vertices, edges)
     if lam2 <= 1e-12:
         raise ValueError("graph is disconnected; the inequality needs lambda2 > 0")
-    pair = ~graph.loop_mask
-    diff = u[graph.edges.i[pair]] - u[graph.edges.j[pair]]
+    diff = u[edges[0]] - u[edges[1]]
     lhs = float(np.sum(u * u))
     rhs = float(np.sum(diff * diff)) / lam2
     return lhs <= rhs + tol
@@ -166,12 +178,11 @@ def lift_mode(state: PackingState, graph: ContactGraph, v: np.ndarray) -> np.nda
     """
     v = np.asarray(v, dtype=float)
     out = np.zeros_like(state.x)
-    pair = ~graph.loop_mask
-    diff = v[graph.edges.i[pair]] - v[graph.edges.j[pair]]
-    # normal from i toward j is -r/||r||, so both endpoints receive -diff * n_edge
-    contrib = -diff[:, None] * graph.normals[pair]
-    np.add.at(out, graph.edges.i[pair], contrib)
-    np.add.at(out, graph.edges.j[pair], contrib)
+    i, j = graph.pair_edges
+    # normal from i toward j is -r/||r||, so both endpoints receive -(v_i - v_j) n_edge
+    contrib = -(v[i] - v[j])[:, None] * graph.normals[~graph.loop_mask]
+    np.add.at(out, i, contrib)
+    np.add.at(out, j, contrib)
     deg = np.maximum(graph.degrees, 1).astype(float)
     out /= deg[:, None]
     out[graph.degrees == 0] = 0.0
@@ -195,10 +206,9 @@ def nudge_alpha(ds, dx: np.ndarray, graph_near: ContactGraph, L_hat: float,
         return 0.0, flipped
     dxs = -dx if flipped else dx
     inner_s = -inner if flipped else inner
-    pair = ~graph_near.loop_mask
+    pair, (i, j) = ~graph_near.loop_mask, graph_near.pair_edges
     if np.any(pair):
-        rel = np.einsum("mk,mk->m", dxs[graph_near.edges.i[pair]] - dxs[graph_near.edges.j[pair]],
-                        graph_near.normals[pair])
+        rel = np.einsum("mk,mk->m", dxs[i] - dxs[j], graph_near.normals[pair])
         gaps = np.maximum(graph_near.gaps[pair], 0.0)
         a_max = float(np.min(gaps / (np.abs(rel) + 1e-12)))
     else:

@@ -429,17 +429,19 @@ def test_criterion_10_byte_identical_csv(cli_csvs):
 
 # sha256 of the stub32 seed-7 trajectory.csv and of the certify report of the
 # N=4 seed-2 testbed as the CLI writes it.  A refactor leaves both unchanged; a
-# deliberate numeric change updates them and names the moved column.  Last
-# moved by the Weyl-anchored curvature bounds: E, U, kinetic, min_slack and,
-# where a basis move caps it, dt; the certify report's step counts and
-# residuals, not its final volume.  The certify report was re-pinned alone
-# when its rigidity came from one operator on the nontrivial motions:
-# `rigidity_literal` and `rigidity_shift.null_dim` went, `rank_margin` became
-# null and `prestress_min_eig` a number.  The third is the 50-step N=256
-# seed-13 run of the run-hex256 benchmark workload.
-STUB32_SEED7_CSV_SHA256 = "f7da6102dcfb2f1e56f801214567cc7131a40af6380dc05cad7d71fddd5f3f3f"
+# deliberate numeric change updates them and names the moved column.  The
+# two CSVs last moved when lambda2 came from a values-only eigensolve of the
+# shifted Laplacian: the lambda2 column alone, by at most 2e-14 relative.
+# Before that the Weyl-anchored curvature bounds moved E, U, kinetic,
+# min_slack and, where a basis move caps it, dt; and the certify report's
+# step counts and residuals, not its final volume.  The certify report was
+# re-pinned alone when its rigidity came from one operator on the nontrivial
+# motions: `rigidity_literal` and `rigidity_shift.null_dim` went,
+# `rank_margin` became null and `prestress_min_eig` a number.  The third is
+# the 50-step N=256 seed-13 run of the run-hex256 benchmark workload.
+STUB32_SEED7_CSV_SHA256 = "cf0919cb5aced1b0fbca8b9df4757daada43f1ad38bfb16331ad3e5a3519447f"
 CERTIFY_N4_SEED2_SHA256 = "0865ce52b6ebd3fe3a02a9ec04648d77ac53fe99ec4251fe2dd6609e0afc8e5a"
-HEX256_SEED13_CSV_SHA256 = "e0f3da5eaaf4b67a8ac5af38cb6d48c2a2c6e4baade2aaa8c5bde9b50708bf97"
+HEX256_SEED13_CSV_SHA256 = "34e3b5fadc8bdb9026532d05f7d249c1f5246586de5eab9a06fc45c7e0f97c68"
 
 
 def test_pinned_output_hashes(stub_run, cert_report, hex256_run):
@@ -468,9 +470,10 @@ def test_anchored_curvature_counts(hex256_run, cert_report):
 # sha256 of the trajectory.csv of two runs that take the safeguard paths the
 # runs above never take: a disordered stub32 (3 backtracks, 2 Gauss-Seidel
 # repairs, 40 joint projections) and a run whose nudge trigger fires (2 nudges).
+# The nudge run's lambda2 column moved with the values-only eigensolve, as above.
 SAFEGUARD_PATH_CSV_SHA256 = {
     "backtrack_gs_repair": "ec3f91eca81d5006da030bf927f61443f8493150dd32415248a128120199529c",
-    "nudge": "3abc1b1d3453ceffeaee36fc552d172a2256178b4d0ebbb725c060ea418e6789",
+    "nudge": "13818b9ec50504864a5c94c5e8191752a8248cf45e5846f66ff9a1724ffe74a9",
 }
 
 

@@ -10,7 +10,7 @@ from hypothesis.strategies import floats as st_floats
 from hypothesis.strategies import integers as st_integers
 from hypothesis.strategies import lists as st_lists
 from hypothesis.strategies import sampled_from
-from util import gauge_eigs, hex_two_sphere, make_ds, pair_state
+from util import big_cell, gauge_eigs, hex_two_sphere, make_ds, pair_state, ref_spectrum
 
 from spit import barrier, dynamics, harness, projection
 from spit.barrier import (
@@ -49,7 +49,7 @@ from spit.geometry import (
     min_slack_of,
 )
 from spit.harness import RunConfig, certify, config_from_preset, make_testbed, random_feasible_state
-from spit.spectral import build_contact_graph, fiedler
+from spit.spectral import build_contact_graph
 
 P = BarrierParams(nu=1e-2, delta=1e-3, R=2.5)
 
@@ -259,17 +259,14 @@ def test_apply_nudge_inside_loop_is_energy_safe():
         members = contacts_within(st, shifts, P.R)
         L = estimate_L(st, shifts, P, members=members).value
         ds = make_ds(st, P, L_hat=L)
-        graph = build_contact_graph(st, shifts, 0.1, base=members)
-        if len(graph) == 0:
+        if len(build_contact_graph(st, shifts, 0.1, base=members)) == 0:
             continue
-        _, fvec = fiedler(graph)
-        cfg = RunConfig(N=6, unsafe=True)
+        cfg = RunConfig(N=6, eps_active=0.1, unsafe=True)
         events = []
         E_ref = lyapunov(ds, barrier_value(st, shifts, P, members=members))
         ev = barrier_energy(st, shifts, P, members=members)
         counts = {"gs_repairs": 0, "projections_x": 0}
-        out = _apply_nudge(ds, ev, P, shifts, graph, fvec, L, cfg, E_ref, counts, events,
-                           step=1)
+        out = _apply_nudge(ds, ev, P, shifts, L, cfg, E_ref, counts, events, step=1)
         if out is None:
             continue
         ds_new, ev_new, e_new = out
@@ -296,13 +293,11 @@ def test_apply_nudge_repairs_through_the_safeguard():
     members = contacts_within(st, shifts, P.R)
     L = estimate_L(st, shifts, P, members=members).value
     ds = make_ds(st, P, L_hat=L)
-    graph = build_contact_graph(st, shifts, 0.1, base=members)
-    _, fvec = fiedler(graph)
     ev = barrier_energy(st, shifts, P, members=members)
     E_ref = lyapunov(ds, ev.value)
     counts = {"gs_repairs": 0, "projections_x": 0}
     events = []
-    out = _apply_nudge(ds, ev, P, shifts, graph, fvec, L, RunConfig(N=6, unsafe=True), E_ref,
+    out = _apply_nudge(ds, ev, P, shifts, L, RunConfig(N=6, eps_active=0.1, unsafe=True), E_ref,
                        counts, events, step=1)
     assert out is not None
     ds_new, ev_new, e_new = out
@@ -463,52 +458,87 @@ def test_one_barrier_evaluation_per_accepted_step(workload, monkeypatch):
 
 @pytest.mark.parametrize("N, steps, seed", [(32, 200, 7), (256, 50, 13)])
 def test_fiedler_solved_once_per_contact_graph(N, steps, seed, monkeypatch):
-    # lambda2 and its vector depend only on the pair edges, so the loop solves
-    # once per change of the edge list and hands back that solve bit for bit
-    solves, spectra = [], []
-    solve, spectrum = dynamics.fiedler, dynamics._spectrum
+    # lambda2 depends only on the pair edges, so the loop solves once per
+    # change of the edge list and hands back that value bit for bit; without
+    # a nudge it builds no contact graph and no Fiedler vector
+    values, spectra, built = [], [], []
+    value, spectrum = dynamics.fiedler_value, dynamics._spectrum
 
-    def counting(graph):
-        solves.append(graph)
-        return solve(graph)
+    def counting(*args):
+        values.append(args)
+        return value(*args)
 
-    def recording(*args):
-        spectra.append(spectrum(*args))
-        return spectra[-1]
+    def recording(state, ev, eps, solved):
+        spectra.append((state, ev, eps, spectrum(state, ev, eps, solved)))
+        return spectra[-1][-1]
 
-    monkeypatch.setattr(dynamics, "fiedler", counting)
+    monkeypatch.setattr(dynamics, "fiedler_value", counting)
     monkeypatch.setattr(dynamics, "_spectrum", recording)
-    run_trajectory(config_from_preset("stub32", N=N, max_steps=steps, seed=seed))
-    last, changes = None, 0
-    for graph, lam2, vec in spectra:
-        if vec is None:
+    for name in ("build_contact_graph", "fiedler"):
+        monkeypatch.setattr(dynamics, name, lambda *a, name=name, **k: built.append(name))
+    config = config_from_preset("stub32", N=N, max_steps=steps, seed=seed)
+    run_trajectory(config)
+    assert built == []
+    last, changes, ref_solved = None, 0, {}
+    for state, ev, eps, (edges, lam2) in spectra:
+        shifts = build_shift_set(state.basis, config.R)
+        graph, ref_lam2, ref_vec = ref_spectrum(state, ev, shifts, eps, ref_solved)
+        assert (edges is None) == (ref_vec is None)
+        if edges is None:
             assert lam2 == 0.0
             continue
-        pair = ~graph.loop_mask
-        edges = np.stack([graph.edges.i[pair], graph.edges.j[pair]])
+        assert edges.tobytes() == graph.pair_edges.tobytes()
         changes += last is None or not np.array_equal(edges, last)
         last = edges
-        fresh_lam2, fresh_vec = solve(graph)
-        assert lam2 == fresh_lam2 and vec.tobytes() == fresh_vec.tobytes()
-    assert len(spectra) == steps + 1 and len(solves) == changes < len(spectra)
-    assert not vec.flags.writeable
-    with pytest.raises(ValueError):
-        vec[0] = 0.0  # a caller cannot corrupt the stored solve
+        assert lam2 == value(state.N, edges)
+        assert abs(lam2 - ref_lam2) <= 1e-12 * abs(ref_lam2)
+    assert len(spectra) == steps + 1
+    assert len(values) == changes == {32: 3, 256: 5}[N]
 
 
 @pytest.mark.parametrize("gap", [-1e-9, 0.0, 1e-9, 1e-3])
 def test_spectrum_skips_only_edgeless_graphs(gap):
-    # the slack test skips the graph only when it has no edge, down to a pair
-    # at exactly d = 2 + eps
+    # the slack test finds no edge only when the graph has none, down to a
+    # pair at exactly d = 2 + eps
     eps = 0.05
     st = pair_state(2.0 + eps + gap)
     shifts = build_shift_set(st.basis, P.R)
     ev = barrier_energy(st, shifts, P)
-    edges = len(build_contact_graph(st, shifts, eps, base=ev.contacts))
-    assert edges == (gap <= 0.0)
-    graph, lam2, vec = dynamics._spectrum(st, ev, shifts, eps, {})
-    assert (graph is None) == (edges == 0)
-    assert lam2 == pytest.approx(2.0 * edges) and (vec is None) == (edges == 0)
+    graph = build_contact_graph(st, shifts, eps, base=ev.contacts)
+    assert len(graph) == (gap <= 0.0)
+    edges, lam2 = dynamics._spectrum(st, ev, eps, {})
+    assert (edges is None) == (len(graph) == 0)
+    assert lam2 == pytest.approx(2.0 * len(graph))
+    if edges is not None:
+        assert edges.tobytes() == graph.pair_edges.tobytes()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(n=sampled_from([2, 3]), N=st_integers(2, 6), seed=st_integers(0, 10_000),
+       ulps=st_integers(-2, 2))
+def test_slack_mask_is_the_contact_graph(n, N, seed, ulps):
+    # `_spectrum`'s pair edges, read off the evaluation's slacks, are those of
+    # `build_contact_graph` on the member list: on a random state at a scale
+    # through one of its member distances, and on a pair at d = 2 + eps, each
+    # scale or distance moved by a few ulps
+    rng = np.random.default_rng(seed)
+    st = random_feasible_state(seed=seed, N=N, n=n)
+    ev = barrier_energy(st, build_shift_set(st.basis, P.R), P)
+    eps = float(np.sqrt(4.0 + rng.choice(ev.slack))) - 2.0
+    eps = float(np.clip(eps + ulps * np.spacing(eps), 0.0, 0.5))
+    d = 2.0 + rng.uniform(1e-3, 0.5)
+    u = rng.standard_normal(n)
+    x = np.stack([np.zeros(n), (d + ulps * np.spacing(d)) * u / np.linalg.norm(u)])
+    pair = PackingState.make(x, big_cell(n))
+    for state, scale in ((st, eps), (pair, d - 2.0)):
+        shifts = build_shift_set(state.basis, P.R)
+        ev = barrier_energy(state, shifts, P)
+        edges, _ = dynamics._spectrum(state, ev, scale, {})
+        want = build_contact_graph(state, shifts, scale, base=ev.contacts).pair_edges
+        if edges is None:
+            assert want.shape[1] == 0
+        else:
+            assert edges.tobytes() == want.tobytes()
 
 
 def test_certify_builds_no_contact_graph(monkeypatch):

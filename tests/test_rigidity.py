@@ -17,7 +17,7 @@ from spit.geometry import (
     r_vectors,
     volume_gradient,
 )
-from spit.harness import random_feasible_state
+from spit.harness import cubic_cell, random_feasible_state
 from spit.rigidity import (
     MotionVector,
     active_set,
@@ -216,6 +216,21 @@ def test_prestress_square_fails_for_any_nonnegative_stress():
         flag, min_eig = prestress_stable(st, act, omega)
         assert not flag
         assert min_eig <= 1e-10
+
+
+@pytest.mark.parametrize("scale", [1e-11, 1.0, 1e3])
+def test_prestress_verdict_ignores_the_stress_scale(scale):
+    # positive definiteness does not depend on the stress scale: the
+    # hexagonal optimum stays stable under tiny and large stresses, and the
+    # square and simple cubic saddles stay unstable
+    cases = [(hex_single_sphere(), True), (square_single_sphere(), False),
+             (PackingState.make(*cubic_cell(8, 3)), False)]
+    for st, stable in cases:
+        act = active_set(st, build_shift_set(st.basis, P.R), tol_active=1e-9)
+        flag, min_eig = prestress_stable(st, act, scale * np.ones(len(act)))
+        assert flag is stable
+        if stable:
+            assert min_eig == pytest.approx(3.0 * scale, rel=1e-9)
 
 
 def test_prestress_negative_stress_goes_negative():

@@ -2,6 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis.strategies import integers as st_integers
+from hypothesis.strategies import lists as st_lists
+from hypothesis.strategies import tuples as st_tuples
 from util import hex_single_sphere, make_ds, pair_state
 
 from spit.barrier import BarrierParams, barrier_energy, estimate_L
@@ -15,6 +19,7 @@ from spit.spectral import (
     build_contact_graph,
     cheeger_check,
     fiedler,
+    fiedler_value,
     laplacian,
     lift_mode,
     nudge_alpha,
@@ -78,7 +83,7 @@ def test_fiedler_path3():
     g = graph_from_edges(3, [(0, 1), (1, 2)])
     lam, _ = fiedler(g)
     # dense-oracle eigenvalues of the path Laplacian are {0, 1, 3}
-    w = np.linalg.eigvalsh(laplacian(g))
+    w = np.linalg.eigvalsh(laplacian(g.n_vertices, g.pair_edges))
     assert lam == pytest.approx(sorted(w)[1], abs=1e-12)
     assert lam == pytest.approx(1.0, abs=1e-12)
 
@@ -101,10 +106,10 @@ def test_fiedler_ring100_matches_full_spectrum():
     edges = [(i, (i + 1) % N) for i in range(N)]
     g = graph_from_edges(N, edges)
     lam, vec = fiedler(g, tol=1e-12)
-    want = float(np.sort(np.linalg.eigvalsh(laplacian(g)))[1])
+    want = float(np.sort(np.linalg.eigvalsh(laplacian(g.n_vertices, g.pair_edges)))[1])
     assert lam == pytest.approx(want, rel=1e-10)
     assert abs(float(np.sum(vec))) <= 1e-8
-    assert np.linalg.norm(laplacian(g) @ vec - lam * vec) <= 1e-10
+    assert np.linalg.norm(laplacian(g.n_vertices, g.pair_edges) @ vec - lam * vec) <= 1e-10
 
 
 def _fiedler_uncached(graph):
@@ -140,7 +145,7 @@ def _stub32_graph():
 def test_fiedler_bytes_match_uncached_reference(make_graph):
     g = make_graph()
     L_ref, lam_ref, vec_ref = _fiedler_uncached(g)
-    assert laplacian(g).tobytes() == L_ref.tobytes()
+    assert laplacian(g.n_vertices, g.pair_edges).tobytes() == L_ref.tobytes()
     for _ in range(2):  # the second call reuses the cached basis
         lam, vec = fiedler(g)
         assert np.float64(lam).tobytes() == np.float64(lam_ref).tobytes()
@@ -149,6 +154,40 @@ def test_fiedler_bytes_match_uncached_reference(make_graph):
     assert Q is _ones_complement(g.n_vertices)
     with pytest.raises(ValueError):
         Q[0, 0] = 1.0
+
+
+def _connected(N: int, edges) -> bool:
+    reached, frontier = {0}, [0]
+    while frontier:
+        a = frontier.pop()
+        for b in {j for i, j in edges if i == a} | {i for i, j in edges if j == a}:
+            if b not in reached:
+                reached.add(b)
+                frontier.append(b)
+    return len(reached) == N
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(N=st_integers(2, 12), ends=st_lists(st_tuples(st_integers(0, 11), st_integers(0, 11)),
+                                            max_size=40))
+@example(N=2, ends=[]).via("two vertices, no edge")
+@example(N=2, ends=[(0, 1), (1, 0), (1, 1)]).via("two vertices, a double edge and a loop")
+def test_fiedler_value_matches_fiedler_on_multigraphs(N, ends):
+    # loops and repeated edges included; a disconnected graph has lambda2 = 0
+    edges = [(i % N, j % N) for i, j in ends]
+    g = graph_from_edges(N, edges)
+    lam = fiedler_value(N, g.pair_edges)
+    want, _ = fiedler(g)
+    scale = 2.0 * float(np.max(np.diag(laplacian(N, g.pair_edges)))) + 1.0
+    assert abs(lam - want) <= 1e-12 * scale
+    assert lam >= 0.0 and (lam > 1e-9) == _connected(N, edges)
+    if N == 2:
+        assert lam == pytest.approx(2.0 * sum(i != j for i, j in edges), abs=1e-12)
+
+
+def test_fiedler_value_requires_two_vertices():
+    with pytest.raises(ValueError):
+        fiedler_value(1, np.zeros((2, 0), dtype=np.int64))
 
 
 def test_cheeger_cycle4():

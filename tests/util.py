@@ -273,3 +273,22 @@ def ref_is_periodically_rigid(state: PackingState, active, rank_tol: float = 1e-
         basis = W
     k = basis.shape[1]
     return k == 0, k, basis
+
+
+def ref_spectrum(state: PackingState, ev, shifts, eps: float, solved: dict):
+    """`dynamics._spectrum` as it was with a contact graph every step and the
+    Fiedler pair from `fiedler`'s restricted `eigh`: (graph, lambda2, vector)."""
+    from spit.spectral import build_contact_graph, fiedler
+
+    if ev.min_slack > (2.0 + eps) ** 2 - 4.0 + 1e-12:
+        return None, 0.0, None
+    graph = build_contact_graph(state, shifts, eps, base=ev.contacts)
+    pair = ~graph.loop_mask
+    if not pair.any():  # also every graph of one sphere
+        return graph, 0.0, None
+    edges = np.stack([graph.edges.i[pair], graph.edges.j[pair]])
+    if not np.array_equal(edges, solved.get("edges")):
+        lam2, vec = fiedler(graph)
+        vec.flags.writeable = False
+        solved.update(edges=edges, spectrum=(lam2, vec))
+    return graph, *solved["spectrum"]
