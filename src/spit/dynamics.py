@@ -83,6 +83,7 @@ from .spectral import (
     lift_mode,
     nudge_alpha,
     nudge_trigger,
+    pair_edges_of,
 )
 
 logger = logging.getLogger("spit")
@@ -464,22 +465,11 @@ def run_trajectory(config, initial: DynamicsState | None = None) -> TrajectoryRe
 
 
 def _spectrum(state, ev, eps, solved) -> tuple:
-    """(pair edges, lambda2) of the contact graph at `state`, scale eps.
-
-    The edges are `ev`'s members other than self-images with slack d^2 - 4 <=
-    (2 + eps)^2 - 4, exactly `build_contact_graph(..., base=ev.contacts)`'s
-    d^2 <= (2 + eps)^2: x - 4 is exact for every double x in [2, 2^54)
-    (Sterbenz below 8, a multiple of ulp(x) above).  Without an edge (most
-    such steps show at `ev.min_slack`) the edges are None and lambda2 0; it
-    is solved only when the edges differ from the last solve's in `solved`.
-    """
-    cap = (2.0 + eps) * (2.0 + eps) - 4.0
-    if ev.min_slack > cap:
+    """(`pair_edges_of(ev, eps)`, lambda2), or (None, 0) without an edge;
+    lambda2 is solved only when the edges differ from the last solve's in `solved`."""
+    edges = pair_edges_of(ev, eps)
+    if edges is None:
         return None, 0.0
-    keep = (ev.slack <= cap) & (ev.contacts.i != ev.contacts.j)
-    if not keep.any():  # also every graph of one sphere
-        return None, 0.0
-    edges = np.stack([ev.contacts.i[keep], ev.contacts.j[keep]])
     if not np.array_equal(edges, solved.get("edges")):
         solved.update(edges=edges, lambda2=fiedler_value(state.N, edges))
     return edges, solved["lambda2"]

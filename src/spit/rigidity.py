@@ -156,13 +156,12 @@ def prestress_stable(state: PackingState, active: Contacts, omega) -> tuple[bool
 
     Returns the flag and the form's least eigenvalue on the complement C of
     the trivial motions, that of (P C)^T diag(omega) (P C) with P the motion
-    operator M in unit-normal rows: a margin, finite whenever any contact is
-    active; the flag asks for more than _RANK_TOL times the largest, whatever
-    the stress scale.  A nontrivial flex m has M m = 0, and so has its nonzero
-    component in the span of C (M annihilates the trivial motions), where the
-    form therefore vanishes.  Positive definiteness on C thus rules out every
-    nontrivial flex: strict prestress stability implies periodic
-    infinitesimal rigidity.
+    operator M in unit-normal rows (the flag: above _RANK_TOL times the
+    largest, whatever the stress scale).  A nontrivial flex m has M m = 0, and
+    so has its nonzero component in the span of C (M annihilates the trivial
+    motions), where the form therefore vanishes.  Positive definiteness on C
+    thus rules out every nontrivial flex: strict prestress stability implies
+    periodic infinitesimal rigidity.
     """
     PC = _normal_rows(state, active) @ _nontrivial_motions(state)
     G = PC.T @ (_omega_array(active, omega)[:, None] * PC)

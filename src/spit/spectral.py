@@ -17,7 +17,6 @@ import numpy as np
 
 from .geometry import Contacts, PackingState, ShiftIndexSet, contacts_within, gauge_project, r_vectors
 
-
 @dataclass(frozen=True)
 class ContactGraph:
     """Vertices, canonical contact edges, unit normals, and gaps ||r|| - 2.
@@ -54,10 +53,23 @@ def build_contact_graph(state: PackingState, shifts: ShiftIndexSet, eps: float,
     dist = np.linalg.norm(r, axis=1)
     normals = r / np.maximum(dist, 1e-300)[:, None]
     gaps = dist - 2.0
+    degrees = np.zeros(state.N, dtype=np.int64)
     pair = near.i != near.j
-    degrees = np.bincount(np.concatenate([near.i[pair], near.j[pair]]), minlength=state.N)
+    np.add.at(degrees, near.i[pair], 1)
+    np.add.at(degrees, near.j[pair], 1)
     return ContactGraph(n_vertices=state.N, edges=near, normals=normals,
                         gaps=gaps, degrees=degrees)
+
+
+def pair_edges_of(ev, eps: float) -> np.ndarray | None:
+    """`build_contact_graph(..., eps, base=ev.contacts).pair_edges`, or None, from
+    the `BarrierEval` `ev`'s slacks d^2 - 4: x - 4 is exact for doubles x in [2, 2^54)
+    (Sterbenz to 8, then ulp(x) divides 4): slack <= (2+eps)^2 - 4 iff d^2 <= (2+eps)^2."""
+    cap = (2.0 + eps) * (2.0 + eps) - 4.0
+    if ev.min_slack > cap:  # one compare rules out most edgeless evaluations
+        return None
+    keep = (ev.slack <= cap) & (ev.contacts.i != ev.contacts.j)
+    return np.stack([ev.contacts.i[keep], ev.contacts.j[keep]]) if keep.any() else None
 
 
 def laplacian(N: int, edges: np.ndarray) -> np.ndarray:
@@ -108,16 +120,15 @@ def fiedler(graph: ContactGraph, tol: float = 1e-10) -> tuple[float, np.ndarray]
     return lam, _sign_fix(Q @ V[:, 0])
 
 
-def fiedler_value(N: int, edges: np.ndarray, tol: float = 1e-10) -> float:
-    """`fiedler`'s value alone from (2, m) pair edges: the least eigenvalue of
-    L + s 11^T / N, whose s = 2 max-degree + 1 > lambda_max(L) (Gershgorin)
-    lifts the ones-mode above the rest of the spectrum.  Same clamp."""
+def fiedler_value(N: int, edges: np.ndarray) -> float:
+    """`fiedler`'s value, clamped alike, from (2, m) pair edges: the least eigenvalue
+    of L + s 11^T / N, as s = 2 max-degree + 1 > lambda_max(L) (Gershgorin)."""
     if N < 2:
         raise ValueError("fiedler value needs at least two vertices")
     L = laplacian(N, edges)
     L += (2.0 * L.diagonal().max() + 1.0) / N
     lam = float(np.linalg.eigvalsh(L)[0])
-    return max(lam, 0.0) if abs(lam) < tol else lam
+    return max(lam, 0.0) if abs(lam) < 1e-10 else lam
 
 
 @dataclass(frozen=True)

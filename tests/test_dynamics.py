@@ -49,7 +49,7 @@ from spit.geometry import (
     min_slack_of,
 )
 from spit.harness import RunConfig, certify, config_from_preset, make_testbed, random_feasible_state
-from spit.spectral import build_contact_graph
+from spit.spectral import build_contact_graph, pair_edges_of
 
 P = BarrierParams(nu=1e-2, delta=1e-3, R=2.5)
 
@@ -517,8 +517,8 @@ def test_spectrum_skips_only_edgeless_graphs(gap):
 @given(n=sampled_from([2, 3]), N=st_integers(2, 6), seed=st_integers(0, 10_000),
        ulps=st_integers(-2, 2))
 def test_slack_mask_is_the_contact_graph(n, N, seed, ulps):
-    # `_spectrum`'s pair edges, read off the evaluation's slacks, are those of
-    # `build_contact_graph` on the member list: on a random state at a scale
+    # the pair edges read off the evaluation's slacks, `_spectrum`'s, are those
+    # of `build_contact_graph` on the member list: on a random state at a scale
     # through one of its member distances, and on a pair at d = 2 + eps, each
     # scale or distance moved by a few ulps
     rng = np.random.default_rng(seed)
@@ -533,7 +533,7 @@ def test_slack_mask_is_the_contact_graph(n, N, seed, ulps):
     for state, scale in ((st, eps), (pair, d - 2.0)):
         shifts = build_shift_set(state.basis, P.R)
         ev = barrier_energy(state, shifts, P)
-        edges, _ = dynamics._spectrum(state, ev, scale, {})
+        edges = pair_edges_of(ev, scale)
         want = build_contact_graph(state, shifts, scale, base=ev.contacts).pair_edges
         if edges is None:
             assert want.shape[1] == 0
