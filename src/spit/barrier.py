@@ -251,6 +251,23 @@ class HessianChange:
         return d * (1.0 + 4.0 * self.tol)
 
 
+def pair_mode_rayleigh(state: PackingState, contacts: Contacts, K: np.ndarray) -> float:
+    """l <= lambda_max of the gauge position (or joint) Hessian on `contacts`,
+    from its `contact_blocks` K: the Rayleigh quotient of v = (e_i - e_j) (x) r,
+    r the separation of the stiffest pair contact (largest ||K_c||_F) and an
+    eigenvector of its K_c; 0 without a pair.  v is mean-zero with no basis part
+    and moves contact c by t_c r, t_c in {0, +-1, +-2}, so l = sum_c t_c^2
+    r^T K_c r / (2 ||r||^2)."""
+    i, j = contacts.i, contacts.j
+    pair = i != j
+    if not pair.any():
+        return 0.0
+    c = int(np.argmax(np.where(pair, np.einsum("mab,mab->m", K, K), -1.0)))
+    r = r_vectors(state, contacts.take([c]))[0]
+    t = (i == i[c]).astype(float) - (i == j[c]) - (j == i[c]) + (j == j[c])
+    return float(np.einsum("m,a,mab,b->", t * t, r, K, r)) / (2.0 * float(r @ r))
+
+
 class CurvatureBound(NamedTuple):
     value: float
     iters: int  # eigensolves

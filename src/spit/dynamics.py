@@ -18,10 +18,11 @@ the run's `CurvatureAnchors`: either a dense eigensolve of the position
 Hessian plus its roundoff margin (an anchor), or the anchor's bound plus a
 block-Gershgorin bound on how far the Hessian has changed since (Weyl's
 inequality).  Either way it is a certified upper bound at the state where it
-is taken, at most THETA above the anchor's.  Between refreshes the curvature
-can still grow, so the trajectory loop also checks descent directly: steps
-that raise E (or leave the feasible region) are redone with a halved time
-step.
+is taken, at most THETA above the anchor's or ADMIT above a Rayleigh quotient
+below lambda_max (dense solves per run: N=256 4, stub32 32, N=1024 5; 8, 78
+and 9 without the Rayleigh test).  Between refreshes the curvature can still
+grow, so the trajectory loop also checks descent directly: steps that raise E
+(or leave the feasible region) are redone with a halved time step.
 
 `run_trajectory` evaluates the barrier once per accepted step: a step's
 second gradient is taken at the gauge-projected new state, so that one
@@ -57,6 +58,7 @@ from .barrier import (
     estimate_L,
     estimate_L_joint,
     estimate_m,
+    pair_mode_rayleigh,
 )
 from .errors import (
     FeasibilityError,
@@ -94,6 +96,10 @@ REFRESH_STEPS = 25  # the member list and curvature bounds are rebuilt this ofte
 # an anchor's spectrum serves while the Hessian change bound stays within this
 # share of its L; at 0.1 a bound is at most 10 % above the anchor's L
 THETA = 0.1
+# past THETA an update serves while within this share above a Rayleigh quotient
+# l <= lambda_max, so dt is at least 0.99 of a dense solve's; at 0.1 certify-n4
+# seed 2 took 4 % more steps than with dense bounds, at 0.02 none qualifies
+ADMIT = 0.02
 
 
 @dataclass(frozen=True)
@@ -202,16 +208,19 @@ class CurvatureAnchors:
     An estimate on the member list of the kind's anchor (position or joint
     Hessian) is L_hat = L_a + d and m_hat = max(m_a - d, 0) with d =
     `HessianChange.bound` >= ||H - H_a||_2, certified by Weyl's inequality
-    |lambda_k(H) - lambda_k(H_a)| <= ||H - H_a||_2 on the gauge subspace.  Any
-    other estimate, and one whose d exceeds THETA L_a, is a dense solve
-    (`estimate_L` and `estimate_m`, or `estimate_L_joint`, whose m is 0) that
-    becomes the kind's anchor.  `solves` and `updates` count the two.
+    |lambda_k(H) - lambda_k(H_a)| <= ||H - H_a||_2 on the gauge subspace, while
+    d <= THETA L_a or, past that, L_a + d <= (1 + ADMIT) l with l <= lambda_max
+    the `pair_mode_rayleigh` (tight when one pair squeezed toward delta is the
+    change; m_hat then mostly reads 0).  l only decides; Weyl certifies.  Any
+    other estimate is a dense solve (`estimate_L` and `estimate_m`, or
+    `estimate_L_joint`, whose m is 0) that becomes the kind's anchor.  `solves`
+    and `updates` count the two, `admitted` the updates past THETA.
     """
 
     def __init__(self, shifts: ShiftIndexSet, p: BarrierParams):
         self.shifts, self.p = shifts, p
         self.latest: dict[bool, _Anchor] = {}  # keyed by `joint`
-        self.solves = self.updates = 0
+        self.solves = self.updates = self.admitted = 0
 
     def bounds(self, state: PackingState, members: Contacts,
                joint: bool = False) -> tuple[float, float]:
@@ -220,8 +229,11 @@ class CurvatureAnchors:
         anchor = self.latest.get(joint)
         if anchor is not None and anchor.key == members.key:
             d = anchor.change.bound(K)
-            if d <= THETA * anchor.L:
+            admitted = d > THETA * anchor.L  # an update past THETA, if the probe admits it
+            if not admitted or \
+                    anchor.L + d <= (1.0 + ADMIT) * pair_mode_rayleigh(state, members, K):
                 self.updates += 1
+                self.admitted += admitted
                 return anchor.L + d, max(anchor.m - d, 0.0)
         if joint:
             L, m = estimate_L_joint(state, self.shifts, self.p, members=members).value, 0.0
@@ -459,7 +471,8 @@ def run_trajectory(config, initial: DynamicsState | None = None) -> TrajectoryRe
                             lambda2=lam2, dt=dt_step, backtracked=backtracks, nudged=nudged,
                             projection=projection, E_before=E_before, E_unprojected=E_unproj))
 
-    counts.update(curvature_solves=anchors.solves, curvature_updates=anchors.updates)
+    counts.update(curvature_solves=anchors.solves, curvature_updates=anchors.updates,
+                  curvature_admitted=anchors.admitted)
     return TrajectoryRecord(rows=rows, events=events, final_state=ds, terminated=terminated,
                             counts=counts, initial=initial_metrics)
 

@@ -9,7 +9,6 @@ and Poincare checks are exact-at-small-scale test oracles for the Laplacian.
 
 from __future__ import annotations
 
-import functools
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -84,17 +83,6 @@ def laplacian(N: int, edges: np.ndarray) -> np.ndarray:
     return L
 
 
-@functools.lru_cache(maxsize=None)
-def _ones_complement(N: int) -> np.ndarray:
-    # orthonormal basis of the mean-zero subspace via QR of [1 | I]; cached
-    # per N and read-only
-    M = np.concatenate([np.ones((N, 1)) / np.sqrt(N), np.eye(N)], axis=1)
-    q, _ = np.linalg.qr(M)
-    Q = q[:, 1:N]
-    Q.flags.writeable = False
-    return Q
-
-
 def _sign_fix(v: np.ndarray) -> np.ndarray:
     for c in v:
         if abs(c) > 1e-12:
@@ -102,33 +90,32 @@ def _sign_fix(v: np.ndarray) -> np.ndarray:
     return v
 
 
-def fiedler(graph: ContactGraph, tol: float = 1e-10) -> tuple[float, np.ndarray]:
-    """Second-smallest Laplacian eigenvalue and a unit mean-zero eigenvector.
-
-    Dense symmetric eigensolve of the Laplacian restricted to the mean-zero
-    subspace, for every graph size; a negative value within `tol` of zero is
-    clamped to zero.
-    """
-    N = graph.n_vertices
-    if N < 2:
-        raise ValueError("fiedler value needs at least two vertices")
-    Q = _ones_complement(N)
-    w, V = np.linalg.eigh(Q.T @ laplacian(N, graph.pair_edges) @ Q)
-    lam = float(w[0])
-    if abs(lam) < tol:
-        lam = max(lam, 0.0)
-    return lam, _sign_fix(Q @ V[:, 0])
-
-
-def fiedler_value(N: int, edges: np.ndarray) -> float:
-    """`fiedler`'s value, clamped alike, from (2, m) pair edges: the least eigenvalue
-    of L + s 11^T / N, as s = 2 max-degree + 1 > lambda_max(L) (Gershgorin)."""
+def _shifted_laplacian(N: int, edges: np.ndarray) -> np.ndarray:
+    """L + s 11^T / N of (2, m) pair edges, s = 2 max-degree + 1 > lambda_max(L)
+    (Gershgorin): the shift lifts the constant mode above the spectrum, so the
+    least eigenpair is the Fiedler pair of L."""
     if N < 2:
         raise ValueError("fiedler value needs at least two vertices")
     L = laplacian(N, edges)
     L += (2.0 * L.diagonal().max() + 1.0) / N
-    lam = float(np.linalg.eigvalsh(L)[0])
+    return L
+
+
+def _clamped(lam: float) -> float:
     return max(lam, 0.0) if abs(lam) < 1e-10 else lam
+
+
+def fiedler(graph: ContactGraph) -> tuple[float, np.ndarray]:
+    """Second-smallest Laplacian eigenvalue and a unit mean-zero eigenvector:
+    the least eigenpair of the shifted Laplacian, from one dense `eigh`; a
+    negative value within 1e-10 of zero is clamped to zero."""
+    w, V = np.linalg.eigh(_shifted_laplacian(graph.n_vertices, graph.pair_edges))
+    return _clamped(float(w[0])), _sign_fix(V[:, 0])
+
+
+def fiedler_value(N: int, edges: np.ndarray) -> float:
+    """`fiedler`'s value, from (2, m) pair edges and one values-only eigensolve."""
+    return _clamped(float(np.linalg.eigvalsh(_shifted_laplacian(N, edges))[0]))
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ from spit.barrier import (
     BarrierParams,
     barrier_energy,
     barrier_value,
+    contact_blocks,
     estimate_L,
     estimate_L_joint,
     estimate_m,
@@ -28,6 +29,7 @@ from spit.barrier import (
     hvp_x,
     lipschitz_bound,
     observed_slack_cap,
+    pair_mode_rayleigh,
     phi,
 )
 from spit.errors import InfeasibleSlackError
@@ -303,6 +305,23 @@ def test_estimate_L_bounds_lambda_max_on_n4_seed3_testbed():
     got = estimate_L(st, shifts, P, members=members)
     assert got.converged
     assert lam_max <= got.value <= lam_max * (1.0 + 1e-12)
+
+
+def _probe_and_spectrum(state):
+    members = contacts_within(state, build_shift_set(state.basis, P.R), P.R)
+    ell = pair_mode_rayleigh(state, members, contact_blocks(state, members, P))
+    return ell, gauge_eigs(hessian(state, members, P), state.N, state.x.shape[1])
+
+
+def test_pair_mode_rayleigh_is_lambda_max_of_one_pair_and_skips_self_images():
+    # one pair: the pair mode is the top eigenvector, so the probe is lambda_max
+    ell, w = _probe_and_spectrum(pair_state(2.0 + 1e-3))
+    assert ell == pytest.approx(float(w[-1]), rel=1e-12)
+    # a self-image at slack 2e-3 is stiffer than every pair, but it moves no
+    # position, so the probe takes the stiffest pair and stays a lower bound
+    B = LatticeBasis(np.diag([2.0005, 50.0]))
+    ell, w = _probe_and_spectrum(PackingState.make(np.array([[0.0, 0.0], [1.0, 2.2]]), B))
+    assert 0.0 < ell <= float(w[-1])
 
 
 def test_lipschitz_closed_form_bound():

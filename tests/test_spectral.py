@@ -14,7 +14,6 @@ from spit.harness import config_from_preset, make_testbed
 from spit.spectral import (
     ContactGraph,
     NudgeHistory,
-    _ones_complement,
     _window_median,
     build_contact_graph,
     cheeger_check,
@@ -101,20 +100,20 @@ def test_fiedler_requires_two_vertices():
 
 
 def test_fiedler_ring100_matches_full_spectrum():
-    # a 100-vertex ring: the restricted dense solve serves graphs of every size
+    # a 100-vertex ring: the shifted dense solve serves graphs of every size
     N = 100
     edges = [(i, (i + 1) % N) for i in range(N)]
     g = graph_from_edges(N, edges)
-    lam, vec = fiedler(g, tol=1e-12)
+    lam, vec = fiedler(g)
     want = float(np.sort(np.linalg.eigvalsh(laplacian(g.n_vertices, g.pair_edges)))[1])
     assert lam == pytest.approx(want, rel=1e-10)
     assert abs(float(np.sum(vec))) <= 1e-8
     assert np.linalg.norm(laplacian(g.n_vertices, g.pair_edges) @ vec - lam * vec) <= 1e-10
 
 
-def _fiedler_uncached(graph):
-    """The Fiedler pair as computed before the basis cache and the vectorised
-    Laplacian: per-edge loop, fresh QR of [1 | I], restricted eigh."""
+def _fiedler_loop(graph):
+    """The Fiedler pair by a per-edge loop Laplacian, shifted by s 11^T / N with
+    s = 2 max-degree + 1, and one `eigh`."""
     N = graph.n_vertices
     L = np.zeros((N, N))
     pair = ~graph.loop_mask
@@ -123,10 +122,8 @@ def _fiedler_uncached(graph):
         L[j, j] += 1.0
         L[i, j] -= 1.0
         L[j, i] -= 1.0
-    M = np.concatenate([np.ones((N, 1)) / np.sqrt(N), np.eye(N)], axis=1)
-    Q = np.linalg.qr(M)[0][:, 1:N]
-    w, V = np.linalg.eigh(Q.T @ L @ Q)
-    v = Q @ V[:, 0]
+    w, V = np.linalg.eigh(L + (2.0 * L.diagonal().max() + 1.0) / N)
+    v = V[:, 0]
     first = v[np.argmax(np.abs(v) > 1e-12)]
     return L, float(w[0]), v if first > 0 else -v
 
@@ -142,18 +139,14 @@ def _stub32_graph():
 
 
 @pytest.mark.parametrize("make_graph", [_ring100, _stub32_graph], ids=["ring100", "stub32"])
-def test_fiedler_bytes_match_uncached_reference(make_graph):
+def test_fiedler_bytes_match_loop_reference(make_graph):
     g = make_graph()
-    L_ref, lam_ref, vec_ref = _fiedler_uncached(g)
+    L_ref, lam_ref, vec_ref = _fiedler_loop(g)
     assert laplacian(g.n_vertices, g.pair_edges).tobytes() == L_ref.tobytes()
-    for _ in range(2):  # the second call reuses the cached basis
-        lam, vec = fiedler(g)
-        assert np.float64(lam).tobytes() == np.float64(lam_ref).tobytes()
-        assert vec.tobytes() == vec_ref.tobytes()
-    Q = _ones_complement(g.n_vertices)
-    assert Q is _ones_complement(g.n_vertices)
-    with pytest.raises(ValueError):
-        Q[0, 0] = 1.0
+    lam, vec = fiedler(g)
+    assert np.float64(lam).tobytes() == np.float64(lam_ref).tobytes()
+    assert vec.tobytes() == vec_ref.tobytes()
+    assert abs(float(vec.sum())) <= 1e-12 and np.linalg.norm(vec) == pytest.approx(1.0)
 
 
 def _connected(N: int, edges) -> bool:
