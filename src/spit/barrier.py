@@ -7,6 +7,7 @@ The per-contact potential is
 summed over canonical contacts within the interaction radius.  The log term
 enforces strict feasibility; the quadratic term keeps the potential C^2 and
 pulls pairs toward a finite preferred slack, which is what packs the cell.
+An evaluation keeps each contact's separation r and slack for later consumers.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ from .geometry import (
     PackingState,
     ShiftIndexSet,
     contacts_within,
-    r_vectors,
+    lattice_shifts,
+    separations,
     slack_gradient,
     slack_values,
 )
@@ -77,12 +79,13 @@ def _phi2(s, p: BarrierParams):
 
 @dataclass(frozen=True)
 class BarrierEval:
-    """One barrier evaluation: value, both gradients, per-contact slacks and their minimum."""
+    """One barrier evaluation: value, both gradients, per-contact r, slacks and their minimum."""
 
     value: float
     grad_x: np.ndarray
     grad_B: np.ndarray
     contacts: Contacts
+    r: np.ndarray
     slack: np.ndarray
     min_slack: float
 
@@ -94,8 +97,7 @@ def _included(state: PackingState, shifts: ShiftIndexSet, p: BarrierParams,
 
 def _slacks(state: PackingState, contacts: Contacts):
     """r, the slacks ||r||^2 - 4 and their minimum (inf if none); raises if it is <= 0."""
-    r = r_vectors(state, contacts)
-    s = np.einsum("mk,mk->m", r, r) - 4.0
+    r, s = separations(state, contacts)
     least = float(s.min()) if s.size else float("inf")
     if least <= 0.0:
         raise InfeasibleSlackError("infeasible slack")
@@ -110,18 +112,13 @@ def barrier_energy(state: PackingState, shifts: ShiftIndexSet, p: BarrierParams,
     r, s, least = _slacks(state, contacts)
     gx, gB = slack_gradient(state, contacts, r, _phi1(s, p))
     return BarrierEval(value=float(_phi0(s, p).sum()), grad_x=gx, grad_B=gB,
-                       contacts=contacts, slack=s, min_slack=least)
+                       contacts=contacts, r=r, slack=s, min_slack=least)
 
 
 def barrier_value(state: PackingState, shifts: ShiftIndexSet, p: BarrierParams,
                   members: Contacts | None = None) -> float:
     """The value of `barrier_energy`."""
     return barrier_energy(state, shifts, p, members=members).value
-
-
-def _phi12(state: PackingState, contacts: Contacts, p: BarrierParams):
-    r, s, _ = _slacks(state, contacts)
-    return r, _phi1(s, p), _phi2(s, p)
 
 
 def hvp_x(state: PackingState, shifts: ShiftIndexSet, p: BarrierParams,
@@ -143,25 +140,23 @@ def hvp_joint(state: PackingState, shifts: ShiftIndexSet, p: BarrierParams,
     symmetric by construction.
     """
     contacts = _included(state, shifts, p, members)
-    r, d1, d2 = _phi12(state, contacts, p)
-    zf = contacts.z.astype(float)
-    w = dir_x[contacts.i] - dir_x[contacts.j] - zf @ np.asarray(dir_B, dtype=float).T
+    r, s, _ = _slacks(state, contacts)
+    w = dir_x[contacts.i] - dir_x[contacts.j] - lattice_shifts(contacts, np.asarray(dir_B, float))
     rw = np.einsum("mk,mk->m", r, w)
-    g = (4.0 * d2 * rw)[:, None] * r + (2.0 * d1)[:, None] * w
+    g = (4.0 * _phi2(s, p) * rw)[:, None] * r + (2.0 * _phi1(s, p))[:, None] * w
     out_x = np.zeros_like(dir_x, dtype=float)
     np.add.at(out_x, contacts.i, g)
     np.subtract.at(out_x, contacts.j, g)
-    out_B = -np.einsum("ma,mb->ab", g, zf)
+    out_B = -np.einsum("ma,mb->ab", g, contacts.zf)
     return out_x, out_B
 
 
-def contact_blocks(state: PackingState, contacts: Contacts, p: BarrierParams) -> np.ndarray:
-    """K_c = 4 phi'' r r^T + 2 phi' I, the Hessian of phi(||r||^2 - 4) in r, per
-    contact: an (m, n, n) array.  `hessian` and `HessianChange` are built from it."""
-    r, d1, d2 = _phi12(state, contacts, p)
+def contact_blocks(r: np.ndarray, s: np.ndarray, p: BarrierParams) -> np.ndarray:
+    """K_c = 4 phi'' r r^T + 2 phi' I, the Hessian of phi(||r||^2 - 4) in r, per contact
+    of separation r and slack s: an (m, n, n) array for `hessian` and `HessianChange`."""
     m, n = r.shape
-    K = ((4.0 * d2)[:, None] * r)[:, :, None] * r[:, None, :]
-    K.reshape(m, n * n)[:, ::n + 1] += (2.0 * d1)[:, None]  # the diagonal, in place
+    K = ((4.0 * _phi2(s, p))[:, None] * r)[:, :, None] * r[:, None, :]
+    K.reshape(m, n * n)[:, ::n + 1] += (2.0 * _phi1(s, p))[:, None]  # the diagonal, in place
     return K
 
 
@@ -181,7 +176,7 @@ def hessian(state: PackingState, contacts: Contacts, p: BarrierParams,
     N, n = state.x.shape
     Nn = N * n
     D = Nn + (n * n if joint else 0)
-    K = contact_blocks(state, contacts, p)
+    K = contact_blocks(*_slacks(state, contacts)[:2], p)
     pair = contacts.i != contacts.j
     i, j, Kp = contacts.i[pair], contacts.j[pair], K[pair]
     m, a = i.shape[0], np.arange(n)
@@ -195,7 +190,7 @@ def hessian(state: PackingState, contacts: Contacts, p: BarrierParams,
               ((u[:4 * m] * D + u[2 * m:])[:, None, None] + (a[:, None] * D + a)).ravel(),
               np.concatenate([Kp, Kp, -Kp, -Kp]).ravel())
     if joint:
-        zf = contacts.z.astype(float)
+        zf = contacts.zf
         # entry (a, c) of the basis columns of block row u is at (u n + a) D + N n + c
         c = a[:, None] * D + Nn + np.arange(n * n)
         Kz = (Kp[:, :, :, None] * zf[pair][:, None, None, :]).reshape(m, n, n * n)
@@ -251,11 +246,11 @@ class HessianChange:
         return d * (1.0 + 4.0 * self.tol)
 
 
-def pair_mode_rayleigh(state: PackingState, contacts: Contacts, K: np.ndarray) -> float:
+def pair_mode_rayleigh(contacts: Contacts, r: np.ndarray, K: np.ndarray) -> float:
     """l <= lambda_max of the gauge position (or joint) Hessian on `contacts`,
-    from its `contact_blocks` K: the Rayleigh quotient of v = (e_i - e_j) (x) r,
-    r the separation of the stiffest pair contact (largest ||K_c||_F) and an
-    eigenvector of its K_c; 0 without a pair.  v is mean-zero with no basis part
+    from their separations r and `contact_blocks` K: the Rayleigh quotient of v =
+    (e_i - e_j) (x) r_c, c the stiffest pair contact (largest ||K_c||_F) and r_c
+    an eigenvector of its K_c; 0 without a pair.  v is mean-zero with no basis part
     and moves contact c by t_c r, t_c in {0, +-1, +-2}, so l = sum_c t_c^2
     r^T K_c r / (2 ||r||^2)."""
     i, j = contacts.i, contacts.j
@@ -263,7 +258,7 @@ def pair_mode_rayleigh(state: PackingState, contacts: Contacts, K: np.ndarray) -
     if not pair.any():
         return 0.0
     c = int(np.argmax(np.where(pair, np.einsum("mab,mab->m", K, K), -1.0)))
-    r = r_vectors(state, contacts.take([c]))[0]
+    r = r[c]
     t = (i == i[c]).astype(float) - (i == j[c]) - (j == i[c]) + (j == j[c])
     return float(np.einsum("m,a,mab,b->", t * t, r, K, r)) / (2.0 * float(r @ r))
 
@@ -379,7 +374,4 @@ def lipschitz_bound(p: BarrierParams, slack_cap: float, radius: float, count: in
 def observed_slack_cap(state: PackingState, shifts: ShiftIndexSet, p: BarrierParams,
                        members: Contacts | None = None) -> float:
     """Largest included slack, used as the cap in closed-form constants."""
-    contacts = _included(state, shifts, p, members)
-    if len(contacts) == 0:
-        return p.delta
-    return max(float(np.max(slack_values(state, contacts))), p.delta)
+    return float(slack_values(state, _included(state, shifts, p, members)).max(initial=p.delta))

@@ -27,12 +27,12 @@ grow, so the trajectory loop also checks descent directly: steps that raise E
 `run_trajectory` evaluates the barrier once per accepted step: a step's
 second gradient is taken at the gauge-projected new state, so that one
 `BarrierEval` serves as the next step's first (first same as last) and for
-every energy, slack and logged value.  Its contacts are the member list.
-Verlet steps and nudge trials pass one acceptance rule, `_safeguard`; it and
-the joint cadence call projections that hand back the evaluation at their
-result.  Only a Gauss-Seidel repair, a nudge trial, a member-list refresh and
-a basis move whose scanned contacts differ from the member list evaluate
-afresh; a backtrack changes only dt, eta, gamma.
+every energy, slack, curvature bound and logged value.  Its contacts are the
+member list.  Verlet steps and nudge trials pass one acceptance rule,
+`_safeguard`; it and the joint cadence call projections that hand back the
+evaluation at their result.  Only a Gauss-Seidel repair, a nudge trial, a
+member-list refresh and a basis move whose scanned contacts differ from the
+member list evaluate afresh; a backtrack changes only dt, eta, gamma.
 
 Each step's Fiedler value is solved, values only, when the contact graph's
 pair edges, read off the evaluation's slacks, change (`_spectrum`); only a
@@ -68,7 +68,6 @@ from .errors import (
     RunAbort,
 )
 from .geometry import (
-    Contacts,
     PackingState,
     ShiftIndexSet,
     build_shift_set,
@@ -222,16 +221,17 @@ class CurvatureAnchors:
         self.latest: dict[bool, _Anchor] = {}  # keyed by `joint`
         self.solves = self.updates = self.admitted = 0
 
-    def bounds(self, state: PackingState, members: Contacts,
+    def bounds(self, state: PackingState, ev: BarrierEval,
                joint: bool = False) -> tuple[float, float]:
-        """(L_hat, m_hat) of the position Hessian (or the joint one) at `state` on `members`."""
-        K = contact_blocks(state, members, self.p)
+        """(L_hat, m_hat) of the position Hessian (or the joint one) at `state`, on the
+        contacts of `ev`, the evaluation there, from its separations and slacks."""
+        members, K = ev.contacts, contact_blocks(ev.r, ev.slack, self.p)
         anchor = self.latest.get(joint)
         if anchor is not None and anchor.key == members.key:
             d = anchor.change.bound(K)
             admitted = d > THETA * anchor.L  # an update past THETA, if the probe admits it
             if not admitted or \
-                    anchor.L + d <= (1.0 + ADMIT) * pair_mode_rayleigh(state, members, K):
+                    anchor.L + d <= (1.0 + ADMIT) * pair_mode_rayleigh(members, ev.r, K):
                 self.updates += 1
                 self.admitted += admitted
                 return anchor.L + d, max(anchor.m - d, 0.0)
@@ -246,19 +246,19 @@ class CurvatureAnchors:
 
 
 def rest_state(state: PackingState, shifts: ShiftIndexSet, p: BarrierParams, config,
-               members: Contacts, anchors: CurvatureAnchors | None = None
+               ev: BarrierEval, anchors: CurvatureAnchors | None = None
                ) -> tuple[DynamicsState, float, float]:
     """`state` at rest (v = 0, x_prev = x) under the step rule at its curvature.
 
-    Bounds L_hat from above and m_hat from below on `members`: through a
-    run's `anchors`, a Weyl update of its position anchor while that serves,
-    else a dense eigensolve that becomes the anchor; without a store, by one
-    dense eigensolve.  Picks (dt, eta) by `select_steps` with the config's
-    eta_dt and c.  Returns the resting state under that step rule with
-    (L_hat, m_hat).
+    Bounds L_hat from above and m_hat from below on the contacts of `ev`, the
+    evaluation at `state`: through a run's `anchors`, a Weyl update of its
+    position anchor while that serves, else a dense eigensolve that becomes the
+    anchor; without a store, by one dense eigensolve.  Picks (dt, eta) by
+    `select_steps` with the config's eta_dt and c.  Returns the resting state
+    under that step rule with (L_hat, m_hat).
     """
     anchors = anchors if anchors is not None else CurvatureAnchors(shifts, p)
-    L_hat, m_hat = anchors.bounds(state, members)
+    L_hat, m_hat = anchors.bounds(state, ev)
     dt, eta = select_steps(L_hat, max(m_hat, 1e-12), config.eta_dt, config.c)
     return _with_step(DynamicsState.at_rest(state), dt, eta, L_hat), L_hat, m_hat
 
@@ -373,7 +373,7 @@ def run_trajectory(config, initial: DynamicsState | None = None) -> TrajectoryRe
     shifts = build_shift_set(ds.packing.basis, config.R)
     ev = barrier_energy(ds.packing, shifts, p)
     anchors = CurvatureAnchors(shifts, p)  # per run, like `solved`: repeats stay identical
-    rest, L_hat, m_hat = rest_state(ds.packing, shifts, p, config, ev.contacts, anchors)
+    rest, L_hat, m_hat = rest_state(ds.packing, shifts, p, config, ev, anchors)
     ds = _with_step(ds, rest.dt, rest.eta, L_hat)
 
     history = NudgeHistory(window=config.W)
@@ -396,7 +396,7 @@ def run_trajectory(config, initial: DynamicsState | None = None) -> TrajectoryRe
     for k in range(1, config.max_steps + 1):
         if k > 1 and (k - 1) % REFRESH_STEPS == 0:
             ev = barrier_energy(ds.packing, shifts, p)
-            _, L_hat, m_hat = rest_state(ds.packing, shifts, p, config, ev.contacts, anchors)
+            _, L_hat, m_hat = rest_state(ds.packing, shifts, p, config, ev, anchors)
             E_prev = lyapunov(ds, ev.value)
 
         if float(np.linalg.norm(ev.grad_x)) <= config.grad_tol \
@@ -421,8 +421,7 @@ def run_trajectory(config, initial: DynamicsState | None = None) -> TrajectoryRe
             if backtracks > 60:
                 raise RunAbort(f"no acceptable step after {backtracks} backtracks at step {k}")
             if backtracks % 2 == 0:
-                _, L_hat, m_hat = rest_state(ds.packing, shifts, p, config, ev.contacts,
-                                             anchors)
+                _, L_hat, m_hat = rest_state(ds.packing, shifts, p, config, ev, anchors)
             ds = backtrack(ds, L_hat)
             E_prev = lyapunov(ds, ev.value)
 
@@ -432,7 +431,7 @@ def run_trajectory(config, initial: DynamicsState | None = None) -> TrajectoryRe
         counts["accepted"] += 1
 
         if config.joint_period and k % config.joint_period == 0:
-            Lj = anchors.bounds(ds.packing, ev.contacts, joint=True)[0]
+            Lj = anchors.bounds(ds.packing, ev, joint=True)[0]
             try:
                 B_old = ds.packing.basis.B
                 ds, info, ev = e_project_joint(ds, ev, p, shifts, L_x=max(Lj, L_hat), L_B=Lj,
@@ -446,8 +445,7 @@ def run_trajectory(config, initial: DynamicsState | None = None) -> TrajectoryRe
                 if basis_moved:  # the projection has scanned the new cell
                     if near.key != ev.contacts.key:  # `ev` was taken on the old member list
                         ev = barrier_energy(ds.packing, shifts, p, members=near)
-                    rest, L_hat, m_hat = rest_state(ds.packing, shifts, p, config, ev.contacts,
-                                                    anchors)
+                    rest, L_hat, m_hat = rest_state(ds.packing, shifts, p, config, ev, anchors)
                     dt = min(ds.dt, rest.dt)
                     ds = _with_step(ds, dt, ds.eta * (ds.dt / dt), L_hat)
                 E_prev = lyapunov(ds, ev.value)

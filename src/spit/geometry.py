@@ -5,7 +5,8 @@ the fundamental cell; the lattice enters only through shift vectors t = B z.
 `contacts_within` finds every contact within a radius by a cell list in
 fractional coordinates (Allen & Tildesley, ch. 5).  All operations are pure
 functions, and contact tables are kept in a fixed canonical order so repeated
-summations are bitwise reproducible.
+summations are bitwise reproducible.  B z is an einsum, not a BLAS matrix
+product, so a contact's separation has the same bits in every table.
 """
 
 from __future__ import annotations
@@ -151,6 +152,11 @@ class Contacts:
         """The table by value: two tables hold the same contacts iff their keys are equal."""
         return self.z.shape, self.i.tobytes() + self.j.tobytes() + self.z.tobytes()
 
+    @functools.cached_property
+    def zf(self) -> np.ndarray:
+        """The shifts z as floats."""
+        return self.z.astype(float)
+
     def take(self, mask_or_idx) -> "Contacts":
         return Contacts(self.i[mask_or_idx], self.j[mask_or_idx], self.z[mask_or_idx])
 
@@ -225,15 +231,27 @@ def build_shift_set(basis: LatticeBasis, R: float) -> ShiftIndexSet:
     return ShiftIndexSet(zs=keep[order], R=float(R))
 
 
+def lattice_shifts(contacts: Contacts, B: np.ndarray) -> np.ndarray:
+    """B z per contact.  The einsum's inner loop sums one row over the columns of B
+    in order, the same loop for every row, so unlike a BLAS matrix product's a
+    row's bits do not depend on the rows around it."""
+    return np.einsum("ma,ka->mk", contacts.zf, B)
+
+
 def r_vectors(state: PackingState, contacts: Contacts) -> np.ndarray:
-    """Per-contact separation vectors r = x_i - x_j - B z."""
-    x, zB = state.x, contacts.z.astype(float) @ state.basis.B.T
-    return x.take(contacts.i, axis=0) - x.take(contacts.j, axis=0) - zB
+    """Per-contact separation vectors r = x_i - x_j - B z, the same bits in every table."""
+    x, t = state.x, lattice_shifts(contacts, state.basis.B)
+    return x.take(contacts.i, axis=0) - x.take(contacts.j, axis=0) - t
+
+
+def separations(state: PackingState, contacts: Contacts) -> tuple[np.ndarray, np.ndarray]:
+    """`r_vectors` and the slacks ||r||^2 - 4."""
+    r = r_vectors(state, contacts)
+    return r, np.einsum("mk,mk->m", r, r) - 4.0
 
 
 def slack_values(state: PackingState, contacts: Contacts) -> np.ndarray:
-    r = r_vectors(state, contacts)
-    return np.einsum("mk,mk->m", r, r) - 4.0
+    return separations(state, contacts)[1]
 
 
 def contacts_within(state: PackingState, shifts: ShiftIndexSet, radius: float,
@@ -245,8 +263,7 @@ def contacts_within(state: PackingState, shifts: ShiftIndexSet, radius: float,
         raise ValueError("radius must be nonnegative")
     table = base if base is not None else _cell_candidates(state, radius)
     r = r_vectors(state, table)
-    d2 = np.einsum("mk,mk->m", r, r)
-    return table.take(d2 <= radius * radius)
+    return table.take(np.einsum("mk,mk->m", r, r) <= radius * radius)
 
 
 _MAX_CELLS = 1024  # per axis
@@ -355,7 +372,7 @@ def slack_gradient(state: PackingState, contacts: Contacts, r: np.ndarray,
     entry sums its i-block terms, then its j-block terms, in contact order."""
     coeff = (2.0 * w)[:, None] * r
     gx = scatter_add(contacts.ends, np.concatenate([coeff, -coeff]).ravel(), state.x.size)
-    gB = -2.0 * np.einsum("m,ma,mb->ab", w, r, contacts.z.astype(float))
+    gB = -2.0 * np.einsum("m,ma,mb->ab", w, r, contacts.zf)
     return gx.reshape(state.x.shape), gB
 
 

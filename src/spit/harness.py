@@ -238,8 +238,8 @@ def _feasibilize(state: PackingState, shifts, config: RunConfig) -> PackingState
         if s <= 0.0:
             continue
         p = BarrierParams(nu=config.nu, delta=config.delta, R=config.R)
-        ds, L_hat, _ = rest_state(state, shifts, p, config, near)
         ev = barrier_energy(state, shifts, p, members=near)
+        ds, L_hat, _ = rest_state(state, shifts, p, config, ev)
         state = e_project_x(ds, ev, p, shifts, L_hat)[0].packing
     raise FeasibilityError("testbed could not reach the strict-feasibility margin "
                            "in 100 projection rounds")
@@ -356,8 +356,8 @@ def certify(config: RunConfig, state: PackingState) -> dict:
         shifts = build_shift_set(cur.basis, config.R)
         p = BarrierParams(nu=nu, delta=config.delta, R=config.R)
         mus = recover_multipliers(cur, shifts, p)
-        res_B, res_x, comp = kkt_residual(cur, mus.contacts, mus.clamped)
-        scale_x = _stationarity_scale(cur, mus)
+        res_B, res_x, comp = kkt_residual(cur, mus, mus.clamped)
+        force = mus.clamped * 2.0 * np.linalg.norm(mus.r, axis=1)  # per-contact magnitudes
         levels.append({
             "nu": nu,
             "steps": len(record.rows),
@@ -365,7 +365,7 @@ def certify(config: RunConfig, state: PackingState) -> dict:
             "terminated": record.terminated,
             "res_B": res_B,
             "res_x": res_x,
-            "res_x_scale": scale_x,
+            "res_x_scale": float(np.sum(force * np.sqrt(2.0))),  # the natural normalizer
             "comp": comp,
             "mu_min_clamped": float(np.min(mus.clamped)) if len(mus.contacts) else 0.0,
             "mu_max_clamped": float(np.max(mus.clamped)) if len(mus.contacts) else 0.0,
@@ -376,15 +376,6 @@ def certify(config: RunConfig, state: PackingState) -> dict:
     report = {"levels": levels, "final_volume": cell_volume(cur.basis)}
     report.update(_rigidity_report(config, cur))
     return report
-
-
-def _stationarity_scale(state: PackingState, mus) -> float:
-    """Sum of per-contact force magnitudes, the natural residual normalizer."""
-    from .geometry import r_vectors
-    if len(mus.contacts) == 0:
-        return 0.0
-    r = r_vectors(state, mus.contacts)
-    return float(np.sum(mus.clamped * 2.0 * np.linalg.norm(r, axis=1) * np.sqrt(2.0)))
 
 
 def _rigidity_report(config: RunConfig, state: PackingState) -> dict:

@@ -37,8 +37,9 @@ from .geometry import (
     contact_rows,
     contacts_within,
     gauge_project,
+    lattice_shifts,
     min_slack_of,
-    r_vectors,
+    separations,
     slack_values,
     volume_gradient,
     volume_hessian_bound,
@@ -62,22 +63,20 @@ def gs_project_once(state: PackingState, shifts: ShiftIndexSet, delta: float,
     may re-violate earlier pairs.
     """
     near = contacts_within(state, shifts, shifts.R, base=base)
-    if len(near) == 0:
-        return state, False
     s = slack_values(state, near)
     margin = 0.25  # re-check anything close enough that an earlier repair could push it under
     worklist = np.flatnonzero(s < delta + margin)
     if worklist.size == 0 or float(np.min(s)) >= delta * (1.0 - 1e-12):
         return state, False
     x = state.x.copy()
-    B = state.basis.B
+    shift = lattice_shifts(near, state.basis.B)
     target = float(np.sqrt(4.0 + delta))
     changed = False
     for k in worklist:
         i, j = int(near.i[k]), int(near.j[k])
         if i == j:
             continue
-        r = x[i] - x[j] - B @ near.z[k].astype(float)
+        r = x[i] - x[j] - shift[k]
         dist = float(np.linalg.norm(r))
         if dist * dist - 4.0 >= delta * (1.0 - 1e-12):
             continue
@@ -166,14 +165,14 @@ def _constraint_rows(state: PackingState, near: Contacts, p: BarrierParams,
     Rows are the slack gradients, twice `contact_rows` with c = z, over the
     flattened position move (and basis move for joint projections).
     """
-    keep = slack_values(state, near) <= p.delta + _HORIZON
+    r, s = separations(state, near)
+    keep = s <= p.delta + _HORIZON
     if not joint:
         keep &= near.i != near.j
     cons = near.take(keep)
-    r = r_vectors(state, cons)
-    A = contact_rows(state, cons, r, cons.z.astype(float) if joint else None)
+    A = contact_rows(state, cons, r[keep], cons.zf if joint else None)
     A *= 2.0  # in place: the rows are a view of their buffer, so 2.0 * A would copy
-    return A, p.delta - (np.einsum("mk,mk->m", r, r) - 4.0)
+    return A, p.delta - s[keep]
 
 
 def lyapunov(ds, U: float) -> float:
@@ -259,9 +258,10 @@ def _e_project(ds, ev: BarrierEval, p: BarrierParams, shifts: ShiftIndexSet, wx:
             basis = _admissible_basis(cur.basis, uB) if joint else cur.basis
             cand = PackingState.make(x, basis)
             near_cand = contacts_within(cand, shifts, p.R)
-            least = min_slack_of(cand, near_cand)
-            if least >= floor or basis is cur.basis or min_slack_of(
-                    cand, near_cand.take(near_cand.i == near_cand.j)) >= floor:
+            s = slack_values(cand, near_cand)
+            least = float(s.min(initial=np.inf))
+            if least >= floor or basis is cur.basis or \
+                    s.min(initial=np.inf, where=near_cand.i == near_cand.j) >= floor:
                 break
             uB = 0.5 * uB
         if least < floor:

@@ -24,7 +24,9 @@ from .geometry import (
     ShiftIndexSet,
     contact_rows,
     contacts_within,
+    lattice_shifts,
     r_vectors,
+    separations,
     slack_gradient,
     slack_values,
     volume_gradient,
@@ -53,8 +55,7 @@ class MotionVector:
 def active_set(state: PackingState, shifts: ShiftIndexSet, tol_active: float) -> Contacts:
     """Contacts with |slack| at most tol_active (separation within tol of 2)."""
     near = contacts_within(state, shifts, shifts.R)
-    s = slack_values(state, near)
-    return near.take(np.abs(s) <= tol_active)
+    return near.take(np.abs(slack_values(state, near)) <= tol_active)
 
 
 def motion_operator(state: PackingState, active: Contacts) -> np.ndarray:
@@ -65,7 +66,7 @@ def motion_operator(state: PackingState, active: Contacts) -> np.ndarray:
     vanishes and the row reduces to r^T (u_i - u_j).
     """
     return contact_rows(state, active, r_vectors(state, active),
-                        active.z.astype(float) @ state.basis.B.T)
+                        lattice_shifts(active, state.basis.B))
 
 
 def trivial_motion_basis(state: PackingState) -> np.ndarray:
@@ -100,8 +101,9 @@ def _nontrivial_motions(state: PackingState) -> np.ndarray:
 
 def _normal_rows(state: PackingState, active: Contacts) -> np.ndarray:
     """The motion operator with each row divided by ||r||: n^T (u_i - u_j - A t)."""
-    norms = np.linalg.norm(r_vectors(state, active), axis=1)
-    return motion_operator(state, active) / np.maximum(norms, 1e-300)[:, None]
+    r = r_vectors(state, active)  # once, for the rows and their norms
+    return contact_rows(state, active, r, lattice_shifts(active, state.basis.B)) \
+        / np.maximum(np.linalg.norm(r, axis=1), 1e-300)[:, None]
 
 
 @dataclass(frozen=True)
@@ -171,9 +173,10 @@ def prestress_stable(state: PackingState, active: Contacts, omega) -> tuple[bool
 
 @dataclass(frozen=True)
 class MultiplierSet:
-    """Barrier-implied contact forces mu = -phi'(s), raw and clamped at zero."""
+    """Barrier-implied contact forces mu = -phi'(s), raw and clamped at zero, with r and s."""
 
     contacts: Contacts
+    r: np.ndarray
     slack: np.ndarray
     raw: np.ndarray
     clamped: np.ndarray
@@ -183,27 +186,25 @@ def recover_multipliers(state: PackingState, shifts: ShiftIndexSet, p: BarrierPa
                         members: Contacts | None = None) -> MultiplierSet:
     """mu_c = nu/s_c - nu (s_c - delta)/delta per included contact."""
     contacts = members if members is not None else contacts_within(state, shifts, p.R)
-    s = slack_values(state, contacts)
+    r, s = separations(state, contacts)
     _, d1, _ = phi(s, p)
     raw = -np.atleast_1d(d1)
-    return MultiplierSet(contacts=contacts, slack=s, raw=raw,
+    return MultiplierSet(contacts=contacts, r=r, slack=s, raw=raw,
                          clamped=np.maximum(raw, 0.0))
 
 
-def kkt_residual(state: PackingState, contacts: Contacts, mu: np.ndarray) -> tuple[float, float, float]:
-    """Stationarity and complementarity residuals for min volume s.t. slacks >= 0.
+def kkt_residual(state: PackingState, mus: MultiplierSet, mu: np.ndarray) -> tuple[float, float, float]:
+    """Stationarity and complementarity residuals for min volume s.t. slacks >= 0,
+    of multipliers mu on the contacts of `mus` (its r and s).
 
     res_B = ||grad |det B| - sum mu_c grad_B s_c||_F, res_x the gauge-projected
     norm of sum mu_c grad_x s_c, comp = sum mu_c max(s_c, 0).
     """
     mu = np.asarray(mu, dtype=float)
-    r = r_vectors(state, contacts)
-    s = np.einsum("mk,mk->m", r, r) - 4.0
-    gx, gB = slack_gradient(state, contacts, r, mu)
+    gx, gB = slack_gradient(state, mus.contacts, mus.r, mu)
     res_B = float(np.linalg.norm(volume_gradient(state.basis) - gB))
-    gx = gx - gx.mean(axis=0)
-    res_x = float(np.linalg.norm(gx))
-    comp = float(np.sum(mu * np.maximum(s, 0.0)))
+    res_x = float(np.linalg.norm(gx - gx.mean(axis=0)))
+    comp = float(np.sum(mu * np.maximum(mus.slack, 0.0)))
     return res_B, res_x, comp
 
 
@@ -215,5 +216,5 @@ def licq_sigma_min(state: PackingState, active: Contacts) -> float:
     if len(active) == 0:
         return float("inf")
     # the joint slack Jacobian, as the joint projection builds its constraint rows
-    J = 2.0 * contact_rows(state, active, r_vectors(state, active), active.z.astype(float))
+    J = 2.0 * contact_rows(state, active, r_vectors(state, active), active.zf)
     return float(np.linalg.svd(J, compute_uv=False)[-1])

@@ -61,8 +61,9 @@ def build_contact_graph(state: PackingState, shifts: ShiftIndexSet, eps: float,
 
 
 def pair_edges_of(ev, eps: float) -> np.ndarray | None:
-    """`build_contact_graph(..., eps, base=ev.contacts).pair_edges`, or None, from
-    the `BarrierEval` `ev`'s slacks d^2 - 4: x - 4 is exact for doubles x in [2, 2^54)
+    """`build_contact_graph(..., eps, base=ev.contacts).pair_edges`, or None, from the
+    `BarrierEval` `ev`'s slacks d^2 - 4 (d^2 has the same bits in any table, so a
+    shuffled or subset base agrees row for row): x - 4 is exact for doubles x in [2, 2^54)
     (Sterbenz to 8, then ulp(x) divides 4): slack <= (2+eps)^2 - 4 iff d^2 <= (2+eps)^2."""
     cap = (2.0 + eps) * (2.0 + eps) - 4.0
     if ev.min_slack > cap:  # one compare rules out most edgeless evaluations

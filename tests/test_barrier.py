@@ -308,9 +308,9 @@ def test_estimate_L_bounds_lambda_max_on_n4_seed3_testbed():
 
 
 def _probe_and_spectrum(state):
-    members = contacts_within(state, build_shift_set(state.basis, P.R), P.R)
-    ell = pair_mode_rayleigh(state, members, contact_blocks(state, members, P))
-    return ell, gauge_eigs(hessian(state, members, P), state.N, state.x.shape[1])
+    ev = barrier_energy(state, build_shift_set(state.basis, P.R), P)
+    ell = pair_mode_rayleigh(ev.contacts, ev.r, contact_blocks(ev.r, ev.slack, P))
+    return ell, gauge_eigs(hessian(state, ev.contacts, P), state.N, state.x.shape[1])
 
 
 def test_pair_mode_rayleigh_is_lambda_max_of_one_pair_and_skips_self_images():

@@ -1,6 +1,7 @@
 """Integrator arithmetic, step rules, Lyapunov descent, trajectory loop."""
 
 import dataclasses
+import sys
 from unittest import mock
 
 import numpy as np
@@ -12,7 +13,7 @@ from hypothesis.strategies import lists as st_lists
 from hypothesis.strategies import sampled_from
 from util import big_cell, gauge_eigs, hex_two_sphere, make_ds, pair_state, ref_spectrum
 
-from spit import barrier, dynamics, harness, projection
+from spit import barrier, dynamics, geometry, harness, projection
 from spit.barrier import (
     BarrierParams,
     HessianChange,
@@ -380,7 +381,8 @@ def test_rest_state_takes_one_eigensolve(monkeypatch):
         return spectrum(H, N, n)
 
     monkeypatch.setattr(barrier, "_gauge_spectrum", counting)
-    _, L_hat, m_hat = rest_state(st, shifts, P, config, members)
+    _, L_hat, m_hat = rest_state(st, shifts, P, config,
+                                 barrier_energy(st, shifts, P, members=members))
     assert len(calls) == 1
     # the same bounds as from two eigensolves of copies of the member list
     copy = members.take(slice(None))
@@ -521,9 +523,10 @@ def test_spectrum_skips_only_edgeless_graphs(gap):
        ulps=st_integers(-2, 2))
 def test_slack_mask_is_the_contact_graph(n, N, seed, ulps):
     # the pair edges read off the evaluation's slacks, `_spectrum`'s, are those
-    # of `build_contact_graph` on the member list: on a random state at a scale
-    # through one of its member distances, and on a pair at d = 2 + eps, each
-    # scale or distance moved by a few ulps
+    # of `build_contact_graph` on the member list, and on a shuffled or a subset
+    # table those of the evaluation's rows in that order: on a random state at a
+    # scale through one of its member distances, and on a pair at d = 2 + eps,
+    # each scale or distance moved by a few ulps
     rng = np.random.default_rng(seed)
     st = random_feasible_state(seed=seed, N=N, n=n)
     ev = barrier_energy(st, build_shift_set(st.basis, P.R), P)
@@ -536,12 +539,18 @@ def test_slack_mask_is_the_contact_graph(n, N, seed, ulps):
     for state, scale in ((st, eps), (pair, d - 2.0)):
         shifts = build_shift_set(state.basis, P.R)
         ev = barrier_energy(state, shifts, P)
-        edges = pair_edges_of(ev, scale)
-        want = build_contact_graph(state, shifts, scale, base=ev.contacts).pair_edges
-        if edges is None:
-            assert want.shape[1] == 0
-        else:
-            assert edges.tobytes() == want.tobytes()
+        m = len(ev.contacts)
+        for rows in (np.arange(m), rng.permutation(m), np.flatnonzero(rng.random(m) < 0.5)):
+            # the evaluation's numbers in those rows, not recomputed
+            seen = dataclasses.replace(ev, contacts=ev.contacts.take(rows), r=ev.r[rows],
+                                       slack=ev.slack[rows],
+                                       min_slack=float(ev.slack[rows].min(initial=np.inf)))
+            edges = pair_edges_of(seen, scale)
+            want = build_contact_graph(state, shifts, scale, base=seen.contacts).pair_edges
+            if edges is None:
+                assert want.shape[1] == 0
+            else:
+                assert edges.tobytes() == want.tobytes()
 
 
 def test_certify_builds_no_contact_graph(monkeypatch):
@@ -559,6 +568,15 @@ def test_certify_builds_no_contact_graph(monkeypatch):
     report = certify(config, make_testbed(config).packing)
     assert sum(level["steps"] for level in report["levels"]) >= 200
     assert built == []
+
+
+def _evaluation(state, members):
+    return barrier_energy(state, build_shift_set(state.basis, P.R), P, members=members)
+
+
+def _blocks(state, members):
+    ev = _evaluation(state, members)
+    return contact_blocks(ev.r, ev.slack, P)
 
 
 def _moved(state, members, op, rng):
@@ -595,14 +613,14 @@ def test_anchored_curvature_bounds_hold_after_moves_and_member_changes(seed, N, 
                 state = _moved(state, members, op, rng)
             for joint in (False, True):
                 solves = anchors.solves
-                L_hat, m_hat = anchors.bounds(state, members, joint=joint)
+                L_hat, m_hat = anchors.bounds(state, _evaluation(state, members), joint=joint)
                 H = hessian(state, members, P, joint=joint)
                 if anchors.solves > solves:
                     anchor_state[joint] = state
                 else:
                     a = anchor_state[joint]
-                    change = HessianChange(members, contact_blocks(a, members, P), joint)
-                    d = change.bound(contact_blocks(state, members, P))
+                    change = HessianChange(members, _blocks(a, members), joint)
+                    d = change.bound(_blocks(state, members))
                     assert d >= np.linalg.norm(H - hessian(a, members, P, joint=joint), 2)
                 w = gauge_eigs(H, N, n, joint=joint)  # empty for positions at N = 1
                 assert L_hat >= float(np.abs(w).max(initial=0.0))
@@ -641,10 +659,11 @@ def test_admitted_curvature_updates_stay_certified_and_tight(seed, N, n, ops):
             state = _squeezed(state, members, rng)
         elif op != "start":
             state = _moved(state, members, op, rng)
-        ell = pair_mode_rayleigh(state, members, contact_blocks(state, members, P))
+        ev = _evaluation(state, members)
+        ell = pair_mode_rayleigh(members, ev.r, contact_blocks(ev.r, ev.slack, P))
         for joint in (False, True):
             admitted = anchors.admitted
-            L_hat, m_hat = anchors.bounds(state, members, joint=joint)
+            L_hat, m_hat = anchors.bounds(state, ev, joint=joint)
             w = gauge_eigs(hessian(state, members, P, joint=joint), N, n, joint=joint)
             top, scale = float(w[-1]), float(np.abs(w).max())
             assert ell <= top + 1e-12 * scale
@@ -652,6 +671,41 @@ def test_admitted_curvature_updates_stay_certified_and_tight(seed, N, n, ops):
             assert 0.0 <= m_hat <= max(float(w[0]), 0.0)
             if anchors.admitted > admitted:
                 assert L_hat <= 1.02 * top + 1e-12 * scale
+
+
+def _counted_r_vectors(monkeypatch) -> list:
+    """Row counts of every `r_vectors` call from now on: each `spit.*` binding of
+    it is patched, as the benchmark's tracer patches what it traces."""
+    calls, original = [], geometry.r_vectors
+
+    def counting(state, contacts):
+        calls.append(len(contacts))
+        return original(state, contacts)
+
+    for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "spit"]:
+        for attr, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, attr, counting)
+    return calls
+
+
+def test_weyl_updates_and_constraint_rows_reuse_separations(monkeypatch):
+    # a Weyl update, probe included, reads the evaluation's r and slacks, and the
+    # constraint rows take r once over the scanned table
+    state = random_feasible_state(seed=4, N=5)
+    shifts = build_shift_set(state.basis, P.R)
+    ev = barrier_energy(state, shifts, P)
+    anchors = CurvatureAnchors(shifts, P)
+    anchors.bounds(state, ev)  # the anchor: one dense solve
+    moved = state.with_x(state.x + 1e-4 * np.random.default_rng(4).standard_normal(state.x.shape))
+    ev_moved = barrier_energy(moved, shifts, P, members=ev.contacts)
+    calls = _counted_r_vectors(monkeypatch)
+    with mock.patch.object(dynamics, "THETA", 0.0), mock.patch.object(dynamics, "ADMIT", np.inf):
+        anchors.bounds(moved, ev_moved)  # past THETA = 0, so the probe decides
+    assert (anchors.solves, anchors.updates, anchors.admitted) == (1, 1, 1)
+    assert calls == []
+    projection._constraint_rows(moved, ev.contacts, P, joint=True)
+    assert calls == [len(ev.contacts)]
 
 
 def test_dense_estimates_reuse_their_memory(monkeypatch):
@@ -679,10 +733,12 @@ def test_dense_estimates_reuse_their_memory(monkeypatch):
         state = record.final_state.packing
         shifts = build_shift_set(state.basis, config.R)
         members = contacts_within(state, shifts, config.R)
-        anchors = CurvatureAnchors(shifts, BarrierParams(config.nu, config.delta, config.R))
+        p = BarrierParams(config.nu, config.delta, config.R)
+        anchors = CurvatureAnchors(shifts, p)
         for k in range(3):
+            ev = barrier_energy(state, shifts, p, members=members.take(np.arange(len(members)) != k))
             for joint in (False, True):
-                anchors.bounds(state, members.take(np.arange(len(members)) != k), joint=joint)
+                anchors.bounds(state, ev, joint=joint)
     finally:
         tracemalloc.stop()
     csv = record.to_csv()

@@ -211,6 +211,21 @@ def test_min_slack_empty_is_inf():
     assert min_slack(st, shifts) == np.inf
 
 
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(n=st_sampled_from([1, 2, 3]), m=st_integers(1, 60), seed=st_integers(0, 2**31))
+def test_separations_have_the_same_bits_in_every_table(n, m, seed):
+    # a contact's r and slack depend on the contact and the state alone: a row
+    # subset, a permutation or a single row of a table gives its rows bit for bit
+    rng = np.random.default_rng(seed)
+    basis = LatticeBasis(np.eye(n) * rng.uniform(3.0, 6.0) + rng.uniform(-1.0, 1.0, (n, n)))
+    state = PackingState(x=rng.uniform(-20.0, 20.0, (5, n)), basis=basis)
+    table = Contacts(rng.integers(0, 5, m), rng.integers(0, 5, m), rng.integers(-7, 8, (m, n)))
+    r, s = r_vectors(state, table), slack_values(state, table)
+    for idx in (rng.permutation(m), np.flatnonzero(rng.random(m) < 0.5), *np.arange(m)[:, None]):
+        assert r_vectors(state, table.take(idx)).tobytes() == r[idx].tobytes()
+        assert slack_values(state, table.take(idx)).tobytes() == s[idx].tobytes()
+
+
 def oracle_contacts(state: PackingState, radius: float) -> Contacts:
     """Contacts within `radius` from the brute-force table, complete for this
     state: its shift set reaches radius plus the largest center separation."""

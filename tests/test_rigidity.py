@@ -317,7 +317,8 @@ def test_kkt_residual_zero_multipliers():
     st = pair_state(2.1)
     shifts = build_shift_set(st.basis, P.R)
     near = contacts_within(st, shifts, P.R)
-    res_B, res_x, comp = kkt_residual(st, near, np.zeros(len(near)))
+    mus = recover_multipliers(st, shifts, P, members=near)
+    res_B, res_x, comp = kkt_residual(st, mus, np.zeros(len(near)))
     assert res_B == pytest.approx(float(np.linalg.norm(volume_gradient(st.basis))))
     assert res_x == 0.0
     assert comp == 0.0
@@ -329,7 +330,7 @@ def test_kkt_residual_x_stationarity_from_raw_multipliers():
     st = hex_single_sphere(scale=1.01)
     shifts = build_shift_set(st.basis, P.R)
     mus = recover_multipliers(st, shifts, P)
-    _, res_x, _ = kkt_residual(st, mus.contacts, mus.raw)
+    _, res_x, _ = kkt_residual(st, mus, mus.raw)
     g = barrier_energy(st, shifts, P).grad_x
     assert res_x == pytest.approx(float(np.linalg.norm(g)), abs=1e-12)
 
