@@ -121,25 +121,23 @@ def barrier_value(state: PackingState, shifts: ShiftIndexSet, p: BarrierParams,
     return barrier_energy(state, shifts, p, members=members).value
 
 
-def hvp_x(state: PackingState, shifts: ShiftIndexSet, p: BarrierParams,
-          direction: np.ndarray, members: Contacts | None = None) -> np.ndarray:
-    """The position block of the barrier Hessian applied to a direction field:
-    `hvp_joint` with no basis move, read off its position part."""
+def hvp_x(state: PackingState, contacts: Contacts, p: BarrierParams,
+          direction: np.ndarray) -> np.ndarray:
+    """The position block of the barrier Hessian on `contacts` applied to a direction
+    field: `hvp_joint` with no basis move, read off its position part."""
     n = state.x.shape[1]
-    return hvp_joint(state, shifts, p, direction, np.zeros((n, n)), members)[0]
+    return hvp_joint(state, contacts, p, direction, np.zeros((n, n)))[0]
 
 
-def hvp_joint(state: PackingState, shifts: ShiftIndexSet, p: BarrierParams,
-              dir_x: np.ndarray, dir_B: np.ndarray,
-              members: Contacts | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Apply the full (x, B) barrier Hessian to a joint direction.
+def hvp_joint(state: PackingState, contacts: Contacts, p: BarrierParams,
+              dir_x: np.ndarray, dir_B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Apply the full (x, B) barrier Hessian on `contacts` to a joint direction.
 
     With w = p_i - p_j - H z (the first-order change of r along the direction)
     each contact contributes g = 4 phi'' <r, w> r + 2 phi' w to the i-block,
     -g to the j-block, and -g z^T to the basis block, which makes the operator
     symmetric by construction.
     """
-    contacts = _included(state, shifts, p, members)
     r, s, _ = _slacks(state, contacts)
     w = dir_x[contacts.i] - dir_x[contacts.j] - lattice_shifts(contacts, np.asarray(dir_B, float))
     rw = np.einsum("mk,mk->m", r, w)
@@ -247,7 +245,7 @@ class HessianChange:
 
 
 def pair_mode_rayleigh(contacts: Contacts, r: np.ndarray, K: np.ndarray) -> float:
-    """l <= lambda_max of the gauge position (or joint) Hessian on `contacts`,
+    """l <= lambda_max of the gauge position Hessian on `contacts`,
     from their separations r and `contact_blocks` K: the Rayleigh quotient of v =
     (e_i - e_j) (x) r_c, c the stiffest pair contact (largest ||K_c||_F) and r_c
     an eigenvector of its K_c; 0 without a pair.  v is mean-zero with no basis part
@@ -332,29 +330,23 @@ def _max_abs_bound(w: np.ndarray, margin: float) -> CurvatureBound:
     return CurvatureBound(max(float(abs(w).max(initial=0.0)) + margin, 1e-12), 1, True)
 
 
-def estimate_L(state: PackingState, shifts: ShiftIndexSet, p: BarrierParams,
-               members: Contacts | None = None) -> CurvatureBound:
+def estimate_L(state: PackingState, contacts: Contacts, p: BarrierParams) -> CurvatureBound:
     """Certified upper bound on the largest-magnitude eigenvalue of the
-    gauge-restricted position Hessian: one dense eigensolve plus its roundoff
-    margin, floored at 1e-12."""
-    contacts = _included(state, shifts, p, members)
+    gauge-restricted position Hessian on `contacts`: one dense eigensolve plus
+    its roundoff margin, floored at 1e-12."""
     return _max_abs_bound(*_position_spectrum(state, contacts, p))
 
 
-def estimate_m(state: PackingState, shifts: ShiftIndexSet, p: BarrierParams,
-               members: Contacts | None = None) -> CurvatureBound:
+def estimate_m(state: PackingState, contacts: Contacts, p: BarrierParams) -> CurvatureBound:
     """Certified lower bound on the smallest eigenvalue of the gauge-restricted
-    position Hessian, clipped at zero so flat directions report m = 0."""
-    contacts = _included(state, shifts, p, members)
+    position Hessian on `contacts`, clipped at zero so flat directions report m = 0."""
     w, margin = _position_spectrum(state, contacts, p)
     return CurvatureBound(max(float(w[0]) - margin, 0.0) if w.size else 0.0, 1, True)
 
 
-def estimate_L_joint(state: PackingState, shifts: ShiftIndexSet, p: BarrierParams,
-                     members: Contacts | None = None) -> CurvatureBound:
-    """Certified upper bound on the spectral norm of the joint Hessian
-    (gauge positions and basis together)."""
-    contacts = _included(state, shifts, p, members)
+def estimate_L_joint(state: PackingState, contacts: Contacts, p: BarrierParams) -> CurvatureBound:
+    """Certified upper bound on the spectral norm of the joint Hessian on
+    `contacts` (gauge positions and basis together)."""
     return _max_abs_bound(*_dense_spectrum(state, contacts, p, joint=True))
 
 
@@ -371,7 +363,6 @@ def lipschitz_bound(p: BarrierParams, slack_cap: float, radius: float, count: in
     return count * (4.0 * c2 * radius**2 + 4.0 * c1)
 
 
-def observed_slack_cap(state: PackingState, shifts: ShiftIndexSet, p: BarrierParams,
-                       members: Contacts | None = None) -> float:
-    """Largest included slack, used as the cap in closed-form constants."""
-    return float(slack_values(state, _included(state, shifts, p, members)).max(initial=p.delta))
+def observed_slack_cap(state: PackingState, contacts: Contacts, p: BarrierParams) -> float:
+    """Largest slack of `contacts` (at least delta), used as the cap in closed-form constants."""
+    return float(slack_values(state, contacts).max(initial=p.delta))

@@ -18,11 +18,10 @@ the run's `CurvatureAnchors`: either a dense eigensolve of the position
 Hessian plus its roundoff margin (an anchor), or the anchor's bound plus a
 block-Gershgorin bound on how far the Hessian has changed since (Weyl's
 inequality).  Either way it is a certified upper bound at the state where it
-is taken, at most THETA above the anchor's or ADMIT above a Rayleigh quotient
-below lambda_max (dense solves per run: N=256 4, stub32 32, N=1024 5; 8, 78
-and 9 without the Rayleigh test).  Between refreshes the curvature can still
-grow, so the trajectory loop also checks descent directly: steps that raise E
-(or leave the feasible region) are redone with a halved time step.
+is taken, at most THETA above the anchor's or, for the position Hessian, ADMIT
+above a Rayleigh quotient below lambda_max.  Between refreshes the curvature
+can still grow, so the trajectory loop also checks descent directly: steps that
+raise E (or leave the feasible region) are redone with a halved time step.
 
 `run_trajectory` evaluates the barrier once per accepted step: a step's
 second gradient is taken at the gauge-projected new state, so that one
@@ -36,7 +35,7 @@ member list evaluate afresh; a backtrack changes only dt, eta, gamma.
 
 Each step's Fiedler value is solved, values only, when the contact graph's
 pair edges, read off the evaluation's slacks, change (`_spectrum`); only a
-nudge builds the graph and its Fiedler vector (`_apply_nudge`).
+nudge builds the graph, from the same rows, and its Fiedler vector (`_apply_nudge`).
 """
 
 from __future__ import annotations
@@ -72,6 +71,7 @@ from .geometry import (
     ShiftIndexSet,
     build_shift_set,
     cell_volume,
+    contacts_within,
     gauge_project,
     volume_gradient,
 )
@@ -82,6 +82,7 @@ from .spectral import (
     fiedler,
     fiedler_value,
     lift_mode,
+    near_rows,
     nudge_alpha,
     nudge_trigger,
     pair_edges_of,
@@ -210,14 +211,15 @@ class CurvatureAnchors:
     |lambda_k(H) - lambda_k(H_a)| <= ||H - H_a||_2 on the gauge subspace, while
     d <= THETA L_a or, past that, L_a + d <= (1 + ADMIT) l with l <= lambda_max
     the `pair_mode_rayleigh` (tight when one pair squeezed toward delta is the
-    change; m_hat then mostly reads 0).  l only decides; Weyl certifies.  Any
+    change; m_hat then mostly reads 0).  l only decides; Weyl certifies; having
+    no basis part, it decides position estimates only.  Any
     other estimate is a dense solve (`estimate_L` and `estimate_m`, or
     `estimate_L_joint`, whose m is 0) that becomes the kind's anchor.  `solves`
     and `updates` count the two, `admitted` the updates past THETA.
     """
 
-    def __init__(self, shifts: ShiftIndexSet, p: BarrierParams):
-        self.shifts, self.p = shifts, p
+    def __init__(self, p: BarrierParams):
+        self.p = p
         self.latest: dict[bool, _Anchor] = {}  # keyed by `joint`
         self.solves = self.updates = self.admitted = 0
 
@@ -230,24 +232,23 @@ class CurvatureAnchors:
         if anchor is not None and anchor.key == members.key:
             d = anchor.change.bound(K)
             admitted = d > THETA * anchor.L  # an update past THETA, if the probe admits it
-            if not admitted or \
+            if not admitted or not joint and \
                     anchor.L + d <= (1.0 + ADMIT) * pair_mode_rayleigh(members, ev.r, K):
                 self.updates += 1
                 self.admitted += admitted
                 return anchor.L + d, max(anchor.m - d, 0.0)
         if joint:
-            L, m = estimate_L_joint(state, self.shifts, self.p, members=members).value, 0.0
+            L, m = estimate_L_joint(state, members, self.p).value, 0.0
         else:
-            L = estimate_L(state, self.shifts, self.p, members=members).value
-            m = estimate_m(state, self.shifts, self.p, members=members).value
+            L = estimate_L(state, members, self.p).value
+            m = estimate_m(state, members, self.p).value
         self.latest[joint] = _Anchor(members.key, HessianChange(members, K, joint), L, m)
         self.solves += 1
         return L, m
 
 
-def rest_state(state: PackingState, shifts: ShiftIndexSet, p: BarrierParams, config,
-               ev: BarrierEval, anchors: CurvatureAnchors | None = None
-               ) -> tuple[DynamicsState, float, float]:
+def rest_state(state: PackingState, p: BarrierParams, config, ev: BarrierEval,
+               anchors: CurvatureAnchors | None = None) -> tuple[DynamicsState, float, float]:
     """`state` at rest (v = 0, x_prev = x) under the step rule at its curvature.
 
     Bounds L_hat from above and m_hat from below on the contacts of `ev`, the
@@ -257,7 +258,7 @@ def rest_state(state: PackingState, shifts: ShiftIndexSet, p: BarrierParams, con
     `select_steps` with the config's eta_dt and c.  Returns the resting state
     under that step rule with (L_hat, m_hat).
     """
-    anchors = anchors if anchors is not None else CurvatureAnchors(shifts, p)
+    anchors = anchors if anchors is not None else CurvatureAnchors(p)
     L_hat, m_hat = anchors.bounds(state, ev)
     dt, eta = select_steps(L_hat, max(m_hat, 1e-12), config.eta_dt, config.c)
     return _with_step(DynamicsState.at_rest(state), dt, eta, L_hat), L_hat, m_hat
@@ -372,8 +373,8 @@ def run_trajectory(config, initial: DynamicsState | None = None) -> TrajectoryRe
     p = BarrierParams(nu=config.nu, delta=config.delta, R=config.R)
     shifts = build_shift_set(ds.packing.basis, config.R)
     ev = barrier_energy(ds.packing, shifts, p)
-    anchors = CurvatureAnchors(shifts, p)  # per run, like `solved`: repeats stay identical
-    rest, L_hat, m_hat = rest_state(ds.packing, shifts, p, config, ev, anchors)
+    anchors = CurvatureAnchors(p)  # per run, like `solved`: repeats stay identical
+    rest, L_hat, m_hat = rest_state(ds.packing, p, config, ev, anchors)
     ds = _with_step(ds, rest.dt, rest.eta, L_hat)
 
     history = NudgeHistory(window=config.W)
@@ -396,7 +397,7 @@ def run_trajectory(config, initial: DynamicsState | None = None) -> TrajectoryRe
     for k in range(1, config.max_steps + 1):
         if k > 1 and (k - 1) % REFRESH_STEPS == 0:
             ev = barrier_energy(ds.packing, shifts, p)
-            _, L_hat, m_hat = rest_state(ds.packing, shifts, p, config, ev, anchors)
+            _, L_hat, m_hat = rest_state(ds.packing, p, config, ev, anchors)
             E_prev = lyapunov(ds, ev.value)
 
         if float(np.linalg.norm(ev.grad_x)) <= config.grad_tol \
@@ -421,7 +422,7 @@ def run_trajectory(config, initial: DynamicsState | None = None) -> TrajectoryRe
             if backtracks > 60:
                 raise RunAbort(f"no acceptable step after {backtracks} backtracks at step {k}")
             if backtracks % 2 == 0:
-                _, L_hat, m_hat = rest_state(ds.packing, shifts, p, config, ev, anchors)
+                _, L_hat, m_hat = rest_state(ds.packing, p, config, ev, anchors)
             ds = backtrack(ds, L_hat)
             E_prev = lyapunov(ds, ev.value)
 
@@ -445,7 +446,7 @@ def run_trajectory(config, initial: DynamicsState | None = None) -> TrajectoryRe
                 if basis_moved:  # the projection has scanned the new cell
                     if near.key != ev.contacts.key:  # `ev` was taken on the old member list
                         ev = barrier_energy(ds.packing, shifts, p, members=near)
-                    rest, L_hat, m_hat = rest_state(ds.packing, shifts, p, config, ev, anchors)
+                    rest, L_hat, m_hat = rest_state(ds.packing, p, config, ev, anchors)
                     dt = min(ds.dt, rest.dt)
                     ds = _with_step(ds, dt, ds.eta * (ds.dt / dt), L_hat)
                 E_prev = lyapunov(ds, ev.value)
@@ -513,7 +514,8 @@ def _safeguard(cand, ev, E, E_ref, p, shifts, L_hat, counts, events, step):
     """
     tag = "none"
     if ev.min_slack < p.delta * (1.0 - 1e-12):
-        repaired, changed = gs_project_once(cand.packing, shifts, p.delta)
+        near = contacts_within(cand.packing, shifts, p.R)
+        repaired, changed = gs_project_once(cand.packing, near, p.delta)
         if changed:
             cand = dataclasses.replace(cand, packing=repaired)
             ev = barrier_energy(repaired, shifts, p, members=ev.contacts)
@@ -539,9 +541,9 @@ def _apply_nudge(ds, ev, p, shifts, L_hat, config, E_ref, counts, events, step):
     `_safeguard` accepts it (an infeasible trial is halved too).  Returns (state,
     its evaluation, energy) or None.  `ev` is the evaluation at `ds` on the member list.
     """
-    graph = build_contact_graph(ds.packing, shifts, config.eps_active, base=ev.contacts)
+    graph = build_contact_graph(ds.packing, ev.contacts.take(near_rows(ev, config.eps_active)))
     dxm = lift_mode(ds.packing, graph, fiedler(graph)[1])
-    near = build_contact_graph(ds.packing, shifts, config.eps_near, base=ev.contacts)
+    near = build_contact_graph(ds.packing, ev.contacts.take(near_rows(ev, config.eps_near)))
     gbar = ev.grad_x + ds.gamma * (ds.packing.x - ds.x_prev)
     a, flipped = nudge_alpha(ds, dxm, near, L_hat, gbar)
     if a <= 0.0 or not np.isfinite(a):

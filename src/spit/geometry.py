@@ -166,13 +166,10 @@ class Contacts:
 
 @dataclass(frozen=True)
 class ShiftIndexSet:
-    """Finite symmetric set of integer shift vectors, plus the radius it serves.
-
-    Runs use it for its radius only; the shifts serve the test oracle `candidates`.
-    """
+    """Finite symmetric set of integer shift vectors for the test oracle `candidates`;
+    the scans that runs hand it to do not read it."""
 
     zs: np.ndarray
-    R: float
     _pairs: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __len__(self) -> int:
@@ -228,7 +225,7 @@ def build_shift_set(basis: LatticeBasis, R: float) -> ShiftIndexSet:
     norms = np.linalg.norm(grid @ basis.B.T, axis=1)
     keep = grid[norms <= cutoff * (1.0 + 1e-12)]
     order = np.lexsort(tuple(keep[:, c] for c in range(basis.n - 1, -1, -1)))
-    return ShiftIndexSet(zs=keep[order], R=float(R))
+    return ShiftIndexSet(zs=keep[order])
 
 
 def lattice_shifts(contacts: Contacts, B: np.ndarray) -> np.ndarray:
@@ -254,14 +251,12 @@ def slack_values(state: PackingState, contacts: Contacts) -> np.ndarray:
     return separations(state, contacts)[1]
 
 
-def contacts_within(state: PackingState, shifts: ShiftIndexSet, radius: float,
-                    base: Contacts | None = None) -> Contacts:
-    """Canonical contacts whose separation does not exceed `radius`: all of
-    them by a cell list over the state's own basis (`shifts` is not consulted),
-    or those among the rows of `base`."""
+def contacts_within(state: PackingState, shifts: ShiftIndexSet, radius: float) -> Contacts:
+    """Every canonical contact whose separation does not exceed `radius`, by a
+    cell list over the state's own basis (`shifts` is not consulted)."""
     if radius < 0.0:
         raise ValueError("radius must be nonnegative")
-    table = base if base is not None else _cell_candidates(state, radius)
+    table = _cell_candidates(state, radius)
     r = r_vectors(state, table)
     return table.take(np.einsum("mk,mk->m", r, r) <= radius * radius)
 
@@ -397,9 +392,8 @@ def volume_hessian_bound(basis: LatticeBasis) -> float:
     return (basis.n - 1) * float(np.linalg.norm(basis.B)) ** (basis.n - 2)
 
 
-def min_slack(state: PackingState, shifts: ShiftIndexSet, radius: float | None = None) -> float:
-    """Minimum slack over canonical contacts within the interaction radius."""
-    radius = shifts.R if radius is None else radius
+def min_slack(state: PackingState, shifts: ShiftIndexSet, radius: float) -> float:
+    """Minimum slack over canonical contacts within `radius`."""
     return min_slack_of(state, contacts_within(state, shifts, radius))
 
 

@@ -226,7 +226,7 @@ def _feasibilize(state: PackingState, shifts, config: RunConfig) -> PackingState
         if s >= target:
             return state
         if s > last:
-            state, changed = gs_project_once(state, shifts, config.delta, base=near)
+            state, changed = gs_project_once(state, near, config.delta)
             if changed:
                 last = s
                 continue
@@ -239,7 +239,7 @@ def _feasibilize(state: PackingState, shifts, config: RunConfig) -> PackingState
             continue
         p = BarrierParams(nu=config.nu, delta=config.delta, R=config.R)
         ev = barrier_energy(state, shifts, p, members=near)
-        ds, L_hat, _ = rest_state(state, shifts, p, config, ev)
+        ds, L_hat, _ = rest_state(state, p, config, ev)
         state = e_project_x(ds, ev, p, shifts, L_hat)[0].packing
     raise FeasibilityError("testbed could not reach the strict-feasibility margin "
                            "in 100 projection rounds")
@@ -271,9 +271,10 @@ def random_feasible_state(seed: int, N: int, n: int = 2, inflate: float = 0.05,
         state = PackingState.make(x, basis)
         shifts = build_shift_set(basis, R)
         for _ in range(50):
-            if min_slack(state, shifts, R) >= delta:
+            near = contacts_within(state, shifts, R)
+            if min_slack_of(state, near) >= delta:
                 return state
-            state, changed = gs_project_once(state, shifts, delta)
+            state, changed = gs_project_once(state, near, delta)
             if not changed:
                 break
         if min_slack(state, shifts, R) >= delta:
@@ -355,7 +356,7 @@ def certify(config: RunConfig, state: PackingState) -> dict:
         cur = record.final_state.packing
         shifts = build_shift_set(cur.basis, config.R)
         p = BarrierParams(nu=nu, delta=config.delta, R=config.R)
-        mus = recover_multipliers(cur, shifts, p)
+        mus = recover_multipliers(cur, contacts_within(cur, shifts, config.R), p)
         res_B, res_x, comp = kkt_residual(cur, mus, mus.clamped)
         force = mus.clamped * 2.0 * np.linalg.norm(mus.r, axis=1)  # per-contact magnitudes
         levels.append({
@@ -381,9 +382,9 @@ def certify(config: RunConfig, state: PackingState) -> dict:
 def _rigidity_report(config: RunConfig, state: PackingState) -> dict:
     shifts = build_shift_set(state.basis, config.R)
     tol_active = 2.0 * config.delta
-    act = active_set(state, shifts, tol_active)
+    act = active_set(state, contacts_within(state, shifts, config.R), tol_active)
     p = BarrierParams(nu=config.nu_schedule[-1], delta=config.delta, R=config.R)
-    mus = recover_multipliers(state, shifts, p, members=act) if len(act) else None
+    mus = recover_multipliers(state, act, p) if len(act) else None
     rig = is_periodically_rigid(state, act)
     entry = {"rigid": rig.rigid, "nontrivial_dim": rig.nontrivial_dim,
              "rank_margin": rig.rank_margin if np.isfinite(rig.rank_margin) else None}
@@ -404,7 +405,7 @@ def spectra_report(state: PackingState, R: float, eps: float,
     if not eps >= 0.0:  # as RunConfig refuses a negative eps_active or eps_near
         raise ValueError("graph scales must be nonnegative")
     shifts = build_shift_set(state.basis, R)
-    graph = build_contact_graph(state, shifts, eps)
+    graph = build_contact_graph(state, contacts_within(state, shifts, 2.0 + eps))
     lam2, vec = fiedler(graph)
     out = {"lambda2": lam2, "fiedler_vector": [float(c) for c in vec],
            "n_edges": len(graph), "n_vertices": graph.n_vertices}

@@ -52,9 +52,8 @@ _HORIZON = 1.0  # contacts with slack up to delta + _HORIZON are linearized
 _QP_TOL = 1e-10  # multiplier sign and relative feasibility tolerance of solve_qp
 
 
-def gs_project_once(state: PackingState, shifts: ShiftIndexSet, delta: float,
-                    base: Contacts | None = None) -> tuple[PackingState, bool]:
-    """One Gauss-Seidel sweep repairing violated pair slacks in canonical order.
+def gs_project_once(state: PackingState, near: Contacts, delta: float) -> tuple[PackingState, bool]:
+    """One Gauss-Seidel sweep repairing the violated pair slacks of `near` in canonical order.
 
     Each violated pair is moved symmetrically along its contact normal so the
     exact post-move slack equals delta (the constraint is radial, so the
@@ -62,7 +61,6 @@ def gs_project_once(state: PackingState, shifts: ShiftIndexSet, delta: float,
     are skipped: they depend on the basis only.  Best-effort: later repairs
     may re-violate earlier pairs.
     """
-    near = contacts_within(state, shifts, shifts.R, base=base)
     s = slack_values(state, near)
     margin = 0.25  # re-check anything close enough that an earlier repair could push it under
     worklist = np.flatnonzero(s < delta + margin)
@@ -269,7 +267,7 @@ def _e_project(ds, ev: BarrierEval, p: BarrierParams, shifts: ShiftIndexSet, wx:
             if rounds > 6:
                 raise FeasibilityError(("joint " if joint else "")
                                        + "projection could not restore the slack margin")
-            cur, changed = gs_project_once(cand, shifts, p.delta, base=near_cand)
+            cur, changed = gs_project_once(cand, near_cand, p.delta)
             near = contacts_within(cur, shifts, p.R) if changed else near_cand
             A = prev_u = None
             continue

@@ -21,9 +21,7 @@ from .barrier import BarrierParams, phi
 from .geometry import (
     Contacts,
     PackingState,
-    ShiftIndexSet,
     contact_rows,
-    contacts_within,
     lattice_shifts,
     r_vectors,
     separations,
@@ -52,9 +50,8 @@ class MotionVector:
                             A=vec[N * n:].reshape(n, n).copy())
 
 
-def active_set(state: PackingState, shifts: ShiftIndexSet, tol_active: float) -> Contacts:
-    """Contacts with |slack| at most tol_active (separation within tol of 2)."""
-    near = contacts_within(state, shifts, shifts.R)
+def active_set(state: PackingState, near: Contacts, tol_active: float) -> Contacts:
+    """The contacts of `near` with |slack| at most tol_active (separation within tol of 2)."""
     return near.take(np.abs(slack_values(state, near)) <= tol_active)
 
 
@@ -182,10 +179,8 @@ class MultiplierSet:
     clamped: np.ndarray
 
 
-def recover_multipliers(state: PackingState, shifts: ShiftIndexSet, p: BarrierParams,
-                        members: Contacts | None = None) -> MultiplierSet:
-    """mu_c = nu/s_c - nu (s_c - delta)/delta per included contact."""
-    contacts = members if members is not None else contacts_within(state, shifts, p.R)
+def recover_multipliers(state: PackingState, contacts: Contacts, p: BarrierParams) -> MultiplierSet:
+    """mu_c = nu/s_c - nu (s_c - delta)/delta per contact of `contacts`."""
     r, s = separations(state, contacts)
     _, d1, _ = phi(s, p)
     raw = -np.atleast_1d(d1)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Contacts, PackingState, ShiftIndexSet, contacts_within, gauge_project, r_vectors
+from .geometry import Contacts, PackingState, gauge_project, r_vectors
 
 @dataclass(frozen=True)
 class ContactGraph:
@@ -44,10 +44,9 @@ class ContactGraph:
         return np.stack([self.edges.i[pair], self.edges.j[pair]])
 
 
-def build_contact_graph(state: PackingState, shifts: ShiftIndexSet, eps: float,
-                        base: Contacts | None = None) -> ContactGraph:
-    """Graph of canonical contacts with separation at most 2 + eps."""
-    near = contacts_within(state, shifts, 2.0 + eps, base=base)
+def build_contact_graph(state: PackingState, near: Contacts) -> ContactGraph:
+    """Graph whose edges are the contacts `near`: those within 2 + eps found by
+    `contacts_within`, or an evaluation's `near_rows`."""
     r = r_vectors(state, near)
     dist = np.linalg.norm(r, axis=1)
     normals = r / np.maximum(dist, 1e-300)[:, None]
@@ -60,16 +59,24 @@ def build_contact_graph(state: PackingState, shifts: ShiftIndexSet, eps: float,
                         gaps=gaps, degrees=degrees)
 
 
-def pair_edges_of(ev, eps: float) -> np.ndarray | None:
-    """`build_contact_graph(..., eps, base=ev.contacts).pair_edges`, or None, from the
-    `BarrierEval` `ev`'s slacks d^2 - 4 (d^2 has the same bits in any table, so a
-    shuffled or subset base agrees row for row): x - 4 is exact for doubles x in [2, 2^54)
-    (Sterbenz to 8, then ulp(x) divides 4): slack <= (2+eps)^2 - 4 iff d^2 <= (2+eps)^2."""
+def near_rows(ev, eps: float) -> np.ndarray:
+    """Indices of the rows of the `BarrierEval` `ev` within 2 + eps, loops included:
+    those `contacts_within(state, shifts, 2 + eps)` finds among its contacts, by their
+    slacks d^2 - 4 (d^2 has the same bits in any table).  x - 4 is exact for doubles
+    x in [2, 2^54) (Sterbenz to 8, then ulp(x) divides 4), so slack <= (2+eps)^2 - 4
+    iff d^2 <= (2+eps)^2."""
     cap = (2.0 + eps) * (2.0 + eps) - 4.0
     if ev.min_slack > cap:  # one compare rules out most edgeless evaluations
-        return None
-    keep = (ev.slack <= cap) & (ev.contacts.i != ev.contacts.j)
-    return np.stack([ev.contacts.i[keep], ev.contacts.j[keep]]) if keep.any() else None
+        return np.empty(0, dtype=np.intp)
+    return np.flatnonzero(ev.slack <= cap)
+
+
+def pair_edges_of(ev, eps: float) -> np.ndarray | None:
+    """The `pair_edges` of the graph on `near_rows(ev, eps)`, or None without one."""
+    i, j = ev.contacts.i, ev.contacts.j
+    rows = near_rows(ev, eps)
+    rows = rows[i[rows] != j[rows]]
+    return np.stack([i[rows], j[rows]]) if rows.size else None
 
 
 def laplacian(N: int, edges: np.ndarray) -> np.ndarray:

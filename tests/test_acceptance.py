@@ -14,6 +14,7 @@ import pytest
 from util import (
     hex_single_sphere,
     known_optimum_2d,
+    scan,
     sliding_column_state,
     square_single_sphere,
 )
@@ -162,14 +163,14 @@ def test_criterion_1_gradients_and_hvps_match_finite_differences():
 
         # HVPs against directional differences of the gradients
         d = rng.standard_normal(st.x.shape)
-        got = hvp_x(st, shifts, P, d, members=members)
+        got = hvp_x(st, members, P, d)
         gp = barrier_energy(PackingState(x=st.x + h * d, basis=st.basis), shifts, P, members).grad_x
         gm = barrier_energy(PackingState(x=st.x - h * d, basis=st.basis), shifts, P, members).grad_x
         fd = (gp - gm) / (2 * h)
         worst = max(worst, np.linalg.norm(fd - got) / max(np.linalg.norm(got), 1e-300))
 
         dB = rng.standard_normal((2, 2))
-        jx, jB = hvp_joint(st, shifts, P, d, dB, members=members)
+        jx, jB = hvp_joint(st, members, P, d, dB)
         evp = barrier_energy(PackingState(x=st.x + h * d, basis=LatticeBasis(st.basis.B + h * dB)),
                              shifts, P, members)
         evm = barrier_energy(PackingState(x=st.x - h * d, basis=LatticeBasis(st.basis.B - h * dB)),
@@ -207,8 +208,8 @@ def test_criterion_2_gradient_lipschitz_bound():
         sa, sb = PackingState(x=xa, basis=st.basis), PackingState(x=xb, basis=st.basis)
         if min(float(np.min(slack_values(q, members))) for q in (sa, sb)) < P.delta:
             continue
-        cap = max(observed_slack_cap(sa, shifts, P, members=members),
-                  observed_slack_cap(sb, shifts, P, members=members))
+        cap = max(observed_slack_cap(sa, members, P),
+                  observed_slack_cap(sb, members, P))
         bound = lipschitz_bound(P, cap, P.R, len(members))
         ga = barrier_energy(sa, shifts, P, members=members).grad_x
         gb = barrier_energy(sb, shifts, P, members=members).grad_x
@@ -252,8 +253,9 @@ def test_criterion_5_local_linear_rate_matches_companion_roots():
     st_star = sliding_column_state(float(np.sqrt(4.0 + 0.05)))
     shifts = build_shift_set(st_star.basis, P.R)
     assert float(np.linalg.norm(barrier_energy(st_star, shifts, P).grad_x)) <= 1e-12
-    L = estimate_L(st_star, shifts, P).value
-    m = estimate_m(st_star, shifts, P).value
+    near = contacts_within(st_star, shifts, P.R)
+    L = estimate_L(st_star, near, P).value
+    m = estimate_m(st_star, near, P).value
     assert m > 0.0
     dt, eta = select_steps(L, m, 1.0, 1.9)
     rho_pred = max(companion_rate(lam, dt, eta) for lam in (m, L))
@@ -313,7 +315,8 @@ def test_criterion_7_poincare_and_cheeger(run_segments):
     graphs_checked = 0
     for ds in states:
         shifts = build_shift_set(ds.packing.basis, cfg.R)
-        graph = build_contact_graph(ds.packing, shifts, cfg.eps_active)
+        graph = build_contact_graph(ds.packing,
+                                    contacts_within(ds.packing, shifts, 2.0 + cfg.eps_active))
         lam2, _ = fiedler(graph)
         assert lam2 > 1e-10, "run contact graph unexpectedly disconnected"
         for _ in range(100):
@@ -341,14 +344,12 @@ def test_criterion_7_poincare_and_cheeger(run_segments):
 
 def test_criterion_8_rigidity_verdicts():
     hex_st = hex_single_sphere()
-    shifts = build_shift_set(hex_st.basis, P.R)
-    act = active_set(hex_st, shifts, tol_active=1e-9)
+    act = active_set(hex_st, scan(hex_st, P.R), tol_active=1e-9)
     rig = is_periodically_rigid(hex_st, act)
     assert rig.rigid and rig.nontrivial_dim == 0
 
     sq = square_single_sphere()
-    shifts_sq = build_shift_set(sq.basis, P.R)
-    act_sq = active_set(sq, shifts_sq, tol_active=1e-9)
+    act_sq = active_set(sq, scan(sq, P.R), tol_active=1e-9)
     rig_sq = is_periodically_rigid(sq, act_sq)
     assert not rig_sq.rigid and rig_sq.nontrivial_dim >= 1
     # the returned motion is an explicit shear: a genuine flex outside the
@@ -396,7 +397,7 @@ def test_prestress_stability_implies_rigidity(case, request):
     if case in _IMPLICATION_CASES:
         make, optimum = _IMPLICATION_CASES[case]
         st = make()
-        act = active_set(st, build_shift_set(st.basis, P.R), tol_active=1e-9)
+        act = active_set(st, scan(st, P.R), tol_active=1e-9)
         rigid = is_periodically_rigid(st, act).rigid
         stable, margin = prestress_stable(st, act, np.ones(len(act)))
     else:

@@ -114,10 +114,10 @@ def test_translation_leaves_value_unchanged():
 
 def test_hvp_x_linearity_and_translations():
     st = random_feasible_state(seed=3, N=5)
-    shifts = build_shift_set(st.basis, P.R)
-    assert np.all(hvp_x(st, shifts, P, np.zeros_like(st.x)) == 0.0)
+    near = contacts_within(st, build_shift_set(st.basis, P.R), P.R)
+    assert np.all(hvp_x(st, near, P, np.zeros_like(st.x)) == 0.0)
     uniform = np.tile(np.array([0.4, -0.7]), (st.N, 1))
-    assert np.all(hvp_x(st, shifts, P, uniform) == 0.0)
+    assert np.all(hvp_x(st, near, P, uniform) == 0.0)
 
 
 def test_hvp_x_matches_fd_of_gradient():
@@ -130,7 +130,7 @@ def test_hvp_x_matches_fd_of_gradient():
         shifts = build_shift_set(st.basis, P.R)
         members = contacts_within(st, shifts, P.R)
         d = rng.standard_normal(st.x.shape)
-        got = hvp_x(st, shifts, P, d, members=members)
+        got = hvp_x(st, members, P, d)
         h = 1e-5
         gp = barrier_energy(PackingState(x=st.x + h * d, basis=st.basis), shifts, P, members=members).grad_x
         gm = barrier_energy(PackingState(x=st.x - h * d, basis=st.basis), shifts, P, members=members).grad_x
@@ -140,8 +140,8 @@ def test_hvp_x_matches_fd_of_gradient():
 
 def test_hvp_joint_zero_direction():
     st = random_feasible_state(seed=4, N=4)
-    shifts = build_shift_set(st.basis, P.R)
-    ox, oB = hvp_joint(st, shifts, P, np.zeros_like(st.x), np.zeros((2, 2)))
+    near = contacts_within(st, build_shift_set(st.basis, P.R), P.R)
+    ox, oB = hvp_joint(st, near, P, np.zeros_like(st.x), np.zeros((2, 2)))
     assert np.all(ox == 0.0) and np.all(oB == 0.0)
 
 
@@ -153,8 +153,8 @@ def test_hvp_joint_symmetry():
     for _ in range(5):
         p1, H1 = rng.standard_normal(st.x.shape), rng.standard_normal((2, 2))
         p2, H2 = rng.standard_normal(st.x.shape), rng.standard_normal((2, 2))
-        a_x, a_B = hvp_joint(st, shifts, P, p1, H1, members=members)
-        b_x, b_B = hvp_joint(st, shifts, P, p2, H2, members=members)
+        a_x, a_B = hvp_joint(st, members, P, p1, H1)
+        b_x, b_B = hvp_joint(st, members, P, p2, H2)
         lhs = float(np.sum(p2 * a_x) + np.sum(H2 * a_B))
         rhs = float(np.sum(p1 * b_x) + np.sum(H1 * b_B))
         assert rel_err(lhs, rhs) <= 1e-10
@@ -168,7 +168,7 @@ def test_hvp_joint_matches_fd_of_joint_gradient():
         shifts = build_shift_set(st.basis, P.R)
         members = contacts_within(st, shifts, P.R)
         dx, dB = rng.standard_normal(st.x.shape), rng.standard_normal((2, 2))
-        got_x, got_B = hvp_joint(st, shifts, P, dx, dB, members=members)
+        got_x, got_B = hvp_joint(st, members, P, dx, dB)
         h = 1e-5
 
         def grads(sign):
@@ -186,9 +186,9 @@ def test_hvp_joint_matches_fd_of_joint_gradient():
 
 def test_estimate_L_matches_dense_oracle_single_pair():
     st = pair_state(2.1)
-    shifts = build_shift_set(st.basis, P.R)
-    got = estimate_L(st, shifts, P).value
-    H = dense_hessian_x(st, shifts, P)
+    near = contacts_within(st, build_shift_set(st.basis, P.R), P.R)
+    got = estimate_L(st, near, P).value
+    H = dense_hessian_x(st, near, P)
     Q = gauge_basis(st.N, 2)
     eigs = np.linalg.eigvalsh(Q.T @ H @ Q)
     want = float(np.max(np.abs(eigs)))
@@ -197,32 +197,32 @@ def test_estimate_L_matches_dense_oracle_single_pair():
 
 def test_estimate_L_scales_linearly_in_nu():
     st = hex_two_sphere()
-    shifts = build_shift_set(st.basis, P.R)
-    l1 = estimate_L(st, shifts, P).value
+    near = contacts_within(st, build_shift_set(st.basis, P.R), P.R)
+    l1 = estimate_L(st, near, P).value
     p2 = BarrierParams(nu=2 * P.nu, delta=P.delta, R=P.R)
-    l2 = estimate_L(st, shifts, p2).value
+    l2 = estimate_L(st, near, p2).value
     assert rel_err(l2, 2.0 * l1) <= 1e-6
 
 
 def test_estimate_L_dominates_rayleigh_probes():
     st = hex_two_sphere()
-    shifts = build_shift_set(st.basis, P.R)
-    L = estimate_L(st, shifts, P).value
+    near = contacts_within(st, build_shift_set(st.basis, P.R), P.R)
+    L = estimate_L(st, near, P).value
     rng = np.random.default_rng(1)
     for _ in range(20):
         d = rng.standard_normal(st.x.shape)
         d -= d.mean(axis=0)
         d /= np.linalg.norm(d)
-        rq = abs(float(np.sum(d * hvp_x(st, shifts, P, d))))
+        rq = abs(float(np.sum(d * hvp_x(st, near, P, d))))
         assert rq <= L * (1.0 + 1e-6)
 
 
 def test_estimate_m_strongly_convex_instance():
     st = hex_two_sphere()
-    shifts = build_shift_set(st.basis, P.R)
-    L = estimate_L(st, shifts, P).value
-    m = estimate_m(st, shifts, P).value
-    H = dense_hessian_x(st, shifts, P)
+    near = contacts_within(st, build_shift_set(st.basis, P.R), P.R)
+    L = estimate_L(st, near, P).value
+    m = estimate_m(st, near, P).value
+    H = dense_hessian_x(st, near, P)
     Q = gauge_basis(st.N, 2)
     want = float(np.min(np.linalg.eigvalsh(Q.T @ H @ Q)))
     assert m > 0.0
@@ -235,24 +235,23 @@ def test_estimate_m_detects_flat_direction():
     s_plus = 0.5 * (P.delta + np.sqrt(P.delta**2 + 4 * P.delta))
     spacing = float(np.sqrt(4.0 + s_plus))
     st = sliding_column_state(spacing)
-    shifts = build_shift_set(st.basis, P.R)
-    m = estimate_m(st, shifts, P).value
+    near = contacts_within(st, build_shift_set(st.basis, P.R), P.R)
+    m = estimate_m(st, near, P).value
     assert m <= 1e-6
-    H = dense_hessian_x(st, shifts, P)
+    H = dense_hessian_x(st, near, P)
     Q = gauge_basis(st.N, 2)
     assert abs(float(np.min(np.linalg.eigvalsh(Q.T @ H @ Q)))) <= 1e-9
 
 
-def _hvp_matrices(st, shifts, members):
+def _hvp_matrices(st, members):
     """Position and joint Hessians assembled column by column from the HVPs."""
     N, n = st.x.shape
     D = N * n
-    Hx = np.stack([hvp_x(st, shifts, P, e.reshape(N, n), members=members).ravel()
+    Hx = np.stack([hvp_x(st, members, P, e.reshape(N, n)).ravel()
                    for e in np.eye(D)], axis=1)
     cols = []
     for e in np.eye(D + n * n):
-        ox, oB = hvp_joint(st, shifts, P, e[:D].reshape(N, n), e[D:].reshape(n, n),
-                           members=members)
+        ox, oB = hvp_joint(st, members, P, e[:D].reshape(N, n), e[D:].reshape(n, n))
         cols.append(np.concatenate([ox.ravel(), oB.ravel()]))
     return Hx, np.stack(cols, axis=1)
 
@@ -266,7 +265,7 @@ def test_hessian_matches_hvp_columns(seed, N, n):
     st = random_feasible_state(seed=seed, N=N, n=n)
     shifts = build_shift_set(st.basis, P.R)
     members = contacts_within(st, shifts, P.R)
-    want_x, want_joint = _hvp_matrices(st, shifts, members)
+    want_x, want_joint = _hvp_matrices(st, members)
     for joint, want in ((False, want_x), (True, want_joint)):
         got = hessian(st, members, P, joint=joint)
         assert got.shape == want.shape
@@ -280,10 +279,10 @@ def test_curvature_estimates_bracket_the_hvp_spectrum(seed, N, n):
     st = random_feasible_state(seed=seed, N=N, n=n)
     shifts = build_shift_set(st.basis, P.R)
     members = contacts_within(st, shifts, P.R)
-    Hx, Hj = _hvp_matrices(st, shifts, members)
-    estimates = [estimate_L(st, shifts, P, members=members),
-                 estimate_m(st, shifts, P, members=members),
-                 estimate_L_joint(st, shifts, P, members=members)]
+    Hx, Hj = _hvp_matrices(st, members)
+    estimates = [estimate_L(st, members, P),
+                 estimate_m(st, members, P),
+                 estimate_L_joint(st, members, P)]
     assert all(e.converged and e.iters == 1 for e in estimates)
     L, m, Lj = (e.value for e in estimates)
     w = gauge_eigs(Hx, N, n)  # empty for N = 1: no gauge directions
@@ -301,8 +300,8 @@ def test_estimate_L_bounds_lambda_max_on_n4_seed3_testbed():
     st = make_testbed(RunConfig(N=4, seed=3, unsafe=True)).packing  # nu, delta, R of P
     shifts = build_shift_set(st.basis, P.R)
     members = contacts_within(st, shifts, P.R)
-    lam_max = float(np.max(np.abs(np.linalg.eigvalsh(_hvp_matrices(st, shifts, members)[0]))))
-    got = estimate_L(st, shifts, P, members=members)
+    lam_max = float(np.max(np.abs(np.linalg.eigvalsh(_hvp_matrices(st, members)[0]))))
+    got = estimate_L(st, members, P)
     assert got.converged
     assert lam_max <= got.value <= lam_max * (1.0 + 1e-12)
 
@@ -345,8 +344,8 @@ def test_lipschitz_closed_form_bound():
         slacks = [slack_values(q, members) for q in (sa, sb)]
         if min(np.min(s) for s in slacks) < P.delta:
             continue
-        cap = max(observed_slack_cap(sa, shifts, P, members=members),
-                  observed_slack_cap(sb, shifts, P, members=members))
+        cap = max(observed_slack_cap(sa, members, P),
+                  observed_slack_cap(sb, members, P))
         bound = lipschitz_bound(P, cap, P.R, len(members))
         ga = barrier_energy(sa, shifts, P, members=members).grad_x
         gb = barrier_energy(sb, shifts, P, members=members).grad_x
@@ -355,7 +354,7 @@ def test_lipschitz_closed_form_bound():
         if ratio > bound:
             violations += 1
         # the eigensolver bound also respects the closed-form constant
-        assert estimate_L(sa, shifts, P, members=members).value <= bound
+        assert estimate_L(sa, members, P).value <= bound
     assert checked >= 50
     assert violations == 0
 

@@ -11,7 +11,15 @@ from hypothesis.strategies import floats as st_floats
 from hypothesis.strategies import integers as st_integers
 from hypothesis.strategies import lists as st_lists
 from hypothesis.strategies import sampled_from
-from util import big_cell, gauge_eigs, hex_two_sphere, make_ds, pair_state, ref_spectrum
+from util import (
+    big_cell,
+    gauge_eigs,
+    hex_two_sphere,
+    make_ds,
+    members_within,
+    pair_state,
+    ref_spectrum,
+)
 
 from spit import barrier, dynamics, geometry, harness, projection
 from spit.barrier import (
@@ -52,7 +60,7 @@ from spit.geometry import (
     r_vectors,
 )
 from spit.harness import RunConfig, certify, config_from_preset, make_testbed, random_feasible_state
-from spit.spectral import build_contact_graph, pair_edges_of
+from spit.spectral import build_contact_graph, near_rows, pair_edges_of
 
 P = BarrierParams(nu=1e-2, delta=1e-3, R=2.5)
 
@@ -164,7 +172,7 @@ def test_backtracking_reaches_descent():
     # start with a wildly underestimated curvature: halvings restore descent
     st = hex_two_sphere()
     shifts = build_shift_set(st.basis, P.R)
-    L_true = estimate_L(st, shifts, P).value
+    L_true = estimate_L(st, contacts_within(st, shifts, P.R), P).value
     L_bad = L_true / 1e4
     rng = np.random.default_rng(2)
     v = rng.standard_normal(st.x.shape)
@@ -188,9 +196,9 @@ def test_backtracking_reaches_descent():
 
 def test_jury_conditions_along_selected_steps():
     st = hex_two_sphere()
-    shifts = build_shift_set(st.basis, P.R)
-    L = estimate_L(st, shifts, P).value
-    m = estimate_m(st, shifts, P).value
+    near = contacts_within(st, build_shift_set(st.basis, P.R), P.R)
+    L = estimate_L(st, near, P).value
+    m = estimate_m(st, near, P).value
     dt, eta = select_steps(L, max(m, 1e-12), 1.0, 1.9)
     for lam in np.linspace(max(m, 1e-12), L, 64):
         alpha, beta = companion_coefficients(lam, dt, eta)
@@ -260,9 +268,9 @@ def test_apply_nudge_inside_loop_is_energy_safe():
         st = random_feasible_state(seed=900 + seed, N=6, delta=0.02)
         shifts = build_shift_set(st.basis, P.R)
         members = contacts_within(st, shifts, P.R)
-        L = estimate_L(st, shifts, P, members=members).value
+        L = estimate_L(st, members, P).value
         ds = make_ds(st, P, L_hat=L)
-        if len(build_contact_graph(st, shifts, 0.1, base=members)) == 0:
+        if len(contacts_within(st, shifts, 2.1)) == 0:  # no edge at eps_active
             continue
         cfg = RunConfig(N=6, eps_active=0.1, unsafe=True)
         events = []
@@ -279,7 +287,7 @@ def test_apply_nudge_inside_loop_is_energy_safe():
                                  barrier_value(ds_new.packing, shifts, P, members=members))
         assert np.array_equal(ev_new.grad_x,
                               barrier_energy(ds_new.packing, shifts, P, members=members).grad_x)
-        assert min_slack(ds_new.packing, shifts) >= cfg.delta * (1 - 1e-6)
+        assert min_slack(ds_new.packing, shifts, P.R) >= cfg.delta * (1 - 1e-6)
         assert any(e.get("kind") == "nudge" for e in events)
     assert applied_any
 
@@ -295,7 +303,7 @@ def test_apply_nudge_repairs_through_the_safeguard():
     st = random_feasible_state(seed=284, N=6, delta=P.delta, inflate=0.0, jitter=0.02)
     shifts = build_shift_set(st.basis, P.R)
     members = contacts_within(st, shifts, P.R)
-    L = estimate_L(st, shifts, P, members=members).value
+    L = estimate_L(st, members, P).value
     ds = make_ds(st, P, L_hat=L)
     ev = barrier_energy(st, shifts, P, members=members)
     E_ref = lyapunov(ds, ev.value)
@@ -310,7 +318,7 @@ def test_apply_nudge_repairs_through_the_safeguard():
     assert counts["gs_repairs"] >= 1 and counts["projections_x"] >= 1
     assert sum(e.get("kind") == "qp_x" for e in events) == counts["projections_x"]
     assert e_new <= E_ref + 1e-10
-    assert min_slack(ds_new.packing, shifts) >= P.delta * (1 - 1e-6)
+    assert min_slack(ds_new.packing, shifts, P.R) >= P.delta * (1 - 1e-6)
     assert e_new == lyapunov(ds_new, barrier_energy(ds_new.packing, shifts, P,
                                                     members=members).value)
 
@@ -329,8 +337,9 @@ def test_local_linear_rate_two_sphere():
     assert float(np.linalg.norm(g)) <= 1e-12  # exactly at the minimizer
     x_star = st_star.x
 
-    L = estimate_L(st_star, shifts, P).value
-    m = estimate_m(st_star, shifts, P).value
+    near = contacts_within(st_star, shifts, P.R)
+    L = estimate_L(st_star, near, P).value
+    m = estimate_m(st_star, near, P).value
     assert m > 0
     dt, eta = select_steps(L, m, 1.0, 1.9)
     rho_pred = max(companion_rate(lam, dt, eta) for lam in (m, L))
@@ -381,13 +390,12 @@ def test_rest_state_takes_one_eigensolve(monkeypatch):
         return spectrum(H, N, n)
 
     monkeypatch.setattr(barrier, "_gauge_spectrum", counting)
-    _, L_hat, m_hat = rest_state(st, shifts, P, config,
-                                 barrier_energy(st, shifts, P, members=members))
+    _, L_hat, m_hat = rest_state(st, P, config, barrier_energy(st, shifts, P, members=members))
     assert len(calls) == 1
     # the same bounds as from two eigensolves of copies of the member list
     copy = members.take(slice(None))
-    assert L_hat == estimate_L(st, shifts, P, members=copy).value
-    assert m_hat == estimate_m(st, shifts, P, members=members.take(slice(None))).value
+    assert L_hat == estimate_L(st, copy, P).value
+    assert m_hat == estimate_m(st, members.take(slice(None)), P).value
     assert len(calls) == 3
 
 
@@ -418,7 +426,7 @@ def test_spit_step_returns_the_evaluation_at_its_new_state(seed, N, n, speed, dr
     members = contacts_within(st, shifts, P.R)
     rng = np.random.default_rng(seed)
     v = speed * rng.standard_normal(st.x.shape) + drift * speed  # a nonzero mean too
-    ds = make_ds(st, P, L_hat=estimate_L(st, shifts, P, members=members).value, v=v)
+    ds = make_ds(st, P, L_hat=estimate_L(st, members, P).value, v=v)
     ev0 = barrier_energy(st, shifts, P, members=members)
     try:
         new, ev = spit_step(ds, P, shifts, ev0)
@@ -509,7 +517,7 @@ def test_spectrum_skips_only_edgeless_graphs(gap):
     st = pair_state(2.0 + eps + gap)
     shifts = build_shift_set(st.basis, P.R)
     ev = barrier_energy(st, shifts, P)
-    graph = build_contact_graph(st, shifts, eps, base=ev.contacts)
+    graph = build_contact_graph(st, members_within(st, shifts, ev.contacts, 2.0 + eps))
     assert len(graph) == (gap <= 0.0)
     edges, lam2 = dynamics._spectrum(st, ev, eps, {})
     assert (edges is None) == (len(graph) == 0)
@@ -522,11 +530,12 @@ def test_spectrum_skips_only_edgeless_graphs(gap):
 @given(n=sampled_from([2, 3]), N=st_integers(2, 6), seed=st_integers(0, 10_000),
        ulps=st_integers(-2, 2))
 def test_slack_mask_is_the_contact_graph(n, N, seed, ulps):
-    # the pair edges read off the evaluation's slacks, `_spectrum`'s, are those
-    # of `build_contact_graph` on the member list, and on a shuffled or a subset
-    # table those of the evaluation's rows in that order: on a random state at a
-    # scale through one of its member distances, and on a pair at d = 2 + eps,
-    # each scale or distance moved by a few ulps
+    # one edge rule: on the member list, a shuffled or a subset table, the
+    # evaluation's `near_rows` are exactly the members a scan within 2 + eps
+    # finds, in the table's order, and the nudge's graph on them has the edges,
+    # normals and gaps of `build_contact_graph` on the scan, bit for bit: on a
+    # random state at a scale through one of its member distances, and on a pair
+    # at d = 2 + eps, each scale or distance moved by a few ulps
     rng = np.random.default_rng(seed)
     st = random_feasible_state(seed=seed, N=N, n=n)
     ev = barrier_energy(st, build_shift_set(st.basis, P.R), P)
@@ -539,18 +548,25 @@ def test_slack_mask_is_the_contact_graph(n, N, seed, ulps):
     for state, scale in ((st, eps), (pair, d - 2.0)):
         shifts = build_shift_set(state.basis, P.R)
         ev = barrier_energy(state, shifts, P)
+        scanned = build_contact_graph(state, contacts_within(state, shifts, 2.0 + scale))
+        row_of = {scanned.edges.index(k): k for k in range(len(scanned))}
         m = len(ev.contacts)
         for rows in (np.arange(m), rng.permutation(m), np.flatnonzero(rng.random(m) < 0.5)):
             # the evaluation's numbers in those rows, not recomputed
             seen = dataclasses.replace(ev, contacts=ev.contacts.take(rows), r=ev.r[rows],
                                        slack=ev.slack[rows],
                                        min_slack=float(ev.slack[rows].min(initial=np.inf)))
+            want = members_within(state, shifts, seen.contacts, 2.0 + scale)
+            graph = build_contact_graph(state, seen.contacts.take(near_rows(seen, scale)))
+            assert graph.edges.key == want.key
+            at = [row_of[graph.edges.index(k)] for k in range(len(graph))]
+            assert graph.normals.tobytes() == scanned.normals[at].tobytes()
+            assert graph.gaps.tobytes() == scanned.gaps[at].tobytes()
             edges = pair_edges_of(seen, scale)
-            want = build_contact_graph(state, shifts, scale, base=seen.contacts).pair_edges
             if edges is None:
-                assert want.shape[1] == 0
+                assert graph.pair_edges.shape[1] == 0
             else:
-                assert edges.tobytes() == want.tobytes()
+                assert edges.tobytes() == graph.pair_edges.tobytes()
 
 
 def test_certify_builds_no_contact_graph(monkeypatch):
@@ -599,7 +615,7 @@ def test_anchored_curvature_bounds_hold_after_moves_and_member_changes(seed, N, 
     state = random_feasible_state(seed=seed, N=N, n=n)
     shifts = build_shift_set(state.basis, P.R)
     members = contacts_within(state, shifts, P.R)
-    anchors = CurvatureAnchors(shifts, P)
+    anchors = CurvatureAnchors(P)
     anchor_state = {}  # of each kind's latest anchor
     # THETA = inf: every estimate on an anchor's member list is an update, however
     # far the state has moved since, so the change bound alone carries the certificate
@@ -653,7 +669,7 @@ def test_admitted_curvature_updates_stay_certified_and_tight(seed, N, n, ops):
     state = random_feasible_state(seed=seed, N=N, n=n)
     shifts = build_shift_set(state.basis, P.R)
     members = contacts_within(state, shifts, P.R)
-    anchors = CurvatureAnchors(shifts, P)
+    anchors = CurvatureAnchors(P)
     for op in ["start", "squeeze"] + ops:
         if op == "squeeze":
             state = _squeezed(state, members, rng)
@@ -671,6 +687,32 @@ def test_admitted_curvature_updates_stay_certified_and_tight(seed, N, n, ops):
             assert 0.0 <= m_hat <= max(float(w[0]), 0.0)
             if anchors.admitted > admitted:
                 assert L_hat <= 1.02 * top + 1e-12 * scale
+
+
+def test_joint_estimates_past_theta_take_no_probe(monkeypatch):
+    # the pair mode has no basis part, so past THETA a joint estimate goes
+    # straight to its dense solve, even where a probe would admit any update;
+    # a position estimate there still asks the probe
+    probes = []
+
+    def probe(*args):
+        probes.append(args)
+        return pair_mode_rayleigh(*args)
+
+    monkeypatch.setattr(dynamics, "pair_mode_rayleigh", probe)
+    state = random_feasible_state(seed=4, N=5)
+    shifts = build_shift_set(state.basis, P.R)
+    ev = barrier_energy(state, shifts, P)
+    anchors = CurvatureAnchors(P)
+    for joint in (True, False):
+        anchors.bounds(state, ev, joint=joint)  # the anchors: two dense solves
+    moved = state.with_x(state.x + 1e-4 * np.random.default_rng(4).standard_normal(state.x.shape))
+    ev_moved = barrier_energy(moved, shifts, P, members=ev.contacts)
+    with mock.patch.object(dynamics, "THETA", 0.0), mock.patch.object(dynamics, "ADMIT", np.inf):
+        anchors.bounds(moved, ev_moved, joint=True)
+        assert (anchors.solves, anchors.updates, probes) == (3, 0, [])
+        anchors.bounds(moved, ev_moved)
+    assert (anchors.solves, anchors.updates, anchors.admitted, len(probes)) == (3, 1, 1, 1)
 
 
 def _counted_r_vectors(monkeypatch) -> list:
@@ -695,7 +737,7 @@ def test_weyl_updates_and_constraint_rows_reuse_separations(monkeypatch):
     state = random_feasible_state(seed=4, N=5)
     shifts = build_shift_set(state.basis, P.R)
     ev = barrier_energy(state, shifts, P)
-    anchors = CurvatureAnchors(shifts, P)
+    anchors = CurvatureAnchors(P)
     anchors.bounds(state, ev)  # the anchor: one dense solve
     moved = state.with_x(state.x + 1e-4 * np.random.default_rng(4).standard_normal(state.x.shape))
     ev_moved = barrier_energy(moved, shifts, P, members=ev.contacts)
@@ -734,7 +776,7 @@ def test_dense_estimates_reuse_their_memory(monkeypatch):
         shifts = build_shift_set(state.basis, config.R)
         members = contacts_within(state, shifts, config.R)
         p = BarrierParams(config.nu, config.delta, config.R)
-        anchors = CurvatureAnchors(shifts, p)
+        anchors = CurvatureAnchors(p)
         for k in range(3):
             ev = barrier_energy(state, shifts, p, members=members.take(np.arange(len(members)) != k))
             for joint in (False, True):

@@ -1,5 +1,10 @@
 """Lattice, shift-set, slack, and gauge primitives."""
 
+import dataclasses
+import importlib
+import inspect
+import pkgutil
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -8,12 +13,14 @@ from hypothesis.strategies import integers as st_integers
 from hypothesis.strategies import sampled_from as st_sampled_from
 from util import big_cell, fd_gradient, pair_state, rel_err
 
+import spit
 from spit.errors import SingularBasisError
 from spit.geometry import (
     ContactIndex,
     Contacts,
     LatticeBasis,
     PackingState,
+    ShiftIndexSet,
     build_shift_set,
     cell_volume,
     contact_rows,
@@ -199,16 +206,16 @@ def test_gauge_preserves_slacks():
 def test_min_slack_examples():
     st = pair_state(2.0)
     shifts = build_shift_set(st.basis, 2.5)
-    assert min_slack(st, shifts) == pytest.approx(0.0, abs=1e-12)
+    assert min_slack(st, shifts, 2.5) == pytest.approx(0.0, abs=1e-12)
     single = PackingState.make(np.zeros((1, 2)), LatticeBasis(np.eye(2) * 4.0))
     shifts = build_shift_set(single.basis, 4.5)
-    assert min_slack(single, shifts) == pytest.approx(12.0)
+    assert min_slack(single, shifts, 4.5) == pytest.approx(12.0)
 
 
 def test_min_slack_empty_is_inf():
     st = pair_state(10.0)
     shifts = build_shift_set(st.basis, 2.5)
-    assert min_slack(st, shifts) == np.inf
+    assert min_slack(st, shifts, 2.5) == np.inf
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -231,8 +238,9 @@ def oracle_contacts(state: PackingState, radius: float) -> Contacts:
     state: its shift set reaches radius plus the largest center separation."""
     x = state.x
     spread = float(np.max(np.linalg.norm(x[:, None, :] - x[None, :, :], axis=-1)))
-    shifts = build_shift_set(state.basis, radius + spread)
-    return contacts_within(state, shifts, radius, base=shifts.candidates(state.N))
+    table = build_shift_set(state.basis, radius + spread).candidates(state.N)
+    r = r_vectors(state, table)
+    return table.take((r * r).sum(axis=1) <= radius * radius)
 
 
 def assert_same_contacts(got: Contacts, want: Contacts) -> None:
@@ -274,12 +282,9 @@ def test_contacts_within_matches_brute_force_oracle(n, N, seed, reach):
 
 
 def test_contacts_within_rejects_negative_radius():
-    # with a base list the squared radius alone would select the rows
     st = pair_state(2.1)
-    shifts = build_shift_set(st.basis, 2.5)
-    for base in (None, contacts_within(st, shifts, 2.5)):
-        with pytest.raises(ValueError, match="radius must be nonnegative"):
-            contacts_within(st, shifts, -1.0, base=base)
+    with pytest.raises(ValueError, match="radius must be nonnegative"):
+        contacts_within(st, build_shift_set(st.basis, 2.5), -1.0)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -295,3 +300,35 @@ def test_volume_hessian_bound_covers_the_hessian(n):
         Hess = np.array([[det(B + e + f) - det(B + e - f) - det(B - e + f) + det(B - e - f)
                           for f in E] for e in E]) / 4.0
         assert np.linalg.norm(Hess, 2) <= volume_hessian_bound(basis) * (1.0 + 1e-9) + 1e-12
+
+
+# every `spit` function that takes a shift set: those that scan for their
+# contacts, and the callers of a scan or of `barrier_energy`, whose signatures
+# the benchmark pins; the rest take the contacts they work on
+SHIFT_SET_TAKERS = {
+    "barrier._included", "barrier.barrier_energy", "barrier.barrier_value",
+    "dynamics._apply_nudge", "dynamics._safeguard", "dynamics.lyapunov_energy",
+    "dynamics.spit_step", "geometry.contacts_within", "geometry.min_slack",
+    "harness._feasibilize", "projection._e_project", "projection.e_project_joint",
+    "projection.e_project_x",
+}
+
+
+def test_only_scans_and_their_callers_take_a_shift_set():
+    found = set()
+    for info in pkgutil.iter_modules(spit.__path__):
+        module = importlib.import_module(f"spit.{info.name}")
+        for name, obj in vars(module).items():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(obj):
+                funcs = [(name, obj)]
+            elif inspect.isclass(obj):
+                funcs = [(f"{name}.{k}", v) for k, v in vars(obj).items() if inspect.isfunction(v)]
+            else:
+                continue
+            found |= {f"{info.name}.{qual}" for qual, f in funcs
+                      if "shifts" in inspect.signature(f).parameters}
+    assert found == SHIFT_SET_TAKERS
+    assert list(inspect.signature(contacts_within).parameters) == ["state", "shifts", "radius"]
+    assert [f.name for f in dataclasses.fields(ShiftIndexSet)] == ["zs", "_pairs"]

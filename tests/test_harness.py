@@ -103,7 +103,7 @@ def test_make_testbed_zero_jitter_exact_slack():
     ds = make_testbed(cfg)
     shifts = build_shift_set(ds.packing.basis, cfg.R)
     want = (1.0 + cfg.inflate) ** 2 * 4.0 - 4.0
-    assert min_slack(ds.packing, shifts) == pytest.approx(want, rel=1e-12)
+    assert min_slack(ds.packing, shifts, cfg.R) == pytest.approx(want, rel=1e-12)
     assert np.all(ds.v == 0.0)
 
 
@@ -120,7 +120,7 @@ def test_make_testbed_meets_margin():
     cfg = config_from_preset("stub32")
     ds = make_testbed(cfg)
     shifts = build_shift_set(ds.packing.basis, cfg.R)
-    assert min_slack(ds.packing, shifts) >= cfg.delta
+    assert min_slack(ds.packing, shifts, cfg.R) >= cfg.delta
 
 
 def test_make_testbed_gauss_seidel_stall_falls_through_to_qp():
@@ -129,7 +129,7 @@ def test_make_testbed_gauss_seidel_stall_falls_through_to_qp():
     cfg = RunConfig(N=64, eps_active=0.05, jitter=0.02, inflate=0.02, seed=2).validate()
     ds = make_testbed(cfg)
     shifts = build_shift_set(ds.packing.basis, cfg.R)
-    assert min_slack(ds.packing, shifts) >= cfg.delta
+    assert min_slack(ds.packing, shifts, cfg.R) >= cfg.delta
 
 
 @pytest.mark.parametrize("seed", [0, 3, 39])
@@ -146,7 +146,7 @@ def test_make_testbed_cubic_fallback():
     ds = make_testbed(cfg)
     assert ds.packing.x.shape == (8, 3)
     shifts = build_shift_set(ds.packing.basis, cfg.R)
-    assert min_slack(ds.packing, shifts) >= cfg.delta
+    assert min_slack(ds.packing, shifts, cfg.R) >= cfg.delta
 
 
 def test_state_roundtrip(tmp_path):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis.strategies import floats as st_floats
 from hypothesis.strategies import integers as st_integers
 from hypothesis.strategies import sampled_from
-from util import big_cell, energy_of, make_ds, pair_state
+from util import big_cell, energy_of, make_ds, pair_state, scan
 
 from spit.barrier import BarrierParams, barrier_energy, barrier_value, estimate_L, estimate_L_joint
 from spit.errors import FeasibilityError, InfeasibleSlackError, LinearizedInfeasibleError
@@ -26,8 +26,7 @@ P = BarrierParams(nu=1e-2, delta=1e-3, R=2.5)
 
 def test_gs_noop_when_feasible():
     st = pair_state(2.2)
-    shifts = build_shift_set(st.basis, P.R)
-    out, changed = gs_project_once(st, shifts, P.delta)
+    out, changed = gs_project_once(st, scan(st), P.delta)
     assert not changed
     assert out is st
 
@@ -35,8 +34,7 @@ def test_gs_noop_when_feasible():
 def test_gs_single_pair_exact_radial_repair():
     d0 = 1.97
     st = pair_state(d0)
-    shifts = build_shift_set(st.basis, P.R)
-    out, changed = gs_project_once(st, shifts, P.delta)
+    out, changed = gs_project_once(st, scan(st), P.delta)
     assert changed
     dist = np.linalg.norm(out.x[0] - out.x[1])
     assert dist == pytest.approx(np.sqrt(4.0 + P.delta), abs=1e-9)
@@ -49,8 +47,7 @@ def test_gs_single_pair_exact_radial_repair():
 
 def test_gs_skips_cell_bound_contacts():
     tight = PackingState.make(np.zeros((1, 2)), LatticeBasis(np.eye(2) * 1.9995))
-    shifts = build_shift_set(tight.basis, P.R)
-    out, changed = gs_project_once(tight, shifts, P.delta)
+    out, changed = gs_project_once(tight, scan(tight), P.delta)
     assert not changed  # only basis moves could fix these
 
 
@@ -140,7 +137,7 @@ def test_e_project_x_nonexpansive_on_feasible_inputs():
     for seed in range(8):
         st = random_feasible_state(seed=300 + seed, N=5)
         shifts = build_shift_set(st.basis, P.R)
-        L = estimate_L(st, shifts, P).value
+        L = estimate_L(st, contacts_within(st, shifts, P.R), P).value
         rng = np.random.default_rng(seed)
         v = rng.standard_normal(st.x.shape) * 0.1
         x_prev = st.x + rng.standard_normal(st.x.shape) * 0.01
@@ -159,7 +156,7 @@ def test_e_project_x_two_sphere_single_constraint_oracle():
     st = pair_state(dist)
     shifts = build_shift_set(st.basis, P.R)
     from util import dense_hessian_x
-    L = float(np.max(np.abs(np.linalg.eigvalsh(dense_hessian_x(st, shifts, P)))))
+    L = float(np.max(np.abs(np.linalg.eigvalsh(dense_hessian_x(st, scan(st), P)))))
     ds = make_ds(st, P, L_hat=L)
     # the input sits below delta, so the move is a mandatory repair and the
     # nonexpansive chain need not hold; the solution itself is closed-form
@@ -181,7 +178,7 @@ def test_e_project_x_two_sphere_single_constraint_oracle():
     want = st.x + u.reshape(2, 2)
     want = want - want.mean(axis=0)
     assert np.allclose(out.packing.x, want, atol=1e-9)
-    assert min_slack(out.packing, shifts) >= P.delta * (1 - 1e-6)
+    assert min_slack(out.packing, shifts, P.R) >= P.delta * (1 - 1e-6)
 
 
 def test_e_project_joint_identity_when_stationary():
@@ -199,7 +196,7 @@ def test_e_project_joint_nonexpansive():
     for seed in range(6):
         st = random_feasible_state(seed=400 + seed, N=4)
         shifts = build_shift_set(st.basis, P.R)
-        L = estimate_L_joint(st, shifts, P).value
+        L = estimate_L_joint(st, contacts_within(st, shifts, P.R), P).value
         ds = make_ds(st, P, L_hat=L)
         out, info, _ = e_project_joint(ds, barrier_energy(st, shifts, P), P, shifts,
                                        L_x=L, L_B=L)
@@ -212,7 +209,7 @@ def test_e_project_joint_one_dim_self_contact_oracle():
     st = PackingState.make(np.zeros((1, 1)), LatticeBasis(np.array([[b0]])))
     shifts = build_shift_set(st.basis, 2.5)
     p1 = BarrierParams(nu=1e-2, delta=1e-3, R=2.5)
-    L = estimate_L_joint(st, shifts, p1).value
+    L = estimate_L_joint(st, contacts_within(st, shifts, p1.R), p1).value
     LB = max(L, 1.0)
     ds = make_ds(st, p1, L_hat=LB)
     ev = barrier_energy(st, shifts, p1)
@@ -233,7 +230,7 @@ def test_majorizer_dominates_energy_locally():
     shifts = build_shift_set(st.basis, P.R)
     members = contacts_within(st, shifts, P.R)
     from util import dense_hessian_x
-    H = dense_hessian_x(st, shifts, P, members=members)
+    H = dense_hessian_x(st, members, P)
     L_true = float(np.max(np.abs(np.linalg.eigvalsh(H))))
     ds = make_ds(st, P, L_hat=L_true)
     ev = barrier_energy(st, shifts, P, members=members)
@@ -257,20 +254,21 @@ def test_guard_restores_margin_from_violating_state():
     x = np.array([[0.0, 0.0], [d, 0.0], [2 * d, 0.02]])
     st = PackingState.make(x, big_cell())
     shifts = build_shift_set(st.basis, P.R)
-    assert 0.0 < min_slack(st, shifts) < P.delta
-    L = estimate_L(st, shifts, P).value
-    repaired, changed = gs_project_once(st, shifts, P.delta)
+    near = contacts_within(st, shifts, P.R)
+    assert 0.0 < min_slack(st, shifts, P.R) < P.delta
+    L = estimate_L(st, near, P).value
+    repaired, changed = gs_project_once(st, near, P.delta)
     assert changed
     ds = make_ds(repaired, P, L_hat=L)
     out, info, _ = e_project_x(ds, barrier_energy(repaired, shifts, P), P, shifts, L_hat=L)
-    assert min_slack(out.packing, shifts) >= P.delta * (1 - 1e-6)
+    assert min_slack(out.packing, shifts, P.R) >= P.delta * (1 - 1e-6)
 
 
 def test_e_project_x_scans_each_state_once(monkeypatch):
     st = random_feasible_state(seed=300, N=5)
     shifts = build_shift_set(st.basis, P.R)
     members = contacts_within(st, shifts, P.R)
-    L = estimate_L(st, shifts, P, members=members).value
+    L = estimate_L(st, members, P).value
     rng = np.random.default_rng(0)
     ds = make_ds(st, P, L_hat=L, x_prev=st.x + rng.standard_normal(st.x.shape) * 0.01)
     ev = barrier_energy(st, shifts, P, members=members)
@@ -305,7 +303,7 @@ def test_e_project_x_returns_the_evaluation_at_its_result(seed, N, n, memory, sq
     rng = np.random.default_rng(seed)
     try:
         ev = barrier_energy(st, shifts, P, members=members)
-        L = estimate_L(st, shifts, P, members=members).value
+        L = estimate_L(st, members, P).value
         ds = make_ds(st, P, L_hat=L, dt=stretch / np.sqrt(2.0 * L),
                      x_prev=st.x + memory * rng.standard_normal(st.x.shape))
         # a long step and a weight below L under-majorize: the projection backs off

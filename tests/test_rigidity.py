@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis.strategies import integers as st_integers
 from hypothesis.strategies import sampled_from as st_sampled_from
-from util import hex_single_sphere, pair_state, ref_is_periodically_rigid, square_single_sphere
+from util import (
+    hex_single_sphere,
+    pair_state,
+    ref_is_periodically_rigid,
+    scan,
+    square_single_sphere,
+)
 
 from spit.barrier import BarrierParams, barrier_energy, phi
 from spit.geometry import (
@@ -37,7 +43,7 @@ P = BarrierParams(nu=1e-2, delta=1e-3, R=2.5)
 def test_active_set_hexagonal():
     st = hex_single_sphere()
     shifts = build_shift_set(st.basis, P.R)
-    act = active_set(st, shifts, tol_active=1e-9)
+    act = active_set(st, contacts_within(st, shifts, P.R), tol_active=1e-9)
     assert len(act) == 3
     assert np.all(act.i == 0) and np.all(act.j == 0)
 
@@ -45,8 +51,8 @@ def test_active_set_hexagonal():
 def test_active_set_empty_and_everything():
     st = pair_state(2.4)
     shifts = build_shift_set(st.basis, P.R)
-    assert len(active_set(st, shifts, tol_active=0.05)) == 0  # gap 0.4, slack 1.76
-    everything = active_set(st, shifts, tol_active=np.inf)
+    assert len(active_set(st, contacts_within(st, shifts, P.R), tol_active=0.05)) == 0  # gap 0.4, slack 1.76
+    everything = active_set(st, contacts_within(st, shifts, P.R), tol_active=np.inf)
     assert len(everything) == len(contacts_within(st, shifts, P.R))
 
 
@@ -101,7 +107,7 @@ def test_motion_operator_keeps_rotations_through_shifted_contacts():
 def test_motion_operator_dilation_rows():
     st = hex_single_sphere()
     shifts = build_shift_set(st.basis, P.R)
-    act = active_set(st, shifts, tol_active=1e-9)
+    act = active_set(st, contacts_within(st, shifts, P.R), tol_active=1e-9)
     M = motion_operator(st, act)
     mv = MotionVector(st.x.copy(), np.eye(2))  # uniform dilation
     vals = M @ mv.flat()
@@ -119,7 +125,7 @@ def test_motion_operator_zero_shift_rows_ignore_cell():
 def test_hexagonal_packing_is_rigid():
     st = hex_single_sphere()
     shifts = build_shift_set(st.basis, P.R)
-    act = active_set(st, shifts, tol_active=1e-9)
+    act = active_set(st, contacts_within(st, shifts, P.R), tol_active=1e-9)
     rig = is_periodically_rigid(st, act)
     assert rig.rigid
     assert rig.nontrivial_dim == 0
@@ -128,7 +134,7 @@ def test_hexagonal_packing_is_rigid():
 def test_square_packing_shears():
     st = square_single_sphere()
     shifts = build_shift_set(st.basis, P.R)
-    act = active_set(st, shifts, tol_active=1e-9)
+    act = active_set(st, contacts_within(st, shifts, P.R), tol_active=1e-9)
     assert len(act) == 2
     rig = is_periodically_rigid(st, act)
     assert not rig.rigid
@@ -149,7 +155,7 @@ def test_square_packing_shears():
 def test_empty_active_set_not_rigid():
     st = pair_state(2.4)
     shifts = build_shift_set(st.basis, P.R)
-    act = active_set(st, shifts, tol_active=1e-9)
+    act = active_set(st, contacts_within(st, shifts, P.R), tol_active=1e-9)
     assert len(act) == 0
     rig = is_periodically_rigid(st, act)
     assert not rig.rigid
@@ -163,7 +169,7 @@ def test_rigidity_invariant_under_rotations():
         Q = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
         rot = PackingState(x=st.x @ Q.T, basis=LatticeBasis(Q @ st.basis.B))
         shifts = build_shift_set(rot.basis, P.R)
-        act = active_set(rot, shifts, tol_active=1e-9)
+        act = active_set(rot, contacts_within(rot, shifts, P.R), tol_active=1e-9)
         rig = is_periodically_rigid(rot, act)
         assert rig.rigid == want
 
@@ -171,7 +177,7 @@ def test_rigidity_invariant_under_rotations():
 def test_stress_energy_on_trivial_motions_vanishes():
     st = square_single_sphere()
     shifts = build_shift_set(st.basis, P.R)
-    act = active_set(st, shifts, tol_active=1e-9)
+    act = active_set(st, contacts_within(st, shifts, P.R), tol_active=1e-9)
     omega = np.ones(len(act))
     for mv in _trivial_motions(st):
         assert stress_energy(st, act, omega, mv) <= 1e-18
@@ -190,7 +196,7 @@ def test_stress_energy_nonnegative_for_nonnegative_stress():
     rng = np.random.default_rng(11)
     st = hex_single_sphere()
     shifts = build_shift_set(st.basis, P.R)
-    act = active_set(st, shifts, tol_active=1e-9)
+    act = active_set(st, contacts_within(st, shifts, P.R), tol_active=1e-9)
     for _ in range(20):
         omega = rng.uniform(0, 2, len(act))
         mv = MotionVector(rng.standard_normal(st.x.shape), rng.standard_normal((2, 2)))
@@ -200,7 +206,7 @@ def test_stress_energy_nonnegative_for_nonnegative_stress():
 def test_prestress_rigid_framework_margin():
     st = hex_single_sphere()
     shifts = build_shift_set(st.basis, P.R)
-    act = active_set(st, shifts, tol_active=1e-9)
+    act = active_set(st, contacts_within(st, shifts, P.R), tol_active=1e-9)
     flag, min_eig = prestress_stable(st, act, np.ones(len(act)))
     assert flag
     assert min_eig == pytest.approx(3.0, rel=1e-12)
@@ -209,7 +215,7 @@ def test_prestress_rigid_framework_margin():
 def test_prestress_square_fails_for_any_nonnegative_stress():
     st = square_single_sphere()
     shifts = build_shift_set(st.basis, P.R)
-    act = active_set(st, shifts, tol_active=1e-9)
+    act = active_set(st, contacts_within(st, shifts, P.R), tol_active=1e-9)
     rng = np.random.default_rng(5)
     for _ in range(10):
         omega = rng.uniform(0.0, 3.0, len(act))
@@ -226,7 +232,7 @@ def test_prestress_verdict_ignores_the_stress_scale(scale):
     cases = [(hex_single_sphere(), True), (square_single_sphere(), False),
              (PackingState.make(*cubic_cell(8, 3)), False)]
     for st, stable in cases:
-        act = active_set(st, build_shift_set(st.basis, P.R), tol_active=1e-9)
+        act = active_set(st, scan(st, P.R), tol_active=1e-9)
         flag, min_eig = prestress_stable(st, act, scale * np.ones(len(act)))
         assert flag is stable
         if stable:
@@ -243,7 +249,7 @@ def test_prestress_negative_stress_goes_negative():
     B[0, 1] += 1e-9
     pert = PackingState(x=x, basis=LatticeBasis(B))
     shifts = build_shift_set(pert.basis, P.R)
-    act = active_set(pert, shifts, tol_active=1e-6)
+    act = active_set(pert, contacts_within(pert, shifts, P.R), tol_active=1e-6)
     assert len(act) == 2
     omega = np.array([-1.0, -1.0])
     flag, min_eig = prestress_stable(pert, act, omega)
@@ -259,7 +265,7 @@ def test_one_operator_verdicts_on_random_states(n, N, seed, tol):
     annihilated by M and orthogonal to the trivial motions; and the verdict
     matches the kernel-then-quotient reference."""
     st = random_feasible_state(seed=seed, N=N, n=n)
-    act = active_set(st, build_shift_set(st.basis, P.R), tol_active=tol)
+    act = active_set(st, scan(st, P.R), tol_active=tol)
     rng = np.random.default_rng(seed)
     omega = rng.uniform(0.0, 2.0, len(act)) * (rng.uniform(size=len(act)) < 0.8)
     rig = is_periodically_rigid(st, act)
@@ -279,7 +285,7 @@ def test_recover_multipliers_values():
     p = BarrierParams(nu=1.0, delta=1.0, R=2.5)
     st = pair_state(float(np.sqrt(4.0 + 2.0)))  # slack exactly 2
     shifts = build_shift_set(st.basis, p.R)
-    mus = recover_multipliers(st, shifts, p)
+    mus = recover_multipliers(st, contacts_within(st, shifts, p.R), p)
     assert len(mus.contacts) == 1
     assert mus.raw[0] == pytest.approx(1.0 / 2.0 - 1.0)  # nu/s - nu (s-d)/d
     assert mus.clamped[0] == 0.0
@@ -288,7 +294,7 @@ def test_recover_multipliers_values():
 def test_recover_multipliers_at_delta():
     st = pair_state(float(np.sqrt(4.0 + P.delta)))
     shifts = build_shift_set(st.basis, P.R)
-    mus = recover_multipliers(st, shifts, P)
+    mus = recover_multipliers(st, contacts_within(st, shifts, P.R), P)
     assert mus.raw[0] == pytest.approx(P.nu / P.delta, rel=1e-9)
 
 
@@ -298,7 +304,7 @@ def test_recover_multipliers_match_phi_exactly():
         s = float(rng.uniform(P.delta, 2.0))
         st = pair_state(float(np.sqrt(4.0 + s)))
         shifts = build_shift_set(st.basis, P.R)
-        mus = recover_multipliers(st, shifts, P)
+        mus = recover_multipliers(st, contacts_within(st, shifts, P.R), P)
         _, d1, _ = phi(float(mus.slack[0]), P)
         assert mus.raw[0] == -d1  # definitional identity, bitwise
 
@@ -309,7 +315,7 @@ def test_multiplier_sign_threshold():
     for s in (0.5 * s_plus, 0.99 * s_plus, 1.01 * s_plus, 2.0 * s_plus):
         st = pair_state(float(np.sqrt(4.0 + s)))
         shifts = build_shift_set(st.basis, P.R)
-        mus = recover_multipliers(st, shifts, P)
+        mus = recover_multipliers(st, contacts_within(st, shifts, P.R), P)
         assert (mus.raw[0] >= -1e-12) == (s <= s_plus * (1 + 1e-12))
 
 
@@ -317,7 +323,7 @@ def test_kkt_residual_zero_multipliers():
     st = pair_state(2.1)
     shifts = build_shift_set(st.basis, P.R)
     near = contacts_within(st, shifts, P.R)
-    mus = recover_multipliers(st, shifts, P, members=near)
+    mus = recover_multipliers(st, near, P)
     res_B, res_x, comp = kkt_residual(st, mus, np.zeros(len(near)))
     assert res_B == pytest.approx(float(np.linalg.norm(volume_gradient(st.basis))))
     assert res_x == 0.0
@@ -329,7 +335,7 @@ def test_kkt_residual_x_stationarity_from_raw_multipliers():
     # gradient: sum mu grad s = -grad U, so res_x equals ||grad U||
     st = hex_single_sphere(scale=1.01)
     shifts = build_shift_set(st.basis, P.R)
-    mus = recover_multipliers(st, shifts, P)
+    mus = recover_multipliers(st, contacts_within(st, shifts, P.R), P)
     _, res_x, _ = kkt_residual(st, mus, mus.raw)
     g = barrier_energy(st, shifts, P).grad_x
     assert res_x == pytest.approx(float(np.linalg.norm(g)), abs=1e-12)
@@ -338,5 +344,5 @@ def test_kkt_residual_x_stationarity_from_raw_multipliers():
 def test_licq_sigma_min_positive_for_hexagonal():
     st = hex_single_sphere()
     shifts = build_shift_set(st.basis, P.R)
-    act = active_set(st, shifts, tol_active=1e-9)
+    act = active_set(st, contacts_within(st, shifts, P.R), tol_active=1e-9)
     assert licq_sigma_min(st, act) > 0.1

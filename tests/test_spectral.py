@@ -6,10 +6,10 @@ from hypothesis import example, given, settings
 from hypothesis.strategies import integers as st_integers
 from hypothesis.strategies import lists as st_lists
 from hypothesis.strategies import tuples as st_tuples
-from util import hex_single_sphere, make_ds, pair_state
+from util import hex_single_sphere, make_ds, pair_state, scan
 
 from spit.barrier import BarrierParams, barrier_energy, estimate_L
-from spit.geometry import Contacts, LatticeBasis, PackingState, build_shift_set
+from spit.geometry import Contacts, LatticeBasis, PackingState, build_shift_set, contacts_within
 from spit.harness import config_from_preset, make_testbed
 from spit.spectral import (
     ContactGraph,
@@ -47,7 +47,7 @@ def graph_from_edges(N: int, edges) -> ContactGraph:
 def test_build_graph_two_spheres_at_contact():
     st = pair_state(2.0)
     shifts = build_shift_set(st.basis, P.R)
-    g = build_contact_graph(st, shifts, eps=1e-6)
+    g = build_contact_graph(st, contacts_within(st, shifts, 2.0 + 1e-6))
     assert len(g) == 1
     # canonical contact (0, 1, 0): r = x0 - x1 = (-2, 0), normal r/||r||
     assert np.allclose(g.normals[0], [-1.0, 0.0])
@@ -57,14 +57,14 @@ def test_build_graph_two_spheres_at_contact():
 def test_build_graph_empty_when_far():
     st = pair_state(2.2)
     shifts = build_shift_set(st.basis, P.R)
-    g = build_contact_graph(st, shifts, eps=0.05)
+    g = build_contact_graph(st, contacts_within(st, shifts, 2.0 + 0.05))
     assert len(g) == 0
 
 
 def test_build_graph_hexagonal_self_images():
     st = hex_single_sphere()
     shifts = build_shift_set(st.basis, P.R)
-    g = build_contact_graph(st, shifts, eps=1e-6)
+    g = build_contact_graph(st, contacts_within(st, shifts, 2.0 + 1e-6))
     assert len(g) == 3  # canonical halves of the six contacts
     assert np.all(g.loop_mask)
     assert np.allclose(np.linalg.norm(g.normals, axis=1), 1.0, atol=1e-12)
@@ -135,7 +135,7 @@ def _ring100():
 def _stub32_graph():
     cfg = config_from_preset("stub32")
     st = make_testbed(cfg).packing
-    return build_contact_graph(st, build_shift_set(st.basis, cfg.R), cfg.eps_near)
+    return build_contact_graph(st, scan(st, 2.0 + cfg.eps_near))
 
 
 @pytest.mark.parametrize("make_graph", [_ring100, _stub32_graph], ids=["ring100", "stub32"])
@@ -256,7 +256,7 @@ def test_poincare_rejects_disconnected():
 def test_lift_mode_constant_vector_vanishes():
     st = pair_state(2.0)
     shifts = build_shift_set(st.basis, P.R)
-    g = build_contact_graph(st, shifts, eps=1e-6)
+    g = build_contact_graph(st, contacts_within(st, shifts, 2.0 + 1e-6))
     out = lift_mode(st, g, np.array([0.7, 0.7]))
     assert np.all(out == 0.0)
 
@@ -264,7 +264,7 @@ def test_lift_mode_constant_vector_vanishes():
 def test_lift_mode_two_vertex_example():
     st = pair_state(2.0)
     shifts = build_shift_set(st.basis, P.R)
-    g = build_contact_graph(st, shifts, eps=1e-6)
+    g = build_contact_graph(st, contacts_within(st, shifts, 2.0 + 1e-6))
     out = lift_mode(st, g, np.array([1.0, -1.0]))
     # the raw lift pushes both vertices by (2, 0); the gauge removes it
     assert np.allclose(out, 0.0, atol=1e-14)
@@ -274,12 +274,12 @@ def test_lift_mode_permutation_equivariant():
     x = np.array([[0.0, 0.0], [2.05, 0.0], [1.0, 1.8]])
     st = PackingState.make(x, LatticeBasis(np.eye(2) * 50.0))
     shifts = build_shift_set(st.basis, P.R)
-    g = build_contact_graph(st, shifts, eps=0.2)
+    g = build_contact_graph(st, contacts_within(st, shifts, 2.0 + 0.2))
     v = np.array([0.9, -0.4, -0.5])
     out = lift_mode(st, g, v)
     perm = np.array([2, 0, 1])
     st_p = PackingState.make(st.x[perm], st.basis)
-    g_p = build_contact_graph(st_p, shifts, eps=0.2)
+    g_p = build_contact_graph(st_p, contacts_within(st_p, shifts, 2.0 + 0.2))
     out_p = lift_mode(st_p, g_p, v[perm])
     assert np.allclose(out_p, out[perm], atol=1e-12)
 
@@ -288,7 +288,7 @@ def test_lift_mode_zero_degree_vertices():
     x = np.array([[0.0, 0.0], [2.02, 0.0], [10.0, 10.0]])
     st = PackingState.make(x, LatticeBasis(np.eye(2) * 60.0))
     shifts = build_shift_set(st.basis, P.R)
-    g = build_contact_graph(st, shifts, eps=0.1)
+    g = build_contact_graph(st, contacts_within(st, shifts, 2.0 + 0.1))
     assert g.degrees[2] == 0
     out = lift_mode(st, g, np.array([1.0, -1.0, 5.0]))
     # the isolated vertex gets zero raw displacement; after the gauge shift it
@@ -301,7 +301,7 @@ def test_lift_mode_zero_degree_vertices():
 def test_nudge_alpha_isolated_pair_geometric_cap():
     st = pair_state(2.5)
     shifts = build_shift_set(st.basis, 3.0)
-    g = build_contact_graph(st, shifts, eps=0.6)
+    g = build_contact_graph(st, contacts_within(st, shifts, 2.0 + 0.6))
     assert len(g) == 1
     dx = np.array([[0.5, 0.0], [-0.5, 0.0]])  # unit relative normal motion
     ds = make_ds(st, P, L_hat=1.0)
@@ -314,7 +314,7 @@ def test_nudge_alpha_isolated_pair_geometric_cap():
 def test_nudge_alpha_orthogonal_modes_hit_energy_branch():
     st = pair_state(2.5)
     shifts = build_shift_set(st.basis, 3.0)
-    g = build_contact_graph(st, shifts, eps=0.6)
+    g = build_contact_graph(st, contacts_within(st, shifts, 2.0 + 0.6))
     dx = np.array([[0.0, 1.0], [0.0, -1.0]])  # orthogonal to the contact normal
     ds = make_ds(st, P, L_hat=1.0)
     gbar = -dx  # descent direction
@@ -327,7 +327,7 @@ def test_nudge_alpha_orthogonal_modes_hit_energy_branch():
 def test_nudge_alpha_zero_inner_product_gives_zero():
     st = pair_state(2.5)
     shifts = build_shift_set(st.basis, 3.0)
-    g = build_contact_graph(st, shifts, eps=0.6)
+    g = build_contact_graph(st, contacts_within(st, shifts, 2.0 + 0.6))
     dx = np.array([[0.0, 1.0], [0.0, -1.0]])
     ds = make_ds(st, P, L_hat=1.0)
     gbar = np.array([[1.0, 0.0], [1.0, 0.0]])  # orthogonal to dx
@@ -339,7 +339,7 @@ def test_nudge_alpha_zero_inner_product_gives_zero():
 def test_nudge_alpha_flips_ascent_directions():
     st = pair_state(2.5)
     shifts = build_shift_set(st.basis, 3.0)
-    g = build_contact_graph(st, shifts, eps=0.6)
+    g = build_contact_graph(st, contacts_within(st, shifts, 2.0 + 0.6))
     dx = np.array([[0.0, 1.0], [0.0, -1.0]])
     ds = make_ds(st, P, L_hat=1.0)
     alpha, flipped = nudge_alpha(ds, dx, g, L_hat=1.0, gbar=dx.copy())
@@ -350,7 +350,7 @@ def test_nudge_alpha_flips_ascent_directions():
 def test_nudge_alpha_zero_mode():
     st = pair_state(2.5)
     shifts = build_shift_set(st.basis, 3.0)
-    g = build_contact_graph(st, shifts, eps=0.6)
+    g = build_contact_graph(st, contacts_within(st, shifts, 2.0 + 0.6))
     ds = make_ds(st, P, L_hat=1.0)
     alpha, _ = nudge_alpha(ds, np.zeros_like(st.x), g, L_hat=1.0, gbar=np.ones_like(st.x))
     assert alpha == 0.0
@@ -402,9 +402,10 @@ def test_applied_nudge_is_energy_safe():
     for seed in range(6):
         st = random_feasible_state(seed=500 + seed, N=4, delta=0.02)
         shifts = build_shift_set(st.basis, P.R)
-        L = estimate_L(st, shifts, P).value
+        near = contacts_within(st, shifts, P.R)
+        L = estimate_L(st, near, P).value
         ds = make_ds(st, P, L_hat=L)
-        g = build_contact_graph(st, shifts, eps=P.R - 2.0)
+        g = build_contact_graph(st, near)
         if st.N < 2 or len(g) == 0:
             continue
         lam, vec = fiedler(g)

@@ -6,7 +6,12 @@ import numpy as np
 
 from spit.barrier import BarrierParams, barrier_value
 from spit.dynamics import DynamicsState
-from spit.geometry import LatticeBasis, PackingState, contacts_within
+from spit.geometry import LatticeBasis, PackingState, build_shift_set, contacts_within
+
+
+def scan(state: PackingState, radius: float = 2.5):
+    """`contacts_within(state, shifts, radius)`, the shift set built for `radius`."""
+    return contacts_within(state, build_shift_set(state.basis, radius), radius)
 
 
 def fd_gradient(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
@@ -91,8 +96,8 @@ def energy_of(ds: DynamicsState, p: BarrierParams, shifts, members=None) -> floa
         + 0.5 * ds.gamma * float(np.sum((ds.packing.x - ds.x_prev) ** 2))
 
 
-def dense_hessian_x(state: PackingState, shifts, p: BarrierParams, members=None) -> np.ndarray:
-    """Explicit position Hessian assembled contact-by-contact (test oracle).
+def dense_hessian_x(state: PackingState, contacts, p: BarrierParams) -> np.ndarray:
+    """Explicit position Hessian on `contacts` assembled contact-by-contact (test oracle).
 
     Uses the analytic per-contact blocks 4 phi'' r r^T plus 2 phi' times the
     two-point Laplacian block, independent of the HVP code path.
@@ -100,7 +105,6 @@ def dense_hessian_x(state: PackingState, shifts, p: BarrierParams, members=None)
     from spit.barrier import phi
     from spit.geometry import r_vectors, slack_values
 
-    contacts = members if members is not None else contacts_within(state, shifts, p.R)
     N, n = state.x.shape
     H = np.zeros((N * n, N * n))
     r = r_vectors(state, contacts)
@@ -275,14 +279,24 @@ def ref_is_periodically_rigid(state: PackingState, active, rank_tol: float = 1e-
     return k == 0, k, basis
 
 
+def members_within(state: PackingState, shifts, members, radius: float):
+    """The rows of `members` that `contacts_within(state, shifts, radius)` finds,
+    in the order of `members`, matched by (i, j, z)."""
+    found = contacts_within(state, shifts, radius)
+    keys = {found.index(k) for k in range(len(found))}
+    return members.take(np.array([members.index(k) in keys for k in range(len(members))],
+                                 dtype=bool))
+
+
 def ref_spectrum(state: PackingState, ev, shifts, eps: float, solved: dict):
-    """`dynamics._spectrum` as it was with a contact graph every step and the
-    Fiedler pair from `fiedler`'s restricted `eigh`: (graph, lambda2, vector)."""
+    """`dynamics._spectrum` as it was with a contact graph every step, on the
+    members a scan finds within 2 + eps, and the Fiedler pair from `fiedler`'s
+    `eigh`: (graph, lambda2, vector)."""
     from spit.spectral import build_contact_graph, fiedler
 
     if ev.min_slack > (2.0 + eps) ** 2 - 4.0 + 1e-12:
         return None, 0.0, None
-    graph = build_contact_graph(state, shifts, eps, base=ev.contacts)
+    graph = build_contact_graph(state, members_within(state, shifts, ev.contacts, 2.0 + eps))
     pair = ~graph.loop_mask
     if not pair.any():  # also every graph of one sphere
         return graph, 0.0, None
