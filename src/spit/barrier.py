@@ -25,7 +25,9 @@ from .geometry import (
     PackingState,
     ShiftIndexSet,
     contacts_within,
+    frobenius,
     lattice_shifts,
+    scatter_add,
     separations,
     slack_gradient,
     slack_values,
@@ -90,11 +92,6 @@ class BarrierEval:
     min_slack: float
 
 
-def _included(state: PackingState, shifts: ShiftIndexSet, p: BarrierParams,
-              members: Contacts | None) -> Contacts:
-    return members if members is not None else contacts_within(state, shifts, p.R)
-
-
 def _slacks(state: PackingState, contacts: Contacts):
     """r, the slacks ||r||^2 - 4 and their minimum (inf if none); raises if it is <= 0."""
     r, s = separations(state, contacts)
@@ -108,8 +105,13 @@ def barrier_energy(state: PackingState, shifts: ShiftIndexSet, p: BarrierParams,
                    members: Contacts | None = None) -> BarrierEval:
     """Sum phi over included contacts and assemble both gradients by chain rule.
     Only phi and phi' are evaluated; each sum runs over the contacts in order."""
-    contacts = _included(state, shifts, p, members)
-    r, s, least = _slacks(state, contacts)
+    contacts = members if members is not None else contacts_within(state, shifts, p.R)
+    return barrier_from_separations(state, contacts, *_slacks(state, contacts), p)
+
+
+def barrier_from_separations(state: PackingState, contacts: Contacts, r: np.ndarray,
+                             s: np.ndarray, least: float, p: BarrierParams) -> BarrierEval:
+    """`barrier_energy` on `contacts`, bit for bit, from their r, s and least slack > 0."""
     gx, gB = slack_gradient(state, contacts, r, _phi1(s, p))
     return BarrierEval(value=float(_phi0(s, p).sum()), grad_x=gx, grad_B=gB,
                        contacts=contacts, r=r, slack=s, min_slack=least)
@@ -200,17 +202,15 @@ def hessian(state: PackingState, contacts: Contacts, p: BarrierParams,
 
 
 class HessianChange:
-    """Bounds d >= ||H - H_anchor||_2 for the Hessians `hessian` assembles on
-    one contact table (the joint ones when `joint`), from the blocks of
-    `contact_blocks` at the anchor state and at another.
+    """Bounds d >= ||H - H_anchor||_2 for the position Hessians `hessian`
+    assembles on one contact table, from the blocks of `contact_blocks` at the
+    anchor state and at another.
 
     H - H_anchor is assembled from dK_c = K_c - K_anchor_c alone.  By block
     Gershgorin (Feingold & Varga, Pacific J. Math. 12, 1962) its norm is at most
     the largest sum of block norms along a block row, with ||dK_c||_2 <=
-    ||dK_c||_F: a pair adds 2 ||dK_c|| to the rows of both its spheres, jointly
-    also ||dK_c|| ||z_c|| for the basis columns; the basis row gets 2 ||dK_c||
-    ||z_c|| per pair and ||dK_c|| ||z_c||^2 per contact.  The row pattern
-    depends on the table only, so it is built once here.
+    ||dK_c||_F: a pair adds 2 ||dK_c|| to the rows of both its spheres.  The
+    row pattern depends on the table only, so it is built once here.
 
     Roundoff margin: each entry of either assembly, of dK and of this bound
     sums at most m + n^2 + 8 terms, so with tol = (m + n^2 + 8) eps an entry of
@@ -219,7 +219,7 @@ class HessianChange:
     therefore gains 2 tol ||K_anchor_c||_F and the bound a factor 1 + 4 tol.
     """
 
-    def __init__(self, contacts: Contacts, K_anchor: np.ndarray, joint: bool = False):
+    def __init__(self, contacts: Contacts, K_anchor: np.ndarray):
         m, n = K_anchor.shape[:2]
         self.tol = (m + n * n + 8) * float(np.finfo(float).eps)
         self.K_anchor = K_anchor
@@ -227,21 +227,13 @@ class HessianChange:
         pair = contacts.i != contacts.j
         self.ends = np.concatenate([contacts.i[pair], contacts.j[pair]])  # sphere of each pair end
         self.of = np.tile(np.flatnonzero(pair), 2)  # and its contact
-        self.coef = np.full(self.of.shape, 2.0)
-        self.basis = None  # the basis row's weight per contact
-        if joint:
-            zn = np.sqrt(np.einsum("ma,ma->m", contacts.z, contacts.z).astype(float))
-            self.coef += zn[self.of]
-            self.basis = 2.0 * zn * pair + zn * zn
 
     def bound(self, K: np.ndarray) -> float:
         """d >= ||H - H_anchor||_2 for the blocks K of the same table at another state."""
         dK = K - self.K_anchor
         w = np.sqrt(np.einsum("mab,mab->m", dK, dK)) + self.floor
-        d = float(np.bincount(self.ends, self.coef * w[self.of]).max(initial=0.0))
-        if self.basis is not None:
-            d = max(d, float(self.basis @ w))
-        return d * (1.0 + 4.0 * self.tol)
+        return 2.0 * float(np.bincount(self.ends, w[self.of]).max(initial=0.0)) \
+            * (1.0 + 4.0 * self.tol)
 
 
 def pair_mode_rayleigh(contacts: Contacts, r: np.ndarray, K: np.ndarray) -> float:
@@ -279,9 +271,8 @@ def _gauge_spectrum(H: np.ndarray, N: int, n: int) -> tuple[np.ndarray, float]:
     A is built in `_buffer`, so `H` is left alone unless it is that buffer.
     """
     D = H.shape[0]
-    h = H.ravel(order="K")
-    s = float(np.sqrt(h.dot(h))) + 1.0  # np.linalg.norm(H), term for term
-    w = np.linalg.eigvalsh(_shift_translations(H, N, n, s, _scratch(D, N, n)))
+    s = frobenius(H) + 1.0
+    w = np.linalg.eigvalsh(_shift_translations(H, N, n, s, _buffer(D, threading.get_ident())))
     return w[:D - n], D * float(np.finfo(float).eps) * (2.0 * s - 1.0)
 
 
@@ -296,45 +287,32 @@ def _shift_translations(H: np.ndarray, N: int, n: int, s: float, out: np.ndarray
     return out
 
 
-def _scratch(D: int, N: int, n: int) -> np.ndarray:
-    return _buffer(N, n, threading.get_ident())[:D * D].reshape(D, D)
-
-
 @functools.lru_cache(maxsize=1)
-def _buffer(N: int, n: int, thread: int) -> np.ndarray:
-    """Room for a thread's joint Hessian of N spheres in n dimensions; a position
-    Hessian takes its head.  Dense estimates reuse it, as a fresh D x D array
-    page-faults in again on every call; it is never handed to a caller."""
-    return np.empty((N * n + n * n) ** 2)
+def _buffer(D: int, thread: int) -> np.ndarray:
+    """A thread's D x D scratch matrix.  Dense estimates reuse it, as a fresh
+    D x D array page-faults in again on every call; it is never handed to a caller."""
+    return np.empty((D, D))
 
 
 def _position_spectrum(state: PackingState, contacts: Contacts, p: BarrierParams):
-    """`_gauge_spectrum` of the position Hessian, kept on the contact list for
-    the next call: `estimate_L` and `estimate_m` of one state share it."""
+    """`_gauge_spectrum` of the position Hessian, assembled in the scratch buffer
+    it is shifted in and kept on the contact list for the next call:
+    `estimate_L` and `estimate_m` of one state share it."""
     key, memo = (state.x.tobytes(), state.basis.B.tobytes(), p), contacts._memo
     if key not in memo:
         memo.clear()
-        memo[key] = _dense_spectrum(state, contacts, p, joint=False)
+        N, n = state.x.shape
+        H = hessian(state, contacts, p, out=_buffer(N * n, threading.get_ident()))
+        memo[key] = _gauge_spectrum(H, N, n)
     return memo[key]
-
-
-def _dense_spectrum(state: PackingState, contacts: Contacts, p: BarrierParams, joint: bool):
-    """`_gauge_spectrum` of the Hessian, assembled in the scratch buffer it is shifted in."""
-    N, n = state.x.shape
-    D = N * n + (n * n if joint else 0)
-    H = hessian(state, contacts, p, joint, out=_scratch(D, N, n))
-    return _gauge_spectrum(H, N, n)
-
-
-def _max_abs_bound(w: np.ndarray, margin: float) -> CurvatureBound:
-    return CurvatureBound(max(float(abs(w).max(initial=0.0)) + margin, 1e-12), 1, True)
 
 
 def estimate_L(state: PackingState, contacts: Contacts, p: BarrierParams) -> CurvatureBound:
     """Certified upper bound on the largest-magnitude eigenvalue of the
     gauge-restricted position Hessian on `contacts`: one dense eigensolve plus
     its roundoff margin, floored at 1e-12."""
-    return _max_abs_bound(*_position_spectrum(state, contacts, p))
+    w, margin = _position_spectrum(state, contacts, p)
+    return CurvatureBound(max(float(abs(w).max(initial=0.0)) + margin, 1e-12), 1, True)
 
 
 def estimate_m(state: PackingState, contacts: Contacts, p: BarrierParams) -> CurvatureBound:
@@ -344,10 +322,38 @@ def estimate_m(state: PackingState, contacts: Contacts, p: BarrierParams) -> Cur
     return CurvatureBound(max(float(w[0]) - margin, 0.0) if w.size else 0.0, 1, True)
 
 
-def estimate_L_joint(state: PackingState, contacts: Contacts, p: BarrierParams) -> CurvatureBound:
+def estimate_L_joint(state: PackingState, contacts: Contacts, K: np.ndarray,
+                     L_x: float) -> CurvatureBound:
     """Certified upper bound on the spectral norm of the joint Hessian on
-    `contacts` (gauge positions and basis together)."""
-    return _max_abs_bound(*_dense_spectrum(state, contacts, p, joint=True))
+    `contacts` at `state` (gauge positions and basis together), from their
+    `contact_blocks` K and a bound L_x on the gauge position block's norm: the
+    block-norm bound lambda_max([[L_x, b], [b, c]]) (Feingold & Varga, Pacific J.
+    Math. 12, 1962) with b^2 and c from one eigensolve of the n^2 x n^2 matrices
+    H_xB^T H_xB and H_BB = sum_c K_c (x) z_c z_c^T; no D x D matrix is formed.
+    H_xB, rows -K_c (x) z_c^T at sphere i and +K_c (x) z_c^T at j per pair c, is
+    mean-zero, so it couples the gauge positions alone.
+
+    Roundoff margin: with tol = (m + N n + n^2 + 8) eps, an entry of those
+    matrices is off by at most tol times its terms' magnitudes, an eigensolve by
+    n^2 eps times the norm.  With F and Z the Frobenius norms of all K_c (x)
+    z_c^T and all z_c, Cauchy-Schwarz puts H_xB within 2 tol sqrt(m) F, H_BB and
+    its eigenvalues within tol F Z each, H_xB^T H_xB and b^2 within tol
+    ||H_xB||_F^2 each.  The bound gains a factor 1 + 4 tol.
+    """
+    N, n = state.x.shape
+    m, nn = K.shape[0], n * n
+    tol = (m + N * n + nn + 8) * float(np.finfo(float).eps)
+    Kz = (K[:, :, :, None] * contacts.zf[:, None, None, :]).reshape(m, n * nn)  # row a, col (b, d)
+    pz = Kz * (contacts.i != contacts.j)[:, None]  # self-images cancel out of H_xB
+    C = scatter_add((contacts.ends[:, None] * nn + np.arange(nn)).ravel(),
+                    np.concatenate([-pz, pz]).ravel(), N * n * nn).reshape(N * n, nn)
+    H_BB = (contacts.zf.T @ Kz).reshape(n, n, n, n).transpose(1, 0, 2, 3).reshape(nn, nn)
+    w = np.linalg.eigvalsh(np.array([C.T @ C, H_BB]))
+    F, Z = frobenius(Kz), frobenius(contacts.zf)
+    b = (max(w[0, -1], 0.0) + 2.0 * tol * frobenius(C) ** 2) ** 0.5 + 2.0 * tol * m ** 0.5 * F
+    c = max(-w[1, 0], w[1, -1]) + 2.0 * tol * F * Z
+    top = 0.5 * (L_x + c) + (0.25 * (L_x - c) ** 2 + b * b) ** 0.5
+    return CurvatureBound(max(float(top) * (1.0 + 4.0 * tol), 1e-12), 1, True)
 
 
 def lipschitz_bound(p: BarrierParams, slack_cap: float, radius: float, count: int) -> float:

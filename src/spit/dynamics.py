@@ -18,10 +18,12 @@ the run's `CurvatureAnchors`: either a dense eigensolve of the position
 Hessian plus its roundoff margin (an anchor), or the anchor's bound plus a
 block-Gershgorin bound on how far the Hessian has changed since (Weyl's
 inequality).  Either way it is a certified upper bound at the state where it
-is taken, at most THETA above the anchor's or, for the position Hessian, ADMIT
-above a Rayleigh quotient below lambda_max.  Between refreshes the curvature
-can still grow, so the trajectory loop also checks descent directly: steps that
-raise E (or leave the feasible region) are redone with a halved time step.
+is taken, at most THETA above the anchor's or ADMIT above a Rayleigh quotient
+below lambda_max.  The joint projection's weight is a 2 x 2 block-norm bound
+from that bound and two O(contacts) blocks; no joint Hessian is formed.
+Between refreshes the curvature can still grow, so the trajectory loop also
+checks descent directly: steps that raise E (or leave the feasible region)
+are redone with a halved time step.
 
 `run_trajectory` evaluates the barrier once per accepted step: a step's
 second gradient is taken at the gauge-projected new state, so that one
@@ -43,7 +45,6 @@ from __future__ import annotations
 import dataclasses
 import logging
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -72,6 +73,7 @@ from .geometry import (
     build_shift_set,
     cell_volume,
     contacts_within,
+    frobenius,
     gauge_project,
     volume_gradient,
 )
@@ -195,32 +197,23 @@ def select_steps(L_hat: float, m_hat: float, target_eta_dt: float, c: float) -> 
     return float(dt), float(target_eta_dt / dt)
 
 
-class _Anchor(NamedTuple):
-    key: tuple  # `Contacts.key` of the member list
-    change: HessianChange  # from its `contact_blocks` at the anchor state
-    L: float
-    m: float
-
-
 class CurvatureAnchors:
-    """Weyl-anchored curvature bounds for one run: one anchor per Hessian kind.
+    """Weyl-anchored curvature bounds for one run, on one position-Hessian anchor.
 
-    An estimate on the member list of the kind's anchor (position or joint
-    Hessian) is L_hat = L_a + d and m_hat = max(m_a - d, 0) with d =
-    `HessianChange.bound` >= ||H - H_a||_2, certified by Weyl's inequality
-    |lambda_k(H) - lambda_k(H_a)| <= ||H - H_a||_2 on the gauge subspace, while
-    d <= THETA L_a or, past that, L_a + d <= (1 + ADMIT) l with l <= lambda_max
-    the `pair_mode_rayleigh` (tight when one pair squeezed toward delta is the
-    change; m_hat then mostly reads 0).  l only decides; Weyl certifies; having
-    no basis part, it decides position estimates only.  Any
-    other estimate is a dense solve (`estimate_L` and `estimate_m`, or
-    `estimate_L_joint`, whose m is 0) that becomes the kind's anchor.  `solves`
-    and `updates` count the two, `admitted` the updates past THETA.
+    An estimate on the anchor's member list is L_hat = L_a + d and m_hat =
+    max(m_a - d, 0) with d = `HessianChange.bound` >= ||H - H_a||_2 (Weyl's
+    inequality on the gauge subspace), while d <= THETA L_a or, past that, L_a
+    + d <= (1 + ADMIT) l with l <= lambda_max the `pair_mode_rayleigh` (tight when
+    one pair squeezed toward delta is the change; m_hat then mostly reads 0).
+    l only decides; Weyl certifies.  Any other estimate is a dense solve that
+    becomes the anchor.  A joint estimate takes L_x so, then returns the
+    block-norm bound `estimate_L_joint` and m 0.  `solves` and `updates` count
+    the two, `admitted` the updates past THETA.
     """
 
     def __init__(self, p: BarrierParams):
         self.p = p
-        self.latest: dict[bool, _Anchor] = {}  # keyed by `joint`
+        self.key, self.change, self.L, self.m = None, None, 0.0, 0.0  # of the anchor
         self.solves = self.updates = self.admitted = 0
 
     def bounds(self, state: PackingState, ev: BarrierEval,
@@ -228,23 +221,19 @@ class CurvatureAnchors:
         """(L_hat, m_hat) of the position Hessian (or the joint one) at `state`, on the
         contacts of `ev`, the evaluation there, from its separations and slacks."""
         members, K = ev.contacts, contact_blocks(ev.r, ev.slack, self.p)
-        anchor = self.latest.get(joint)
-        if anchor is not None and anchor.key == members.key:
-            d = anchor.change.bound(K)
-            admitted = d > THETA * anchor.L  # an update past THETA, if the probe admits it
-            if not admitted or not joint and \
-                    anchor.L + d <= (1.0 + ADMIT) * pair_mode_rayleigh(members, ev.r, K):
-                self.updates += 1
-                self.admitted += admitted
-                return anchor.L + d, max(anchor.m - d, 0.0)
-        if joint:
-            L, m = estimate_L_joint(state, members, self.p).value, 0.0
+        d = self.change.bound(K) if self.key == members.key else None
+        admitted = d is not None and d > THETA * self.L  # past THETA, if the probe admits it
+        if d is not None and (not admitted or self.L + d <= (1.0 + ADMIT)
+                              * pair_mode_rayleigh(members, ev.r, K)):
+            self.updates += 1
+            self.admitted += admitted
+            L, m = self.L + d, max(self.m - d, 0.0)
         else:
-            L = estimate_L(state, members, self.p).value
-            m = estimate_m(state, members, self.p).value
-        self.latest[joint] = _Anchor(members.key, HessianChange(members, K, joint), L, m)
-        self.solves += 1
-        return L, m
+            L = self.L = estimate_L(state, members, self.p).value
+            m = self.m = estimate_m(state, members, self.p).value
+            self.key, self.change = members.key, HessianChange(members, K)
+            self.solves += 1
+        return (estimate_L_joint(state, members, K, L).value, 0.0) if joint else (L, m)
 
 
 def rest_state(state: PackingState, p: BarrierParams, config, ev: BarrierEval,
@@ -400,7 +389,7 @@ def run_trajectory(config, initial: DynamicsState | None = None) -> TrajectoryRe
             _, L_hat, m_hat = rest_state(ds.packing, p, config, ev, anchors)
             E_prev = lyapunov(ds, ev.value)
 
-        if float(np.linalg.norm(ev.grad_x)) <= config.grad_tol \
+        if frobenius(ev.grad_x) <= config.grad_tol \
                 and _joint_quiescent(ds, ev, config, last_joint_shift):
             terminated = "gradient"
             break
@@ -441,7 +430,7 @@ def run_trajectory(config, initial: DynamicsState | None = None) -> TrajectoryRe
                 events.append({"step": k, **info})
                 counts["projections_joint"] += 1
                 basis_moved = info.get("basis_moved", False)
-                last_joint_shift = float(np.linalg.norm(ds.packing.basis.B - B_old))
+                last_joint_shift = frobenius(ds.packing.basis.B - B_old)
                 projection += "+joint"
                 if basis_moved:  # the projection has scanned the new cell
                     if near.key != ev.contacts.key:  # `ev` was taken on the old member list
@@ -496,13 +485,13 @@ def _joint_quiescent(ds, ev, config, last_joint_shift) -> bool:
     """
     if not config.joint_period:
         return True
-    bscale = max(1.0, float(np.linalg.norm(ds.packing.basis.B)))
+    bscale = max(1.0, frobenius(ds.packing.basis.B))
     if last_joint_shift is not None and last_joint_shift <= 1e-9 * bscale:
         return True
     gB = ev.grad_B
     if config.volume_weight:
         gB = gB + config.volume_weight * volume_gradient(ds.packing.basis)
-    return float(np.linalg.norm(gB)) <= config.grad_tol * bscale
+    return frobenius(gB) <= config.grad_tol * bscale
 
 
 def _safeguard(cand, ev, E, E_ref, p, shifts, L_hat, counts, events, step):

@@ -371,6 +371,12 @@ def slack_gradient(state: PackingState, contacts: Contacts, r: np.ndarray,
     return gx.reshape(state.x.shape), gB
 
 
+def frobenius(a: np.ndarray) -> float:
+    """`np.linalg.norm(a)`, term for term, in two numpy calls instead of about eight."""
+    h = a.ravel(order="K")
+    return float(np.sqrt(h.dot(h)))
+
+
 def scatter_add(at: np.ndarray, terms: np.ndarray, size: int) -> np.ndarray:
     """Sum of the terms at each index < size, added one by one in array order like `np.add.at`."""
     return np.bincount(at, terms, size).astype(float, copy=False)  # an empty one is integer

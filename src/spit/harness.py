@@ -387,13 +387,13 @@ def _rigidity_report(config: RunConfig, state: PackingState) -> dict:
     mus = recover_multipliers(state, act, p) if len(act) else None
     rig = is_periodically_rigid(state, act)
     entry = {"rigid": rig.rigid, "nontrivial_dim": rig.nontrivial_dim,
-             "rank_margin": rig.rank_margin if np.isfinite(rig.rank_margin) else None}
+             "rank_margin": rig.rank_margin}
     if mus is not None:
         entry["prestress_stable"], entry["prestress_min_eig"] = \
             prestress_stable(state, act, mus.clamped)
+    licq, ratio = licq_sigma_min(state, act) if len(act) else (None, None)
     return {"active_contacts": len(act), "active_tol": tol_active,
-            "licq_sigma_min": licq_sigma_min(state, act) if len(act) else None,
-            "rigidity_shift": entry}
+            "licq": licq, "licq_ratio": ratio, "rigidity_shift": entry}
 
 
 def spectra_report(state: PackingState, R: float, eps: float,

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .barrier import BarrierEval, BarrierParams, barrier_energy
+from .barrier import BarrierEval, BarrierParams, barrier_energy, barrier_from_separations
 from .errors import FeasibilityError, LinearizedInfeasibleError, SingularBasisError
 from .geometry import (
     Contacts,
@@ -256,7 +256,7 @@ def _e_project(ds, ev: BarrierEval, p: BarrierParams, shifts: ShiftIndexSet, wx:
             basis = _admissible_basis(cur.basis, uB) if joint else cur.basis
             cand = PackingState.make(x, basis)
             near_cand = contacts_within(cand, shifts, p.R)
-            s = slack_values(cand, near_cand)
+            r, s = separations(cand, near_cand)
             least = float(s.min(initial=np.inf))
             if least >= floor or basis is cur.basis or \
                     s.min(initial=np.inf, where=near_cand.i == near_cand.j) >= floor:
@@ -272,7 +272,9 @@ def _e_project(ds, ev: BarrierEval, p: BarrierParams, shifts: ShiftIndexSet, wx:
             A = prev_u = None
             continue
         out = dataclasses.replace(ds, packing=cand)
-        ev_out = barrier_energy(cand, shifts, p, members=ev.contacts)
+        ev_out = (barrier_from_separations(cand, ev.contacts, r, s, least, p)
+                  if near_cand.key == ev.contacts.key  # r and s of the member list
+                  else barrier_energy(cand, shifts, p, members=ev.contacts))
         e_after = lyapunov(out, ev_out.value)
         pinned = prev_u is not None and np.allclose(sol.u, prev_u, atol=1e-14, rtol=0.0)
         if volume_weight == 0.0 and e_after > e_before + 1e-12 and backoffs < 30 and not pinned:

@@ -108,26 +108,24 @@ class RigidityResult:
     rigid: bool
     nontrivial_dim: int
     basis: np.ndarray          # (N*n + n*n, nontrivial_dim)
-    rank_margin: float         # smallest kept / largest dropped singular value
+    rank_margin: float         # least kept / largest singular value, 0 if none is kept
 
 
 def is_periodically_rigid(state: PackingState, active: Contacts) -> RigidityResult:
     """Nullspace of the motion operator M on the nontrivial motions C.
 
     One SVD of M C; rank decisions use singular values against _RANK_TOL
-    times the largest one.  Rigid iff M C has full column rank.  With no
-    singular value dropped the rank margin is +inf.
+    times the largest one.  Rigid iff M C has full column rank.  The rank margin,
+    the least kept singular value over the largest, says how far that is from failing.
     """
     C = _nontrivial_motions(state)
     _, svals, Vt = np.linalg.svd(motion_operator(state, active) @ C, full_matrices=True)
     smax = svals[0] if svals.size else 0.0
     rank = int(np.sum(svals > _RANK_TOL * max(smax, 1e-300)))
-    kept = svals[rank - 1] if rank else np.inf
-    dropped = svals[rank] if rank < svals.size else 0.0
     basis = C @ Vt[rank:].T
     k = basis.shape[1]
     return RigidityResult(rigid=(k == 0), nontrivial_dim=k, basis=basis,
-                          rank_margin=float(kept / dropped) if dropped > 0 else np.inf)
+                          rank_margin=float(svals[rank - 1] / smax) if rank else 0.0)
 
 
 def _omega_array(active: Contacts, omega) -> np.ndarray:
@@ -203,13 +201,12 @@ def kkt_residual(state: PackingState, mus: MultiplierSet, mu: np.ndarray) -> tup
     return res_B, res_x, comp
 
 
-def licq_sigma_min(state: PackingState, active: Contacts) -> float:
-    """Smallest singular value of the stacked active constraint gradients.
-
-    Diagnostic for the constraint-qualification constant; not a certificate.
-    """
-    if len(active) == 0:
-        return float("inf")
-    # the joint slack Jacobian, as the joint projection builds its constraint rows
+def licq_sigma_min(state: PackingState, active: Contacts) -> tuple[bool, float]:
+    """LICQ verdict and sigma_min / sigma_max of the m >= 1 active constraint gradients,
+    the joint slack Jacobian J (m x D) of the joint projection: LICQ holds when
+    sigma_m exceeds D eps sigma_max, below which the SVD cannot tell it from 0
+    and the ratio reads 0, as it does for m > D.  A diagnostic, not a certificate."""
     J = 2.0 * contact_rows(state, active, r_vectors(state, active), active.zf)
-    return float(np.linalg.svd(J, compute_uv=False)[-1])
+    sv = np.linalg.svd(J, compute_uv=False)
+    ratio = float(sv[-1] / sv[0]) if len(active) <= J.shape[1] else 0.0
+    return (True, ratio) if ratio > J.shape[1] * float(np.finfo(float).eps) else (False, 0.0)

@@ -5,12 +5,17 @@ lines; every tolerance is pinned here, nothing is calibrated at runtime.  The
 last two tests pin the bytes of the outputs a refactor must not change.
 """
 
+import collections
 import hashlib
 import json
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis.strategies import lists as st_lists
+from hypothesis.strategies import sampled_from
 from util import (
     hex_single_sphere,
     known_optimum_2d,
@@ -30,6 +35,7 @@ from spit.barrier import (
     lipschitz_bound,
     observed_slack_cap,
 )
+from spit import harness
 from spit.cli import main as cli_main
 from spit.dynamics import DynamicsState, companion_rate, run_trajectory, select_steps, spit_step
 from spit.geometry import LatticeBasis, PackingState, build_shift_set, contacts_within, slack_values
@@ -76,10 +82,12 @@ def cert_report():
     cfg = RunConfig(N=4, seed=2, cert_max_steps=20000, unsafe=True)
     ds = make_testbed(cfg)
     t0 = time.perf_counter()
-    report = certify(cfg, ds.packing)
+    with mock.patch.object(harness, "_rigidity_report", wraps=harness._rigidity_report) as spy:
+        report = certify(cfg, ds.packing)
     duration = time.perf_counter() - t0
     for lv in report["levels"]:
         _RUN_LOG["min_slacks"].append(lv["min_row_slack"])
+    _RUN_LOG["cert_final_state"] = spy.call_args.args[1]
     return cfg, report, duration
 
 
@@ -430,8 +438,17 @@ def test_criterion_10_byte_identical_csv(cli_csvs):
 
 # sha256 of the stub32 seed-7 trajectory.csv and of the certify report of the
 # N=4 seed-2 testbed as the CLI writes it.  A refactor leaves both unchanged; a
-# deliberate numeric change updates them and names the moved column.  The
-# two CSVs last moved when a Rayleigh probe admitted Weyl updates past THETA
+# deliberate numeric change updates them and names the moved column.  All
+# three last moved when the joint curvature became a block-norm bound that
+# takes L_x by the position path (no joint anchor or dense joint solve): from
+# the first joint estimate at step 10, E, U, kinetic, min_slack and dt, by at
+# most 1.7e-3, 1.8e-3, 3.9e-2, 0.11 and 1.4e-3 relative on stub32 and
+# 5.9e-4, 1.7e-4, 1.1e-2, 9.2e-4 and 6.4e-4 on N=256.  The certify report
+# moved in its residuals and slacks (final volume and steps unchanged); its
+# `licq_sigma_min` gave way to the `licq` verdict and `licq_ratio`, and
+# `rank_margin` became the least kept singular value over the largest (0.152).
+# Before that the
+# two CSVs moved when a Rayleigh probe admitted Weyl updates past THETA
 # (dt at least 0.99 of the dense solve's): from the first admitted update on
 # (step 10 in both), E, U, kinetic, min_slack and dt, by at most 4.8e-4,
 # 4.8e-4, 1.3e-2, 4.6e-2 and 4.8e-3 relative on stub32 and 2.0e-4, 4.6e-5,
@@ -446,9 +463,9 @@ def test_criterion_10_byte_identical_csv(cli_csvs):
 # motions: `rigidity_literal` and `rigidity_shift.null_dim` went,
 # `rank_margin` became null and `prestress_min_eig` a number.  The third is
 # the 50-step N=256 seed-13 run of the run-hex256 benchmark workload.
-STUB32_SEED7_CSV_SHA256 = "a1950b8eaff19912729816eeeec7b4b7686949d954602c499ffb49f3826d3760"
-CERTIFY_N4_SEED2_SHA256 = "0865ce52b6ebd3fe3a02a9ec04648d77ac53fe99ec4251fe2dd6609e0afc8e5a"
-HEX256_SEED13_CSV_SHA256 = "0a9210cd5f34582d49765334cacdea47d8eaf7158fe9fa510b2d1cbf42282247"
+STUB32_SEED7_CSV_SHA256 = "594a1c12b889b1750c1352845b8ae30cb3d8ba619d8d2874f59055c0fa8cf737"
+CERTIFY_N4_SEED2_SHA256 = "2c1141bed5d15c32fe665cf8c4a9256ba74277803a7d90de677a89972740158c"
+HEX256_SEED13_CSV_SHA256 = "a5be1be53502538e17ffaab0e75b43d07fecab838aa355c112d55019df98e248"
 
 
 def test_pinned_output_hashes(stub_run, cert_report, hex256_run):
@@ -469,18 +486,66 @@ def test_anchored_curvature_counts(stub_run, hex256_run, cert_report):
     # most 8 and may cost up to 4 % more steps, being up to THETA looser; with
     # updates the pair-mode Rayleigh probe admits, N=256 solves at most 4 and
     # stub32 at most 32 (78 before)
+    # stub32 at most 32 (78 before); with joint bounds that take L_x by the
+    # position path, N=256 solves 2 and stub32 10
     counts = hex256_run.counts
     assert counts["curvature_solves"] + counts["curvature_updates"] == 12
-    assert counts["curvature_solves"] <= 4
-    assert stub_run[1].counts["curvature_solves"] <= 32
+    assert counts["curvature_solves"] <= 2
+    assert stub_run[1].counts["curvature_solves"] <= 10
     _, report, _ = cert_report
     assert sum(lv["steps"] for lv in report["levels"]) <= 1.04 * 6706
 
 
+def test_dense_eigensolves_per_run(stub_run, monkeypatch):
+    """A 50-step N=256 seed-13 run takes 2 dense position solves (D = 512), none
+    of the joint Hessian (D = 516: 3 before its block-norm bound) and 5 lambda2
+    solves (N = 256), and the stub32 seed-7 run 10 dense solves (32 before):
+    counts, unlike the benchmark's times, do not depend on host load."""
+    sizes = collections.Counter()
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        sizes[np.shape(a)[-1]] += 1
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    run_trajectory(config_from_preset("stub32", N=256, max_steps=50, seed=13))
+    assert (sizes[512], sizes[516], sizes[256]) == (2, 0, 5)
+    assert stub_run[1].counts["curvature_solves"] == 10
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(ulps=st_lists(sampled_from([-1, 0, 1]), min_size=12, max_size=12))
+def test_report_margins_survive_a_one_ulp_perturbation(cert_report, ulps):
+    """Each margin of the N=4 certify report moves by less than 1e-6 relative, and
+    no verdict flips, when the final state's x and B move by one ulp each way."""
+    cfg, report, _ = cert_report
+    final = _RUN_LOG["cert_final_state"]
+    flat = np.concatenate([final.x.ravel(), final.basis.B.ravel()])
+    flat = np.nextafter(flat, flat + np.array(ulps, dtype=float))  # one ulp each way, or none
+    nx = final.x.size
+    state = PackingState(x=flat[:nx].reshape(final.x.shape),
+                         basis=LatticeBasis(flat[nx:].reshape(final.basis.B.shape)))
+    moved = harness._rigidity_report(cfg, state)
+    for key in ("active_contacts", "licq"):
+        assert moved[key] == report[key]
+    for key in ("rigid", "nontrivial_dim", "prestress_stable"):
+        assert moved["rigidity_shift"][key] == report["rigidity_shift"][key]
+    for got, want in ((moved["licq_ratio"], report["licq_ratio"]),
+                      (moved["rigidity_shift"]["rank_margin"], report["rigidity_shift"]["rank_margin"]),
+                      (moved["rigidity_shift"]["prestress_min_eig"],
+                       report["rigidity_shift"]["prestress_min_eig"])):
+        assert abs(got - want) <= 1e-6 * abs(want)
+
+
 # sha256 of the trajectory.csv of two runs that take the safeguard paths the
-# runs above never take: a disordered stub32 (3 backtracks, 2 Gauss-Seidel
-# repairs, 40 joint projections) and a run whose nudge trigger fires (2 nudges).
-# Both moved with the admitted Weyl updates, in E, U, kinetic, min_slack and dt
+# runs above never take: a disordered stub32 (3 backtracks, 1 Gauss-Seidel
+# repair, 40 joint projections) and a run whose nudge trigger fires (2 nudges).
+# Both moved with the block-norm joint bound, from step 10, in E, U, kinetic,
+# min_slack and dt: the disordered run by up to 0.16, 0.16, 0.25, 0.78 and
+# 5.6e-2 relative, with 3 projection tags moved after step 361 and 1 Gauss-Seidel
+# repair instead of 2; the nudge run as stub32 above, its nudges unmoved.
+# Before that both moved with the admitted Weyl updates, in E, U, kinetic, min_slack and dt
 # from step 30 (by at most 3.6e-5 relative) and from step 10 (by at most 1.2e-2
 # in kinetic and 3.1e-2 in min_slack).  The nudge run moved again when `fiedler`
 # took its vector from the shifted Laplacian, the same five columns from its
@@ -488,8 +553,8 @@ def test_anchored_curvature_counts(stub_run, hex256_run, cert_report):
 # in min_slack, 6.3e-4 in dt), still with 2 nudges at steps 2 and 6.  Before both, its lambda2
 # column moved with the values-only eigensolve, as above.
 SAFEGUARD_PATH_CSV_SHA256 = {
-    "backtrack_gs_repair": "ff1c71200e265180251b5d1165cef82759bda37ca97db4ceb2ecef22281bf3af",
-    "nudge": "30c382cd5b62395fc0789c78bda561e158bd41f23bd81b837f791ab5ba77c246",
+    "backtrack_gs_repair": "247f8dd64fbbe681d477ed0e3bd596b5c66175df2ae0871add716a89da279e4c",
+    "nudge": "cb1afaac724cd3549917d2e8b56056abec2b326270af3b67e43f4b2c16fa087f",
 }
 
 
@@ -502,7 +567,7 @@ def test_pinned_safeguard_path_hashes():
     }
     records = {name: run_trajectory(cfg) for name, cfg in configs.items()}
     assert records["backtrack_gs_repair"].counts["backtracks"] == 3
-    assert records["backtrack_gs_repair"].counts["gs_repairs"] == 2
+    assert records["backtrack_gs_repair"].counts["gs_repairs"] == 1
     assert records["nudge"].counts["nudges"] == 2
     for name, record in records.items():
         assert hashlib.sha256(record.to_csv().encode()).hexdigest() == \

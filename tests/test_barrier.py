@@ -12,6 +12,7 @@ from util import (
     gauge_eigs,
     hex_two_sphere,
     pair_state,
+    ref_hessian,
     rel_err,
     sliding_column_state,
 )
@@ -33,8 +34,8 @@ from spit.barrier import (
     phi,
 )
 from spit.errors import InfeasibleSlackError
-from spit.geometry import LatticeBasis, PackingState, build_shift_set, contacts_within
-from spit.harness import RunConfig, make_testbed, random_feasible_state
+from spit.geometry import LatticeBasis, PackingState, build_shift_set, contacts_within, separations
+from spit.harness import RunConfig, config_from_preset, make_testbed, random_feasible_state
 
 P = BarrierParams(nu=1e-2, delta=1e-3, R=2.5)
 
@@ -280,9 +281,9 @@ def test_curvature_estimates_bracket_the_hvp_spectrum(seed, N, n):
     shifts = build_shift_set(st.basis, P.R)
     members = contacts_within(st, shifts, P.R)
     Hx, Hj = _hvp_matrices(st, members)
-    estimates = [estimate_L(st, members, P),
-                 estimate_m(st, members, P),
-                 estimate_L_joint(st, members, P)]
+    estimates = [estimate_L(st, members, P), estimate_m(st, members, P)]
+    K = contact_blocks(*separations(st, members), P)
+    estimates.append(estimate_L_joint(st, members, K, estimates[0].value))
     assert all(e.converged and e.iters == 1 for e in estimates)
     L, m, Lj = (e.value for e in estimates)
     w = gauge_eigs(Hx, N, n)  # empty for N = 1: no gauge directions
@@ -291,7 +292,27 @@ def test_curvature_estimates_bracket_the_hvp_spectrum(seed, N, n):
     lam_min = float(w[0]) if N > 1 else 0.0
     assert max(lam_min - 1e-9 * top, 0.0) <= m <= max(lam_min, 0.0)
     top_j = float(np.max(np.abs(gauge_eigs(Hj, N, n, joint=True))))
-    assert top_j <= Lj <= max(top_j * (1.0 + 1e-9), 1e-12)
+    # the joint bound is the block-norm bound of L and the exact off-position blocks
+    b, c = np.linalg.norm(Hj[:N * n, N * n:], 2), np.linalg.norm(Hj[N * n:, N * n:], 2)
+    block = 0.5 * (L + c) + np.sqrt(0.25 * (L - c) ** 2 + b * b)
+    assert top_j <= Lj <= max(block * (1.0 + 1e-9), 1e-12)
+
+
+@pytest.mark.parametrize("case", ["N=4 seed 2", "stub32 seed 7", "hex256 seed 13"])
+def test_joint_bound_is_tight_on_the_start_states(case):
+    # the block-norm bound with the dense position bound as L_x stays within 3 %
+    # of the joint Hessian's exact gauge norm (0.2 %, 2.2 % and 0.7 % here)
+    config = {"N=4 seed 2": RunConfig(N=4, seed=2, unsafe=True),
+              "stub32 seed 7": config_from_preset("stub32"),
+              "hex256 seed 13": config_from_preset("stub32", N=256, seed=13)}[case]
+    st = make_testbed(config).packing
+    ev = barrier_energy(st, build_shift_set(st.basis, P.R), P)  # nu, delta, R of P
+    Lj = estimate_L_joint(st, ev.contacts, contact_blocks(ev.r, ev.slack, P),
+                          estimate_L(st, ev.contacts, P).value).value
+    H = ref_hessian(st, ev.contacts, P, joint=True)
+    # the translations are null vectors of H, so its gauge norm is its norm
+    exact = float(np.abs(np.linalg.eigvalsh(H)).max())
+    assert exact <= Lj <= 1.03 * exact
 
 
 def test_estimate_L_bounds_lambda_max_on_n4_seed3_testbed():

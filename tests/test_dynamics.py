@@ -18,6 +18,7 @@ from util import (
     make_ds,
     members_within,
     pair_state,
+    ref_hessian,
     ref_spectrum,
 )
 
@@ -29,6 +30,7 @@ from spit.barrier import (
     barrier_value,
     contact_blocks,
     estimate_L,
+    estimate_L_joint,
     estimate_m,
     hessian,
     pair_mode_rayleigh,
@@ -616,10 +618,13 @@ def test_anchored_curvature_bounds_hold_after_moves_and_member_changes(seed, N, 
     shifts = build_shift_set(state.basis, P.R)
     members = contacts_within(state, shifts, P.R)
     anchors = CurvatureAnchors(P)
-    anchor_state = {}  # of each kind's latest anchor
-    # THETA = inf: every estimate on an anchor's member list is an update, however
+    anchor_state = None  # of the latest position anchor
+    spectrum, probe = barrier._gauge_spectrum, dynamics.pair_mode_rayleigh
+    # THETA = inf: every estimate on the anchor's member list is an update, however
     # far the state has moved since, so the change bound alone carries the certificate
-    with mock.patch.object(dynamics, "THETA", np.inf):
+    with mock.patch.object(dynamics, "THETA", np.inf), \
+            mock.patch.object(barrier, "_gauge_spectrum", wraps=spectrum) as dense, \
+            mock.patch.object(dynamics, "pair_mode_rayleigh", wraps=probe) as probes:
         for op in ["start"] + ops:
             if op == "drop":
                 members = members.take(rng.random(len(members)) < 0.7)
@@ -628,19 +633,21 @@ def test_anchored_curvature_bounds_hold_after_moves_and_member_changes(seed, N, 
             elif op != "start":
                 state = _moved(state, members, op, rng)
             for joint in (False, True):
-                solves = anchors.solves
+                solves, dense_calls = anchors.solves, dense.call_count
                 L_hat, m_hat = anchors.bounds(state, _evaluation(state, members), joint=joint)
                 H = hessian(state, members, P, joint=joint)
-                if anchors.solves > solves:
-                    anchor_state[joint] = state
+                if joint:  # after a position estimate at its state: an update, nothing dense
+                    assert (anchors.solves, dense.call_count) == (solves, dense_calls)
+                elif anchors.solves > solves:
+                    anchor_state = state
                 else:
-                    a = anchor_state[joint]
-                    change = HessianChange(members, _blocks(a, members), joint)
+                    change = HessianChange(members, _blocks(anchor_state, members))
                     d = change.bound(_blocks(state, members))
-                    assert d >= np.linalg.norm(H - hessian(a, members, P, joint=joint), 2)
+                    assert d >= np.linalg.norm(H - hessian(anchor_state, members, P), 2)
                 w = gauge_eigs(H, N, n, joint=joint)  # empty for positions at N = 1
                 assert L_hat >= float(np.abs(w).max(initial=0.0))
                 assert 0.0 <= m_hat <= (max(float(w[0]), 0.0) if w.size else 0.0)
+        assert probes.call_count == 0
 
 
 def _squeezed(state, members, rng):
@@ -689,30 +696,63 @@ def test_admitted_curvature_updates_stay_certified_and_tight(seed, N, n, ops):
                 assert L_hat <= 1.02 * top + 1e-12 * scale
 
 
-def test_joint_estimates_past_theta_take_no_probe(monkeypatch):
-    # the pair mode has no basis part, so past THETA a joint estimate goes
-    # straight to its dense solve, even where a probe would admit any update;
-    # a position estimate there still asks the probe
-    probes = []
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=st_integers(0, 10_000), N=st_integers(1, 6), n=sampled_from([2, 3]),
+       ops=st_lists(sampled_from(["x", "B", "squeeze"]), max_size=3),
+       anchored=sampled_from([True, False]))
+def test_joint_bound_is_certified(seed, N, n, ops, anchored):
+    # the block-norm bound is at least the joint Hessian's gauge norm whether L_x is
+    # a Weyl update of a position anchor taken at the start (past THETA only where
+    # the probe admits it) or a dense solve, after moves and squeezed pairs alike
+    rng = np.random.default_rng(seed)
+    state = random_feasible_state(seed=seed, N=N, n=n)
+    members = contacts_within(state, build_shift_set(state.basis, P.R), P.R)
+    anchors = CurvatureAnchors(P)
+    anchors.bounds(state, _evaluation(state, members))
+    for op in ops:
+        state = _squeezed(state, members, rng) if op == "squeeze" else _moved(state, members, op, rng)
+    ev = _evaluation(state, members)
+    L_x = anchors.bounds(state, ev)[0] if anchored else estimate_L(state, members, P).value
+    Lj = estimate_L_joint(state, members, contact_blocks(ev.r, ev.slack, P), L_x).value
+    w = gauge_eigs(ref_hessian(state, members, P, joint=True), N, n, joint=True)
+    assert Lj >= float(np.abs(w).max())
+
+
+def test_joint_estimates_add_no_dense_solve_or_probe(monkeypatch):
+    # a joint estimate takes L_x by the position path, then the block-norm bound:
+    # it makes the solves and probes a position estimate at its state makes and
+    # no more, and never solves the joint Hessian densely
+    probes, sizes = [], []
 
     def probe(*args):
         probes.append(args)
         return pair_mode_rayleigh(*args)
 
+    def spectrum(H, N, n, original=barrier._gauge_spectrum):
+        sizes.append(H.shape[0])
+        return original(H, N, n)
+
     monkeypatch.setattr(dynamics, "pair_mode_rayleigh", probe)
+    monkeypatch.setattr(barrier, "_gauge_spectrum", spectrum)
     state = random_feasible_state(seed=4, N=5)
     shifts = build_shift_set(state.basis, P.R)
     ev = barrier_energy(state, shifts, P)
-    anchors = CurvatureAnchors(P)
-    for joint in (True, False):
-        anchors.bounds(state, ev, joint=joint)  # the anchors: two dense solves
     moved = state.with_x(state.x + 1e-4 * np.random.default_rng(4).standard_normal(state.x.shape))
     ev_moved = barrier_energy(moved, shifts, P, members=ev.contacts)
-    with mock.patch.object(dynamics, "THETA", 0.0), mock.patch.object(dynamics, "ADMIT", np.inf):
-        anchors.bounds(moved, ev_moved, joint=True)
-        assert (anchors.solves, anchors.updates, probes) == (3, 0, [])
-        anchors.bounds(moved, ev_moved)
-    assert (anchors.solves, anchors.updates, anchors.admitted, len(probes)) == (3, 1, 1, 1)
+    seen = {}
+    for joint in (False, True):
+        anchors = CurvatureAnchors(P)
+        anchors.bounds(state, ev, joint=joint)  # the position anchor: one dense solve
+        anchors.bounds(state, ev, joint=joint)  # within THETA of it: no probe
+        assert (anchors.solves, anchors.updates, probes) == (1, 1, [])
+        with mock.patch.object(dynamics, "THETA", 0.0), \
+                mock.patch.object(dynamics, "ADMIT", np.inf):
+            seen[joint] = anchors.bounds(moved, ev_moved, joint=joint)  # the probe decides
+        assert (anchors.solves, anchors.updates, anchors.admitted, len(probes)) == (1, 2, 1, 1)
+        probes.clear()
+    assert set(sizes) == {state.N * 2}  # position anchors (memoized), no joint Hessian
+    K = contact_blocks(ev_moved.r, ev_moved.slack, P)
+    assert seen[True] == (estimate_L_joint(moved, ev.contacts, K, seen[False][0]).value, 0.0)
 
 
 def _counted_r_vectors(monkeypatch) -> list:
@@ -751,9 +791,9 @@ def test_weyl_updates_and_constraint_rows_reuse_separations(monkeypatch):
 
 
 def test_dense_estimates_reuse_their_memory(monkeypatch):
-    """After a run's first dense estimate of a kind, each later one of that
-    kind allocates less than one D x D float array (tracemalloc), and a repeat
-    of the run writes the same CSV bytes."""
+    """After a run's first dense estimate, each later one allocates less than one
+    D x D float array (tracemalloc), as does every joint estimate, which makes
+    no dense solve and no probe call; a repeat of the run writes the same CSV bytes."""
     import tracemalloc
 
     peaks = {"estimate_L": [], "estimate_L_joint": []}
@@ -766,21 +806,28 @@ def test_dense_estimates_reuse_their_memory(monkeypatch):
             return out
 
         monkeypatch.setattr(dynamics, name, traced)
+    probes = []
     config = config_from_preset("stub64", max_steps=30, seed=0)
     tracemalloc.start()
     try:
         record = run_trajectory(config)
         # the run solves its position Hessian densely once; member lists that
-        # differ from the anchors' take three more dense estimates of each kind
+        # differ from the anchor's take three more dense estimates, and the joint
+        # estimate at each of their states an update of the position anchor
         state = record.final_state.packing
         shifts = build_shift_set(state.basis, config.R)
         members = contacts_within(state, shifts, config.R)
         p = BarrierParams(config.nu, config.delta, config.R)
         anchors = CurvatureAnchors(p)
+        monkeypatch.setattr(dynamics, "pair_mode_rayleigh",
+                            lambda *a: probes.append(a) or pair_mode_rayleigh(*a))
         for k in range(3):
             ev = barrier_energy(state, shifts, p, members=members.take(np.arange(len(members)) != k))
-            for joint in (False, True):
-                anchors.bounds(state, ev, joint=joint)
+            anchors.bounds(state, ev)
+            solves, dense = anchors.solves, len(peaks["estimate_L"])
+            anchors.bounds(state, ev, joint=True)
+            assert (anchors.solves, len(peaks["estimate_L"]), probes) == (solves, dense, [])
+        assert anchors.solves == 3
     finally:
         tracemalloc.stop()
     csv = record.to_csv()

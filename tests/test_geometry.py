@@ -306,7 +306,7 @@ def test_volume_hessian_bound_covers_the_hessian(n):
 # contacts, and the callers of a scan or of `barrier_energy`, whose signatures
 # the benchmark pins; the rest take the contacts they work on
 SHIFT_SET_TAKERS = {
-    "barrier._included", "barrier.barrier_energy", "barrier.barrier_value",
+    "barrier.barrier_energy", "barrier.barrier_value",
     "dynamics._apply_nudge", "dynamics._safeguard", "dynamics.lyapunov_energy",
     "dynamics.spit_step", "geometry.contacts_within", "geometry.min_slack",
     "harness._feasibilize", "projection._e_project", "projection.e_project_joint",

@@ -8,9 +8,23 @@ from hypothesis.strategies import integers as st_integers
 from hypothesis.strategies import sampled_from
 from util import big_cell, energy_of, make_ds, pair_state, scan
 
-from spit.barrier import BarrierParams, barrier_energy, barrier_value, estimate_L, estimate_L_joint
+from spit.barrier import (
+    BarrierParams,
+    barrier_energy,
+    barrier_value,
+    contact_blocks,
+    estimate_L,
+    estimate_L_joint,
+)
 from spit.errors import FeasibilityError, InfeasibleSlackError, LinearizedInfeasibleError
-from spit.geometry import LatticeBasis, PackingState, build_shift_set, contacts_within, min_slack
+from spit.geometry import (
+    LatticeBasis,
+    PackingState,
+    build_shift_set,
+    contacts_within,
+    min_slack,
+    separations,
+)
 from spit.harness import random_feasible_state
 from spit.projection import (
     QuadraticProgram,
@@ -22,6 +36,12 @@ from spit.projection import (
 )
 
 P = BarrierParams(nu=1e-2, delta=1e-3, R=2.5)
+
+
+def _joint_bound(st, contacts, p) -> float:
+    """`estimate_L_joint` with the dense position bound as L_x."""
+    K = contact_blocks(*separations(st, contacts), p)
+    return estimate_L_joint(st, contacts, K, estimate_L(st, contacts, p).value).value
 
 
 def test_gs_noop_when_feasible():
@@ -196,7 +216,7 @@ def test_e_project_joint_nonexpansive():
     for seed in range(6):
         st = random_feasible_state(seed=400 + seed, N=4)
         shifts = build_shift_set(st.basis, P.R)
-        L = estimate_L_joint(st, contacts_within(st, shifts, P.R), P).value
+        L = _joint_bound(st, contacts_within(st, shifts, P.R), P)
         ds = make_ds(st, P, L_hat=L)
         out, info, _ = e_project_joint(ds, barrier_energy(st, shifts, P), P, shifts,
                                        L_x=L, L_B=L)
@@ -209,7 +229,7 @@ def test_e_project_joint_one_dim_self_contact_oracle():
     st = PackingState.make(np.zeros((1, 1)), LatticeBasis(np.array([[b0]])))
     shifts = build_shift_set(st.basis, 2.5)
     p1 = BarrierParams(nu=1e-2, delta=1e-3, R=2.5)
-    L = estimate_L_joint(st, contacts_within(st, shifts, p1.R), p1).value
+    L = _joint_bound(st, contacts_within(st, shifts, p1.R), p1)
     LB = max(L, 1.0)
     ds = make_ds(st, p1, L_hat=LB)
     ev = barrier_energy(st, shifts, p1)
