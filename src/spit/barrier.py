@@ -257,6 +257,7 @@ class CurvatureBound(NamedTuple):
     value: float
     iters: int  # eigensolves
     converged: bool
+    W_B: np.ndarray | None = None  # the basis weight of a joint bound, n^2 x n^2
 
 
 def _gauge_spectrum(H: np.ndarray, N: int, n: int) -> tuple[np.ndarray, float]:
@@ -327,18 +328,29 @@ def estimate_L_joint(state: PackingState, contacts: Contacts, K: np.ndarray,
     """Certified upper bound on the spectral norm of the joint Hessian on
     `contacts` at `state` (gauge positions and basis together), from their
     `contact_blocks` K and a bound L_x on the gauge position block's norm: the
-    block-norm bound lambda_max([[L_x, b], [b, c]]) (Feingold & Varga, Pacific J.
-    Math. 12, 1962) with b^2 and c from one eigensolve of the n^2 x n^2 matrices
+    block-norm bound L = lambda_max([[L_x, b], [b, c]]) (Feingold & Varga, Pacific
+    J. Math. 12, 1962) with b^2 and c from one eigensolve of the n^2 x n^2 matrices
     H_xB^T H_xB and H_BB = sum_c K_c (x) z_c z_c^T; no D x D matrix is formed.
     H_xB, rows -K_c (x) z_c^T at sphere i and +K_c (x) z_c^T at j per pair c, is
     mean-zero, so it couples the gauge positions alone.
+
+    `W_B` is the basis weight of the block-diagonal majorizer diag(L I, W_B) of
+    the joint Hessian (an MM majorizer: Hunter & Lange, Am. Stat. 58, 2004):
+    W_B = V diag(max(lambda_i, 0) + tau + mu) V^T from H_BB = V diag(lambda) V^T,
+    tau = b^2 / (L - L_x) (0 if b = 0) and a roundoff margin mu.  W_B - H_BB >=
+    tau I and (L - L_x) tau >= b^2 >= ||H_xB||^2, so the Schur complement of
+    diag(L I, W_B) - H_joint is PSD.  As c + tau <= L / (1 + 4 tol), W_B <= L I:
+    no basis mode weighs more than the scalar L.  Its eigenvalues are floored
+    at 1e-12, as L is.
 
     Roundoff margin: with tol = (m + N n + n^2 + 8) eps, an entry of those
     matrices is off by at most tol times its terms' magnitudes, an eigensolve by
     n^2 eps times the norm.  With F and Z the Frobenius norms of all K_c (x)
     z_c^T and all z_c, Cauchy-Schwarz puts H_xB within 2 tol sqrt(m) F, H_BB and
     its eigenvalues within tol F Z each, H_xB^T H_xB and b^2 within tol
-    ||H_xB||_F^2 each.  The bound gains a factor 1 + 4 tol.
+    ||H_xB||_F^2 each.  The bound gains a factor 1 + 4 tol.  mu = 2 tol F Z +
+    4 tol (c + tau) covers H_BB's error, tau's rounding and how far V diag(.) V^T
+    of the computed, nearly orthogonal V is from the exact product.
     """
     N, n = state.x.shape
     m, nn = K.shape[0], n * n
@@ -348,12 +360,17 @@ def estimate_L_joint(state: PackingState, contacts: Contacts, K: np.ndarray,
     C = scatter_add((contacts.ends[:, None] * nn + np.arange(nn)).ravel(),
                     np.concatenate([-pz, pz]).ravel(), N * n * nn).reshape(N * n, nn)
     H_BB = (contacts.zf.T @ Kz).reshape(n, n, n, n).transpose(1, 0, 2, 3).reshape(nn, nn)
-    w = np.linalg.eigvalsh(np.array([C.T @ C, H_BB]))
+    w, V = np.linalg.eigh(np.array([C.T @ C, H_BB]))
     F, Z = frobenius(Kz), frobenius(contacts.zf)
     b = (max(w[0, -1], 0.0) + 2.0 * tol * frobenius(C) ** 2) ** 0.5 + 2.0 * tol * m ** 0.5 * F
     c = max(-w[1, 0], w[1, -1]) + 2.0 * tol * F * Z
     top = 0.5 * (L_x + c) + (0.25 * (L_x - c) ** 2 + b * b) ** 0.5
-    return CurvatureBound(max(float(top) * (1.0 + 4.0 * tol), 1e-12), 1, True)
+    L = max(float(top) * (1.0 + 4.0 * tol), 1e-12)
+    tau = b * b / (L - L_x) if b > 0.0 else 0.0
+    d = np.maximum(np.maximum(w[1], 0.0) + (tau + 2.0 * tol * F * Z + 4.0 * tol * (c + tau)),
+                   1e-12)
+    G = V[1] * np.sqrt(d)
+    return CurvatureBound(L, 1, True, G @ G.T)  # symmetric bit for bit
 
 
 def lipschitz_bound(p: BarrierParams, slack_cap: float, radius: float, count: int) -> float:

@@ -19,8 +19,9 @@ Hessian plus its roundoff margin (an anchor), or the anchor's bound plus a
 block-Gershgorin bound on how far the Hessian has changed since (Weyl's
 inequality).  Either way it is a certified upper bound at the state where it
 is taken, at most THETA above the anchor's or ADMIT above a Rayleigh quotient
-below lambda_max.  The joint projection's weight is a 2 x 2 block-norm bound
-from that bound and two O(contacts) blocks; no joint Hessian is formed.
+below lambda_max.  The joint projection's weight is block-diagonal: a 2 x 2
+block-norm bound from that bound and two O(contacts) blocks on the positions,
+and a certified n^2 x n^2 matrix on the basis; no joint Hessian is formed.
 Between refreshes the curvature can still grow, so the trajectory loop also
 checks descent directly: steps that raise E (or leave the feasible region)
 are redone with a halved time step.
@@ -207,8 +208,8 @@ class CurvatureAnchors:
     one pair squeezed toward delta is the change; m_hat then mostly reads 0).
     l only decides; Weyl certifies.  Any other estimate is a dense solve that
     becomes the anchor.  A joint estimate takes L_x so, then returns the
-    block-norm bound `estimate_L_joint` and m 0.  `solves` and `updates` count
-    the two, `admitted` the updates past THETA.
+    block-norm bound and the basis weight W_B of `estimate_L_joint`.  `solves`
+    and `updates` count the two, `admitted` the updates past THETA.
     """
 
     def __init__(self, p: BarrierParams):
@@ -216,10 +217,10 @@ class CurvatureAnchors:
         self.key, self.change, self.L, self.m = None, None, 0.0, 0.0  # of the anchor
         self.solves = self.updates = self.admitted = 0
 
-    def bounds(self, state: PackingState, ev: BarrierEval,
-               joint: bool = False) -> tuple[float, float]:
-        """(L_hat, m_hat) of the position Hessian (or the joint one) at `state`, on the
-        contacts of `ev`, the evaluation there, from its separations and slacks."""
+    def bounds(self, state: PackingState, ev: BarrierEval, joint: bool = False) -> tuple:
+        """(L_hat, m_hat) of the position Hessian at `state`, or (L_hat, W_B) of the
+        joint one, on the contacts of `ev`, the evaluation there, from its
+        separations and slacks."""
         members, K = ev.contacts, contact_blocks(ev.r, ev.slack, self.p)
         d = self.change.bound(K) if self.key == members.key else None
         admitted = d is not None and d > THETA * self.L  # past THETA, if the probe admits it
@@ -233,7 +234,10 @@ class CurvatureAnchors:
             m = self.m = estimate_m(state, members, self.p).value
             self.key, self.change = members.key, HessianChange(members, K)
             self.solves += 1
-        return (estimate_L_joint(state, members, K, L).value, 0.0) if joint else (L, m)
+        if joint:
+            bound = estimate_L_joint(state, members, K, L)
+            return bound.value, bound.W_B
+        return L, m
 
 
 def rest_state(state: PackingState, p: BarrierParams, config, ev: BarrierEval,
@@ -421,10 +425,10 @@ def run_trajectory(config, initial: DynamicsState | None = None) -> TrajectoryRe
         counts["accepted"] += 1
 
         if config.joint_period and k % config.joint_period == 0:
-            Lj = anchors.bounds(ds.packing, ev, joint=True)[0]
+            Lj, W_B = anchors.bounds(ds.packing, ev, joint=True)
             try:
                 B_old = ds.packing.basis.B
-                ds, info, ev = e_project_joint(ds, ev, p, shifts, L_x=max(Lj, L_hat), L_B=Lj,
+                ds, info, ev = e_project_joint(ds, ev, p, shifts, L_x=max(Lj, L_hat), W_B=W_B,
                                                volume_weight=config.volume_weight)
                 near = info.pop("near")
                 events.append({"step": k, **info})

@@ -193,35 +193,44 @@ def e_project_x(ds, ev: BarrierEval, p: BarrierParams, shifts: ShiftIndexSet, L_
 
 
 def e_project_joint(ds, ev: BarrierEval, p: BarrierParams, shifts: ShiftIndexSet,
-                    L_x: float, L_B: float, volume_weight: float = 0.0):
+                    L_x: float, W_B: np.ndarray, volume_weight: float = 0.0):
     """Joint (positions, basis) energy-nonexpansive projection.
 
-    Minimizes the joint majorizer subject to jointly linearized constraints
-    and applies (x, B) <- (y*, B + H*), keeping the velocity.  With a positive
-    `volume_weight` a cell-volume descent term is added to the basis block,
-    whose weight then covers that term's curvature too, and the energy-
-    nonexpansiveness backoff is disabled (the energy may then rise by design).
-    A basis move that breaks nondegeneracy is halved up to 10 times, else
-    dropped; one that leaves a self-image slack below the margin (contacts
-    beyond R are not linearized) is halved up to 10 times.  Returns as `e_project_x`;
-    `info["near"]` holds the result's contacts within R.
+    Minimizes the joint majorizer with the block-diagonal weight diag(L_x I,
+    W_B) subject to jointly linearized constraints and applies (x, B) <- (y*,
+    B + H*), keeping the velocity.  W_B is an SPD n^2 x n^2 matrix over
+    `B.ravel()`, the basis weight of `estimate_L_joint`.  With a positive
+    `volume_weight` a cell-volume descent term is added to the basis block, and
+    its curvature bound `volume_weight * volume_hessian_bound` is added to W_B,
+    so the weight majorizes the sum; the energy-nonexpansiveness backoff is then
+    disabled (the energy may rise by design).  A basis move that breaks
+    nondegeneracy is halved up to 10 times, else dropped; one that leaves a
+    self-image slack below the margin (contacts beyond R are not linearized) is
+    halved up to 10 times.  Returns as `e_project_x`; `info["near"]` holds the
+    result's contacts within R.
     """
-    L_B = max(L_B, volume_weight * volume_hessian_bound(ds.packing.basis))
-    return _e_project(ds, ev, p, shifts, L_x, L_B, volume_weight)
+    W = W_B + volume_weight * volume_hessian_bound(ds.packing.basis) * np.eye(len(W_B))
+    d, V = np.linalg.eigh(W)
+    return _e_project(ds, ev, p, shifts, L_x, (V / np.sqrt(d)) @ V.T, volume_weight)
 
 
 def _e_project(ds, ev: BarrierEval, p: BarrierParams, shifts: ShiftIndexSet, wx: float,
-               wB: float | None, volume_weight: float):
-    """The projection loop of both entry points; positions only when wB is None.
+               S: np.ndarray | None, volume_weight: float):
+    """The projection loop of both entry points; positions only when S is None.
 
     Each round re-anchors the linear model at the current point and solves the
-    QP.  A candidate below the slack margin gets a Gauss-Seidel sweep and a new
-    round (at most 6); one that raises the energy doubles the curvature weights
-    (at most 30 times) unless the volume term is on or the move is pinned.
+    QP.  Jointly the basis move is u_B = S w, S = W^(-1/2) for the basis weight
+    W: each anchor's basis columns and gradient are whitened, A_B <- A_B S and
+    g_B <- S g_B, so the QP stays diagonal with basis weight 1 and its
+    multipliers keep their meaning.  A candidate below the slack margin gets a
+    Gauss-Seidel sweep and a new round (at most 6); one that raises the energy
+    doubles the curvature weights (at most 30 times; W doubles with the basis
+    weight) unless the volume term is on or the move is pinned.
     Every state visited is scanned for contacts once; a backoff keeps the
     anchor, so it keeps the constraint rows and the gradient too.
     """
-    joint = wB is not None
+    joint = S is not None
+    wB = 1.0  # the basis weight in whitened coordinates
     state: PackingState = ds.packing
     N, n = state.x.shape
     floor = p.delta * (1.0 - _SLACK_GUARD)
@@ -246,12 +255,14 @@ def _e_project(ds, ev: BarrierEval, p: BarrierParams, shifts: ShiftIndexSet, wx:
             if joint:
                 gB = evc.grad_B + (volume_weight * volume_gradient(cur.basis)
                                    if volume_weight else 0.0)
-                linear = np.concatenate([linear, gB.ravel()])
+                A[:, N * n:] = A[:, N * n:] @ S
+                linear = np.concatenate([linear, S @ gB.ravel()])
         diag = np.full(N * n, wx + ds.gamma)
         if joint:
             diag = np.concatenate([diag, np.full(n * n, wB)])
         sol = solve_qp(QuadraticProgram(diag=diag, linear=linear, A=A, b=b))
-        x, uB = gauge_project(cur.x + sol.u[: N * n].reshape(N, n)), sol.u[N * n:].reshape(n, -1)
+        x = gauge_project(cur.x + sol.u[: N * n].reshape(N, n))
+        uB = (S @ sol.u[N * n:]).reshape(n, n) if joint else None
         for _ in range(10):  # only a shorter basis move restores a self-image slack
             basis = _admissible_basis(cur.basis, uB) if joint else cur.basis
             cand = PackingState.make(x, basis)

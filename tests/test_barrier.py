@@ -11,6 +11,7 @@ from util import (
     gauge_basis,
     gauge_eigs,
     hex_two_sphere,
+    majorizer_gap,
     pair_state,
     ref_hessian,
     rel_err,
@@ -296,6 +297,13 @@ def test_curvature_estimates_bracket_the_hvp_spectrum(seed, N, n):
     b, c = np.linalg.norm(Hj[:N * n, N * n:], 2), np.linalg.norm(Hj[N * n:, N * n:], 2)
     block = 0.5 * (L + c) + np.sqrt(0.25 * (L - c) ** 2 + b * b)
     assert top_j <= Lj <= max(block * (1.0 + 1e-9), 1e-12)
+    # diag(Lj I, W_B) majorizes the joint Hessian on the gauge subspace, up to the
+    # oracle's own roundoff, with an SPD basis weight no heavier than Lj anywhere
+    W_B = estimates[2].W_B
+    assert W_B.shape == (n * n, n * n) and np.array_equal(W_B, W_B.T)
+    assert majorizer_gap(ref_hessian(st, members, P, joint=True), N, n, Lj, W_B) >= -1e-12 * Lj
+    d = np.linalg.eigvalsh(W_B)
+    assert 0.0 < d[0] and d[-1] <= Lj * (1.0 + 1e-12)
 
 
 @pytest.mark.parametrize("case", ["N=4 seed 2", "stub32 seed 7", "hex256 seed 13"])

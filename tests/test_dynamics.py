@@ -15,6 +15,7 @@ from util import (
     big_cell,
     gauge_eigs,
     hex_two_sphere,
+    majorizer_gap,
     make_ds,
     members_within,
     pair_state,
@@ -634,7 +635,7 @@ def test_anchored_curvature_bounds_hold_after_moves_and_member_changes(seed, N, 
                 state = _moved(state, members, op, rng)
             for joint in (False, True):
                 solves, dense_calls = anchors.solves, dense.call_count
-                L_hat, m_hat = anchors.bounds(state, _evaluation(state, members), joint=joint)
+                L_hat, second = anchors.bounds(state, _evaluation(state, members), joint=joint)
                 H = hessian(state, members, P, joint=joint)
                 if joint:  # after a position estimate at its state: an update, nothing dense
                     assert (anchors.solves, dense.call_count) == (solves, dense_calls)
@@ -646,7 +647,10 @@ def test_anchored_curvature_bounds_hold_after_moves_and_member_changes(seed, N, 
                     assert d >= np.linalg.norm(H - hessian(anchor_state, members, P), 2)
                 w = gauge_eigs(H, N, n, joint=joint)  # empty for positions at N = 1
                 assert L_hat >= float(np.abs(w).max(initial=0.0))
-                assert 0.0 <= m_hat <= (max(float(w[0]), 0.0) if w.size else 0.0)
+                if joint:  # the second bound is the basis weight W_B
+                    assert majorizer_gap(H, N, n, L_hat, second) >= -1e-12 * L_hat
+                else:
+                    assert 0.0 <= second <= (max(float(w[0]), 0.0) if w.size else 0.0)
         assert probes.call_count == 0
 
 
@@ -686,12 +690,16 @@ def test_admitted_curvature_updates_stay_certified_and_tight(seed, N, n, ops):
         ell = pair_mode_rayleigh(members, ev.r, contact_blocks(ev.r, ev.slack, P))
         for joint in (False, True):
             admitted = anchors.admitted
-            L_hat, m_hat = anchors.bounds(state, ev, joint=joint)
-            w = gauge_eigs(hessian(state, members, P, joint=joint), N, n, joint=joint)
+            L_hat, second = anchors.bounds(state, ev, joint=joint)
+            H = hessian(state, members, P, joint=joint)
+            w = gauge_eigs(H, N, n, joint=joint)
             top, scale = float(w[-1]), float(np.abs(w).max())
             assert ell <= top + 1e-12 * scale
             assert L_hat >= scale
-            assert 0.0 <= m_hat <= max(float(w[0]), 0.0)
+            if joint:  # the second bound is the basis weight W_B
+                assert majorizer_gap(H, N, n, L_hat, second) >= -1e-12 * L_hat
+            else:
+                assert 0.0 <= second <= max(float(w[0]), 0.0)
             if anchors.admitted > admitted:
                 assert L_hat <= 1.02 * top + 1e-12 * scale
 
@@ -701,9 +709,10 @@ def test_admitted_curvature_updates_stay_certified_and_tight(seed, N, n, ops):
        ops=st_lists(sampled_from(["x", "B", "squeeze"]), max_size=3),
        anchored=sampled_from([True, False]))
 def test_joint_bound_is_certified(seed, N, n, ops, anchored):
-    # the block-norm bound is at least the joint Hessian's gauge norm whether L_x is
-    # a Weyl update of a position anchor taken at the start (past THETA only where
-    # the probe admits it) or a dense solve, after moves and squeezed pairs alike
+    # the block-norm bound is at least the joint Hessian's gauge norm, and diag(Lj I,
+    # W_B) majorizes that Hessian, whether L_x is a Weyl update of a position anchor
+    # taken at the start (past THETA only where the probe admits it) or a dense
+    # solve, after moves and squeezed pairs alike
     rng = np.random.default_rng(seed)
     state = random_feasible_state(seed=seed, N=N, n=n)
     members = contacts_within(state, build_shift_set(state.basis, P.R), P.R)
@@ -713,9 +722,10 @@ def test_joint_bound_is_certified(seed, N, n, ops, anchored):
         state = _squeezed(state, members, rng) if op == "squeeze" else _moved(state, members, op, rng)
     ev = _evaluation(state, members)
     L_x = anchors.bounds(state, ev)[0] if anchored else estimate_L(state, members, P).value
-    Lj = estimate_L_joint(state, members, contact_blocks(ev.r, ev.slack, P), L_x).value
-    w = gauge_eigs(ref_hessian(state, members, P, joint=True), N, n, joint=True)
-    assert Lj >= float(np.abs(w).max())
+    Lj, _, _, W_B = estimate_L_joint(state, members, contact_blocks(ev.r, ev.slack, P), L_x)
+    H = ref_hessian(state, members, P, joint=True)
+    assert Lj >= float(np.abs(gauge_eigs(H, N, n, joint=True)).max())
+    assert majorizer_gap(H, N, n, Lj, W_B) >= -1e-12 * Lj
 
 
 def test_joint_estimates_add_no_dense_solve_or_probe(monkeypatch):
@@ -752,7 +762,8 @@ def test_joint_estimates_add_no_dense_solve_or_probe(monkeypatch):
         probes.clear()
     assert set(sizes) == {state.N * 2}  # position anchors (memoized), no joint Hessian
     K = contact_blocks(ev_moved.r, ev_moved.slack, P)
-    assert seen[True] == (estimate_L_joint(moved, ev.contacts, K, seen[False][0]).value, 0.0)
+    want = estimate_L_joint(moved, ev.contacts, K, seen[False][0])
+    assert seen[True][0] == want.value and np.array_equal(seen[True][1], want.W_B)
 
 
 def _counted_r_vectors(monkeypatch) -> list:

@@ -22,12 +22,16 @@ from spit.geometry import (
     PackingState,
     build_shift_set,
     contacts_within,
+    gauge_project,
     min_slack,
     separations,
+    volume_gradient,
+    volume_hessian_bound,
 )
 from spit.harness import random_feasible_state
 from spit.projection import (
     QuadraticProgram,
+    _constraint_rows,
     e_project_joint,
     e_project_x,
     gs_project_once,
@@ -38,10 +42,11 @@ from spit.projection import (
 P = BarrierParams(nu=1e-2, delta=1e-3, R=2.5)
 
 
-def _joint_bound(st, contacts, p) -> float:
-    """`estimate_L_joint` with the dense position bound as L_x."""
+def _joint_bound(st, contacts, p) -> tuple[float, np.ndarray]:
+    """`estimate_L_joint`'s bound and basis weight with the dense position bound as L_x."""
     K = contact_blocks(*separations(st, contacts), p)
-    return estimate_L_joint(st, contacts, K, estimate_L(st, contacts, p).value).value
+    bound = estimate_L_joint(st, contacts, K, estimate_L(st, contacts, p).value)
+    return bound.value, bound.W_B
 
 
 def test_gs_noop_when_feasible():
@@ -206,7 +211,7 @@ def test_e_project_joint_identity_when_stationary():
     shifts = build_shift_set(st.basis, P.R)
     ds = make_ds(st, P, L_hat=1.0)
     out, info, _ = e_project_joint(ds, barrier_energy(st, shifts, P), P, shifts,
-                                   L_x=1.0, L_B=1.0)
+                                   L_x=1.0, W_B=np.eye(4))
     assert np.allclose(out.packing.x, st.x, atol=1e-14)
     assert np.allclose(out.packing.basis.B, st.basis.B, atol=1e-14)
     assert not info["basis_moved"]
@@ -216,11 +221,41 @@ def test_e_project_joint_nonexpansive():
     for seed in range(6):
         st = random_feasible_state(seed=400 + seed, N=4)
         shifts = build_shift_set(st.basis, P.R)
-        L = _joint_bound(st, contacts_within(st, shifts, P.R), P)
+        L, W_B = _joint_bound(st, contacts_within(st, shifts, P.R), P)
         ds = make_ds(st, P, L_hat=L)
         out, info, _ = e_project_joint(ds, barrier_energy(st, shifts, P), P, shifts,
-                                       L_x=L, L_B=L)
+                                       L_x=L, W_B=W_B)
         assert info["E_after"] <= info["E_before"] + 1e-10
+
+
+@pytest.mark.parametrize("seed, share, volume_weight, backoffs", [
+    (400, 1.0, 0.0, 0),  # the block-norm bound as the scalar
+    (10, 1e-3, 0.0, 2),  # a light basis weight under-majorizes: two backoffs double it
+    (400, 1.0, 0.5, 0),  # the volume term's curvature adds to the weight
+])
+def test_scalar_basis_weight_reproduces_the_scalar_move(seed, share, volume_weight, backoffs):
+    # W_B = w I whitens to S = I / sqrt(w): the move is the diagonal QP's with the
+    # scalar basis weight w + volume_weight * volume_hessian_bound, each backoff
+    # doubling both weights, solved at the input state on unwhitened rows
+    st = random_feasible_state(seed=seed, N=4)
+    shifts = build_shift_set(st.basis, P.R)
+    ev = barrier_energy(st, shifts, P)
+    L = estimate_L(st, ev.contacts, P).value
+    ds = make_ds(st, P, L_hat=L)
+    out, info, _ = e_project_joint(ds, ev, P, shifts, L_x=L, W_B=share * L * np.eye(4),
+                                   volume_weight=volume_weight)
+    assert (info["backoffs"], info["guard_rounds"]) == (backoffs, 0)
+    A, b = _constraint_rows(st, contacts_within(st, shifts, P.R), P, joint=True)
+    w = share * L + volume_weight * volume_hessian_bound(st.basis)
+    gB = ev.grad_B + volume_weight * volume_gradient(st.basis)
+    u = solve_qp(QuadraticProgram(
+        diag=np.concatenate([np.full(8, L * 2.0 ** backoffs + ds.gamma),
+                             np.full(4, w * 2.0 ** backoffs)]),
+        linear=np.concatenate([(ev.grad_x + ds.gamma * (st.x - ds.x_prev)).ravel(), gB.ravel()]),
+        A=A, b=b)).u
+    assert np.abs(out.packing.x - gauge_project(st.x + u[:8].reshape(4, 2))).max() <= 1e-12
+    assert np.abs(out.packing.basis.B - (st.basis.B + u[8:].reshape(2, 2))).max() <= 1e-12
+    assert info["basis_moved"]
 
 
 def test_e_project_joint_one_dim_self_contact_oracle():
@@ -229,11 +264,11 @@ def test_e_project_joint_one_dim_self_contact_oracle():
     st = PackingState.make(np.zeros((1, 1)), LatticeBasis(np.array([[b0]])))
     shifts = build_shift_set(st.basis, 2.5)
     p1 = BarrierParams(nu=1e-2, delta=1e-3, R=2.5)
-    L = _joint_bound(st, contacts_within(st, shifts, p1.R), p1)
+    L = _joint_bound(st, contacts_within(st, shifts, p1.R), p1)[0]
     LB = max(L, 1.0)
     ds = make_ds(st, p1, L_hat=LB)
     ev = barrier_energy(st, shifts, p1)
-    out, info, _ = e_project_joint(ds, ev, p1, shifts, L_x=LB, L_B=LB)
+    out, info, _ = e_project_joint(ds, ev, p1, shifts, L_x=LB, W_B=np.array([[LB]]))
     gB = float(ev.grad_B[0, 0])
     s0 = b0**2 - 4.0
     aB = 2.0 * b0  # d slack / d basis for the z = 1 self contact

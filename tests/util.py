@@ -155,6 +155,15 @@ def gauge_eigs(H: np.ndarray, N: int, n: int, joint: bool = False) -> np.ndarray
     return np.linalg.eigvalsh(Q.T @ H @ Q)
 
 
+def majorizer_gap(H: np.ndarray, N: int, n: int, w_x: float, W_B: np.ndarray) -> float:
+    """Least eigenvalue of diag(w_x I, W_B) - H on the joint gauge subspace, H a
+    joint Hessian (test oracle): nonnegative when the weight majorizes H there."""
+    M = -H
+    M[:N * n, :N * n] += w_x * np.eye(N * n)
+    M[N * n:, N * n:] += W_B
+    return float(gauge_eigs(M, N, n, joint=True)[0])
+
+
 # -- reference kernels -------------------------------------------------------
 # The assembly the hot-path kernels replaced, kept verbatim as bit-identity
 # oracles: the rewritten kernels must reproduce them with np.array_equal.
