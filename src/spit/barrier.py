@@ -24,6 +24,7 @@ from .geometry import (
     Contacts,
     PackingState,
     ShiftIndexSet,
+    basis_slack_gradient,
     contacts_within,
     frobenius,
     lattice_shifts,
@@ -81,15 +82,19 @@ def _phi2(s, p: BarrierParams):
 
 @dataclass(frozen=True)
 class BarrierEval:
-    """One barrier evaluation: value, both gradients, per-contact r, slacks and their minimum."""
+    """One barrier evaluation: value, gradients (grad_B when first read), r, s, phi', least s."""
 
     value: float
     grad_x: np.ndarray
-    grad_B: np.ndarray
     contacts: Contacts
     r: np.ndarray
     slack: np.ndarray
     min_slack: float
+    dphi: np.ndarray
+
+    @functools.cached_property
+    def grad_B(self) -> np.ndarray:
+        return basis_slack_gradient(self.contacts, self.r, self.dphi)
 
 
 def _slacks(state: PackingState, contacts: Contacts):
@@ -103,7 +108,7 @@ def _slacks(state: PackingState, contacts: Contacts):
 
 def barrier_energy(state: PackingState, shifts: ShiftIndexSet, p: BarrierParams,
                    members: Contacts | None = None) -> BarrierEval:
-    """Sum phi over included contacts and assemble both gradients by chain rule.
+    """Sum phi over included contacts and assemble the gradients by chain rule.
     Only phi and phi' are evaluated; each sum runs over the contacts in order."""
     contacts = members if members is not None else contacts_within(state, shifts, p.R)
     return barrier_from_separations(state, contacts, *_slacks(state, contacts), p)
@@ -112,9 +117,10 @@ def barrier_energy(state: PackingState, shifts: ShiftIndexSet, p: BarrierParams,
 def barrier_from_separations(state: PackingState, contacts: Contacts, r: np.ndarray,
                              s: np.ndarray, least: float, p: BarrierParams) -> BarrierEval:
     """`barrier_energy` on `contacts`, bit for bit, from their r, s and least slack > 0."""
-    gx, gB = slack_gradient(state, contacts, r, _phi1(s, p))
-    return BarrierEval(value=float(_phi0(s, p).sum()), grad_x=gx, grad_B=gB,
-                       contacts=contacts, r=r, slack=s, min_slack=least)
+    d1 = _phi1(s, p)
+    gx = slack_gradient(state, contacts, r, d1)
+    return BarrierEval(value=float(_phi0(s, p).sum()), grad_x=gx, contacts=contacts, r=r,
+                       slack=s, min_slack=least, dphi=d1)
 
 
 def barrier_value(state: PackingState, shifts: ShiftIndexSet, p: BarrierParams,
@@ -257,7 +263,7 @@ class CurvatureBound(NamedTuple):
     value: float
     iters: int  # eigensolves
     converged: bool
-    W_B: np.ndarray | None = None  # the basis weight of a joint bound, n^2 x n^2
+    W_B: tuple | None = None  # a joint bound's n^2 x n^2 basis weight V diag(d) V^T, as (d, V)
 
 
 def _gauge_spectrum(H: np.ndarray, N: int, n: int) -> tuple[np.ndarray, float]:
@@ -340,8 +346,8 @@ def estimate_L_joint(state: PackingState, contacts: Contacts, K: np.ndarray,
     tau = b^2 / (L - L_x) (0 if b = 0) and a roundoff margin mu.  W_B - H_BB >=
     tau I and (L - L_x) tau >= b^2 >= ||H_xB||^2, so the Schur complement of
     diag(L I, W_B) - H_joint is PSD.  As c + tau <= L / (1 + 4 tol), W_B <= L I:
-    no basis mode weighs more than the scalar L.  Its eigenvalues are floored
-    at 1e-12, as L is.
+    no basis mode weighs more than the scalar L.  Its eigenvalues d are floored
+    at 1e-12, as L is; it is returned as (d, V), the projection's whitening.
 
     Roundoff margin: with tol = (m + N n + n^2 + 8) eps, an entry of those
     matrices is off by at most tol times its terms' magnitudes, an eigensolve by
@@ -369,8 +375,7 @@ def estimate_L_joint(state: PackingState, contacts: Contacts, K: np.ndarray,
     tau = b * b / (L - L_x) if b > 0.0 else 0.0
     d = np.maximum(np.maximum(w[1], 0.0) + (tau + 2.0 * tol * F * Z + 4.0 * tol * (c + tau)),
                    1e-12)
-    G = V[1] * np.sqrt(d)
-    return CurvatureBound(L, 1, True, G @ G.T)  # symmetric bit for bit
+    return CurvatureBound(L, 1, True, (d, V[1]))
 
 
 def lipschitz_bound(p: BarrierParams, slack_cap: float, radius: float, count: int) -> float:

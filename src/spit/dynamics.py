@@ -22,9 +22,11 @@ is taken, at most THETA above the anchor's or ADMIT above a Rayleigh quotient
 below lambda_max.  The joint projection's weight is block-diagonal: a 2 x 2
 block-norm bound from that bound and two O(contacts) blocks on the positions,
 and a certified n^2 x n^2 matrix on the basis; no joint Hessian is formed.
-Between refreshes the curvature can still grow, so the trajectory loop also
-checks descent directly: steps that raise E (or leave the feasible region)
-are redone with a halved time step.
+After a basis move dt is the step rule's at the new L_hat, up or down (eta dt
+kept); where gamma rises x_prev = x drops the step memory first, so on the same
+member list E cannot exceed the projection's.  The curvature can still grow
+between refreshes, so the loop checks descent too: a step that raises E (or
+leaves the feasible region) is redone at half the dt.
 
 `run_trajectory` evaluates the barrier once per accepted step: a step's
 second gradient is taken at the gauge-projected new state, so that one
@@ -219,8 +221,8 @@ class CurvatureAnchors:
 
     def bounds(self, state: PackingState, ev: BarrierEval, joint: bool = False) -> tuple:
         """(L_hat, m_hat) of the position Hessian at `state`, or (L_hat, W_B) of the
-        joint one, on the contacts of `ev`, the evaluation there, from its
-        separations and slacks."""
+        joint one, W_B as eigenpairs (d, V), on the contacts of `ev`, the
+        evaluation there, from its separations and slacks."""
         members, K = ev.contacts, contact_blocks(ev.r, ev.slack, self.p)
         d = self.change.bound(K) if self.key == members.key else None
         admitted = d is not None and d > THETA * self.L  # past THETA, if the probe admits it
@@ -234,10 +236,8 @@ class CurvatureAnchors:
             m = self.m = estimate_m(state, members, self.p).value
             self.key, self.change = members.key, HessianChange(members, K)
             self.solves += 1
-        if joint:
-            bound = estimate_L_joint(state, members, K, L)
-            return bound.value, bound.W_B
-        return L, m
+        bound = estimate_L_joint(state, members, K, L) if joint else None
+        return (bound.value, bound.W_B) if joint else (L, m)
 
 
 def rest_state(state: PackingState, p: BarrierParams, config, ev: BarrierEval,
@@ -350,12 +350,12 @@ class TrajectoryRecord:
 def run_trajectory(config, initial: DynamicsState | None = None) -> TrajectoryRecord:
     """Run the full trajectory loop under a harness configuration.
 
-    Per step: (1) reuse or refresh the curvature estimates, (2) one Verlet
-    step with backtracking on energy increase or midpoint infeasibility,
-    (3) `_safeguard`: one-pass Gauss-Seidel, escalated to the position QP
-    when the margin or the energy check fails, (4) joint projection on its cadence,
-    (5) spectral bookkeeping and, when triggered, an energy-safe nudge,
-    (6) one log row.  Terminates on the gradient norm or max_steps.
+    Per step: (1) reuse or refresh the curvature estimates, (2) one Verlet step
+    with backtracking on energy increase or midpoint infeasibility, (3)
+    `_safeguard`: one-pass Gauss-Seidel, escalated to the position QP when the
+    margin or the energy check fails, (4) joint projection on its cadence, then
+    dt by the step rule if the basis moved, (5) spectral bookkeeping and, if
+    triggered, an energy-safe nudge, (6) one log row; ends on the gradient norm or max_steps.
     """
     if initial is None:
         from .harness import make_testbed
@@ -433,15 +433,15 @@ def run_trajectory(config, initial: DynamicsState | None = None) -> TrajectoryRe
                 near = info.pop("near")
                 events.append({"step": k, **info})
                 counts["projections_joint"] += 1
-                basis_moved = info.get("basis_moved", False)
                 last_joint_shift = frobenius(ds.packing.basis.B - B_old)
                 projection += "+joint"
-                if basis_moved:  # the projection has scanned the new cell
+                if info["basis_moved"]:  # the projection has scanned the new cell
                     if near.key != ev.contacts.key:  # `ev` was taken on the old member list
                         ev = barrier_energy(ds.packing, shifts, p, members=near)
                     rest, L_hat, m_hat = rest_state(ds.packing, p, config, ev, anchors)
-                    dt = min(ds.dt, rest.dt)
-                    ds = _with_step(ds, dt, ds.eta * (ds.dt / dt), L_hat)
+                    ds, gamma = _with_step(ds, rest.dt, ds.eta * (ds.dt / rest.dt), L_hat), ds.gamma
+                    if ds.gamma > gamma:  # it would weigh the step memory more: drop that
+                        ds = dataclasses.replace(ds, x_prev=ds.x)
                 E_prev = lyapunov(ds, ev.value)
             except (LinearizedInfeasibleError, FeasibilityError) as exc:
                 logger.warning("joint projection skipped at step %d: %s", k, exc)

@@ -75,10 +75,8 @@ class LatticeBasis:
 
     def diameter(self) -> float:
         """Diameter of the fundamental cell (max over corner differences)."""
-        best = 0.0
-        for signs in product((-1.0, 1.0), repeat=self.n):
-            best = max(best, float(np.linalg.norm(self.B @ np.asarray(signs))))
-        return best
+        return max(float(np.linalg.norm(self.B @ np.asarray(signs)))
+                   for signs in product((-1.0, 1.0), repeat=self.n))
 
     def min_singular_value(self) -> float:
         return float(np.linalg.svd(self.B, compute_uv=False)[-1])
@@ -135,8 +133,9 @@ class Contacts:
     i: np.ndarray
     j: np.ndarray
     z: np.ndarray
-    # results computed from this table, such as barrier's Hessian spectrum
+    # results computed from this table: barrier's Hessian spectrum, and `r_vectors`' B z
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _bz: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def __len__(self) -> int:
         return self.i.shape[0]
@@ -236,9 +235,12 @@ def lattice_shifts(contacts: Contacts, B: np.ndarray) -> np.ndarray:
 
 
 def r_vectors(state: PackingState, contacts: Contacts) -> np.ndarray:
-    """Per-contact separation vectors r = x_i - x_j - B z, the same bits in every table."""
-    x, t = state.x, lattice_shifts(contacts, state.basis.B)
-    return x.take(contacts.i, axis=0) - x.take(contacts.j, axis=0) - t
+    """Per-contact separation vectors r = x_i - x_j - B z, the same bits in every table;
+    B z is kept on the table for the last basis it was formed under."""
+    x, bz = state.x, contacts._bz
+    if not bz or bz[0] is not state.basis:
+        bz[:] = state.basis, lattice_shifts(contacts, state.basis.B)
+    return x.take(contacts.i, axis=0) - x.take(contacts.j, axis=0) - bz[1]
 
 
 def separations(state: PackingState, contacts: Contacts) -> tuple[np.ndarray, np.ndarray]:
@@ -361,14 +363,17 @@ def contact_rows(state: PackingState, contacts: Contacts, r: np.ndarray,
 
 
 def slack_gradient(state: PackingState, contacts: Contacts, r: np.ndarray,
-                   w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """sum_c w_c (grad_x s_c, grad_B s_c) for s = ||r||^2 - 4: +2 w r on the
-    i-block, -2 w r on the j-block, and -2 w r z^T on the basis.  Each position
-    entry sums its i-block terms, then its j-block terms, in contact order."""
+                   w: np.ndarray) -> np.ndarray:
+    """sum_c w_c grad_x s_c for s = ||r||^2 - 4: +2 w r on the i-block, -2 w r on the
+    j-block.  Each entry sums its i-block terms, then its j-block terms, in contact order."""
     coeff = (2.0 * w)[:, None] * r
     gx = scatter_add(contacts.ends, np.concatenate([coeff, -coeff]).ravel(), state.x.size)
-    gB = -2.0 * np.einsum("m,ma,mb->ab", w, r, contacts.zf)
-    return gx.reshape(state.x.shape), gB
+    return gx.reshape(state.x.shape)
+
+
+def basis_slack_gradient(contacts: Contacts, r: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """sum_c w_c grad_B s_c = -2 sum_c w_c r_c z_c^T, the basis part of `slack_gradient`."""
+    return -2.0 * np.einsum("m,ma,mb->ab", w, r, contacts.zf)
 
 
 def frobenius(a: np.ndarray) -> float:

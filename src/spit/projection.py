@@ -28,7 +28,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .barrier import BarrierEval, BarrierParams, barrier_energy, barrier_from_separations
-from .errors import FeasibilityError, LinearizedInfeasibleError, SingularBasisError
+from .errors import (
+    FeasibilityError,
+    InfeasibleSlackError,
+    LinearizedInfeasibleError,
+    SingularBasisError,
+)
 from .geometry import (
     Contacts,
     LatticeBasis,
@@ -83,9 +88,7 @@ def gs_project_once(state: PackingState, near: Contacts, delta: float) -> tuple[
         x[i] += t * direction
         x[j] -= t * direction
         changed = True
-    if not changed:
-        return state, False
-    return state.with_x(gauge_project(x)), True
+    return (state.with_x(gauge_project(x)), True) if changed else (state, False)
 
 
 @dataclass
@@ -149,8 +152,7 @@ def solve_qp(qp: QuadraticProgram) -> QPSolution:
                 working.append(k)
                 continue
         multipliers = np.zeros(m)
-        for idx, w in enumerate(working):
-            multipliers[w] = mu_w[idx]
+        multipliers[working] = mu_w  # the working set holds each row once
         return QPSolution(u=u, multipliers=multipliers, active=sorted(working), iterations=it)
     raise LinearizedInfeasibleError("linearized infeasible")
 
@@ -193,24 +195,25 @@ def e_project_x(ds, ev: BarrierEval, p: BarrierParams, shifts: ShiftIndexSet, L_
 
 
 def e_project_joint(ds, ev: BarrierEval, p: BarrierParams, shifts: ShiftIndexSet,
-                    L_x: float, W_B: np.ndarray, volume_weight: float = 0.0):
+                    L_x: float, W_B: tuple, volume_weight: float = 0.0):
     """Joint (positions, basis) energy-nonexpansive projection.
 
     Minimizes the joint majorizer with the block-diagonal weight diag(L_x I,
     W_B) subject to jointly linearized constraints and applies (x, B) <- (y*,
-    B + H*), keeping the velocity.  W_B is an SPD n^2 x n^2 matrix over
-    `B.ravel()`, the basis weight of `estimate_L_joint`.  With a positive
-    `volume_weight` a cell-volume descent term is added to the basis block, and
-    its curvature bound `volume_weight * volume_hessian_bound` is added to W_B,
-    so the weight majorizes the sum; the energy-nonexpansiveness backoff is then
-    disabled (the energy may rise by design).  A basis move that breaks
-    nondegeneracy is halved up to 10 times, else dropped; one that leaves a
-    self-image slack below the margin (contacts beyond R are not linearized) is
-    halved up to 10 times.  Returns as `e_project_x`; `info["near"]` holds the
-    result's contacts within R.
+    B + H*), keeping the velocity.  W_B = V diag(d) V^T, an SPD n^2 x n^2
+    matrix over `B.ravel()`, is given as its eigenpairs (d, V), as the basis
+    weight of `estimate_L_joint` is.  With a positive `volume_weight` a
+    cell-volume descent term is added to the basis block, and its curvature
+    bound `volume_weight * volume_hessian_bound` is added to W_B, so the weight
+    majorizes the sum; the energy-nonexpansiveness backoff is then disabled
+    (the energy may rise by design).  A basis move that breaks nondegeneracy
+    is halved up to 10 times, else dropped; one that leaves a self-image slack
+    below the margin (contacts beyond R are not linearized) is halved up to 10
+    times.  Returns as `e_project_x`; `info["near"]` holds the result's
+    contacts within R.
     """
-    W = W_B + volume_weight * volume_hessian_bound(ds.packing.basis) * np.eye(len(W_B))
-    d, V = np.linalg.eigh(W)
+    d, V = W_B
+    d = d + volume_weight * volume_hessian_bound(ds.packing.basis)
     return _e_project(ds, ev, p, shifts, L_x, (V / np.sqrt(d)) @ V.T, volume_weight)
 
 
@@ -223,11 +226,12 @@ def _e_project(ds, ev: BarrierEval, p: BarrierParams, shifts: ShiftIndexSet, wx:
     W: each anchor's basis columns and gradient are whitened, A_B <- A_B S and
     g_B <- S g_B, so the QP stays diagonal with basis weight 1 and its
     multipliers keep their meaning.  A candidate below the slack margin gets a
-    Gauss-Seidel sweep and a new round (at most 6); one that raises the energy
-    doubles the curvature weights (at most 30 times; W doubles with the basis
-    weight) unless the volume term is on or the move is pinned.
-    Every state visited is scanned for contacts once; a backoff keeps the
-    anchor, so it keeps the constraint rows and the gradient too.
+    Gauss-Seidel sweep and a new round (at most 6, and a FeasibilityError if
+    the sweep leaves a member slack <= 0); one that raises the energy doubles
+    the curvature weights (at most 30 times; W doubles with the basis weight)
+    unless the volume term is on or the move is pinned.  Every state visited is
+    scanned for contacts once; a backoff keeps the anchor, so it keeps the
+    constraint rows and the gradient too.
     """
     joint = S is not None
     wB = 1.0  # the basis weight in whitened coordinates
@@ -240,26 +244,25 @@ def _e_project(ds, ev: BarrierEval, p: BarrierParams, shifts: ShiftIndexSet, wx:
         raise FeasibilityError(
             "cell-bound (self-image) slack below margin; a joint basis update is required")
     e_before = lyapunov(ds, ev.value)
-    backoffs = 0
-    rounds = 0
-    cur = state
-    A = prev_u = None
+    backoffs = rounds = 0
+    cur, A, prev_u = state, None, None
     info = {"E_before": e_before, "kind": "qp_joint" if joint else "qp_x"}
     if joint:
         info["volume_weight"] = volume_weight
     while True:
         if A is None:  # a new anchor
             A, b = _constraint_rows(cur, near, p, joint)
-            evc = barrier_energy(cur, shifts, p, members=ev.contacts) if cur is not state else ev
+            try:
+                evc = ev if cur is state else barrier_energy(cur, shifts, p, members=ev.contacts)
+            except InfeasibleSlackError as exc:  # a guard round's sweep left a member slack <= 0
+                raise FeasibilityError("projection repair left a slack nonpositive") from exc
             linear = (evc.grad_x + ds.gamma * (cur.x - ds.x_prev)).ravel()
             if joint:
                 gB = evc.grad_B + (volume_weight * volume_gradient(cur.basis)
                                    if volume_weight else 0.0)
                 A[:, N * n:] = A[:, N * n:] @ S
                 linear = np.concatenate([linear, S @ gB.ravel()])
-        diag = np.full(N * n, wx + ds.gamma)
-        if joint:
-            diag = np.concatenate([diag, np.full(n * n, wB)])
+        diag = np.concatenate([np.full(N * n, wx + ds.gamma), np.full(n * n * joint, wB)])
         sol = solve_qp(QuadraticProgram(diag=diag, linear=linear, A=A, b=b))
         x = gauge_project(cur.x + sol.u[: N * n].reshape(N, n))
         uB = (S @ sol.u[N * n:]).reshape(n, n) if joint else None

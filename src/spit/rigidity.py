@@ -21,6 +21,7 @@ from .barrier import BarrierParams, phi
 from .geometry import (
     Contacts,
     PackingState,
+    basis_slack_gradient,
     contact_rows,
     lattice_shifts,
     r_vectors,
@@ -194,7 +195,8 @@ def kkt_residual(state: PackingState, mus: MultiplierSet, mu: np.ndarray) -> tup
     norm of sum mu_c grad_x s_c, comp = sum mu_c max(s_c, 0).
     """
     mu = np.asarray(mu, dtype=float)
-    gx, gB = slack_gradient(state, mus.contacts, mus.r, mu)
+    gx = slack_gradient(state, mus.contacts, mus.r, mu)
+    gB = basis_slack_gradient(mus.contacts, mus.r, mu)
     res_B = float(np.linalg.norm(volume_gradient(state.basis) - gB))
     res_x = float(np.linalg.norm(gx - gx.mean(axis=0)))
     comp = float(np.sum(mu * np.maximum(mus.slack, 0.0)))

@@ -8,6 +8,7 @@ last two tests pin the bytes of the outputs a refactor must not change.
 import collections
 import hashlib
 import json
+import sys
 import time
 from unittest import mock
 
@@ -35,7 +36,7 @@ from spit.barrier import (
     lipschitz_bound,
     observed_slack_cap,
 )
-from spit import harness
+from spit import barrier, dynamics, geometry, harness, projection
 from spit.cli import main as cli_main
 from spit.dynamics import DynamicsState, companion_rate, run_trajectory, select_steps, spit_step
 from spit.geometry import LatticeBasis, PackingState, build_shift_set, contacts_within, slack_values
@@ -442,7 +443,20 @@ def test_criterion_10_byte_identical_csv(cli_csvs):
 # hold for a fixed BLAS build and thread count: OpenBLAS splits the N=256 run's
 # D = 512 and N = 256 eigensolves differently by thread count, so under
 # OPENBLAS_NUM_THREADS=1 that run's hash differs on a 2-core host while the
-# other two hold.  All three last moved when the joint projection's basis block
+# other two hold.  All three last moved when dt began to follow the step rule,
+# up or down, after each basis move (dropping the step memory where gamma
+# rises) and the joint projection took its basis whitening from the joint
+# bound's eigenpairs: from the first basis move at step 10, E (its step
+# memory), then from step 31 on stub32 U, kinetic, min_slack and dt, by at most
+# 0.6, 0.6, 17, 5.4 and 13 relative (dt ends at 0.0159, not 0.00126; the final E
+# is 3.77, not 9.00); on N=256, whose dt still falls at every move, E by at
+# most 1.6e-2 (its final E by -4.6e-5) and U, kinetic, min_slack and dt by at
+# most 4.2e-14, 1.5e-11, 1.7e-11 and 8.8e-12; lambda2 did not move.  The
+# certify report moved in its step counts (1,589 / 1,219 / 2,178 / 40 to
+# 1,559 / 1,219 / 1,309 / 40), residuals (res_B at nu = 1e-3 1.2e-7 -> 2.0e-6),
+# slacks, multipliers and level volumes; its final volume moved by one ulp, its
+# `'gradient'` ends and verdicts did not move.  Before that all three moved
+# when the joint projection's basis block
 # took the matrix weight W_B of `estimate_L_joint` in place of the scalar
 # block-norm bound: from the first joint projection at step 10, E, U,
 # kinetic, min_slack and dt, by at most 1.0e-2, 1.0e-2, 0.11, 0.27 and 2.0e-2
@@ -475,9 +489,9 @@ def test_criterion_10_byte_identical_csv(cli_csvs):
 # motions: `rigidity_literal` and `rigidity_shift.null_dim` went,
 # `rank_margin` became null and `prestress_min_eig` a number.  The third is
 # the 50-step N=256 seed-13 run of the run-hex256 benchmark workload.
-STUB32_SEED7_CSV_SHA256 = "95a5ad8ca13956f873389e4fef44fe40d7bd0729c3d57d56fe0f8059096b3deb"
-CERTIFY_N4_SEED2_SHA256 = "6c68401f6fab892a1643c260c3f3903853468de05df873734b47bba3b87918e7"
-HEX256_SEED13_CSV_SHA256 = "e59a56713dbbfa0385c2114e829607bf3840ad7bdc2f7588817e7a058ae7dff1"
+STUB32_SEED7_CSV_SHA256 = "521e1b1dfecf557c76126858253df4966d1b892cfa02e094616d95af285966e9"
+CERTIFY_N4_SEED2_SHA256 = "0626466c8a7d2c29a161f3524d4531a493faa0dbf13799a69a8ee7f9047b09b1"
+HEX256_SEED13_CSV_SHA256 = "7d25058a803e4f587c6ee4502df6f7c365b91a0d2f9effda612be00b3d80da2c"
 
 
 def test_pinned_output_hashes(stub_run, cert_report, hex256_run):
@@ -501,32 +515,106 @@ def test_anchored_curvature_counts(stub_run, hex256_run, cert_report):
     # stub32 at most 32 (78 before); with joint bounds that take L_x by the
     # position path, N=256 solves 2 and stub32 10, and 11 once the basis block
     # took its matrix weight W_B, under which certify takes 5,026 steps (6,926
-    # with the scalar weight); the bound is 5,200, below 1.04 * 5,026 = 5,227
+    # with the scalar weight); once dt follows the step rule up after a basis
+    # move, stub32 solves 70 (its larger steps move the Hessian past THETA more
+    # often) and certify takes 4,127 steps; the bound is 1.04 * 4,127
     counts = hex256_run.counts
     assert counts["curvature_solves"] + counts["curvature_updates"] == 12
     assert counts["curvature_solves"] <= 2
-    assert stub_run[1].counts["curvature_solves"] <= 11
+    assert stub_run[1].counts["curvature_solves"] <= 70
     _, report, _ = cert_report
-    assert sum(lv["steps"] for lv in report["levels"]) <= 5200
+    assert sum(lv["steps"] for lv in report["levels"]) <= 4292
 
 
-def test_dense_eigensolves_per_run(stub_run, monkeypatch):
-    """A 50-step N=256 seed-13 run takes 2 dense position solves (D = 512), none
-    of the joint Hessian (D = 516: 3 before its block-norm bound) and 5 lambda2
-    solves (N = 256), and the stub32 seed-7 run 11 dense solves (32 before the
-    block-norm bound, 10 before the matrix basis weight): counts, unlike the
-    benchmark's times, do not depend on host load."""
-    sizes = collections.Counter()
-    eigvalsh = np.linalg.eigvalsh
+def _work_counts(monkeypatch, run) -> collections.Counter:
+    """Exact work counts of `run()`: its runs' accepted steps, backtracks and
+    joint projections (from their records), barrier evaluations, contact scans,
+    separation calls, QP solves and their iterations, and numpy eigensolves by
+    matrix size.  Every `spit` binding of a counted function is wrapped, as
+    the benchmark's tracer wraps what it traces."""
+    counts = collections.Counter()
+    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "spit"]
 
-    def counting(a, *args, **kwargs):
-        sizes[np.shape(a)[-1]] += 1
-        return eigvalsh(a, *args, **kwargs)
+    def wrap(func, tally):
+        def wrapper(*args, **kwargs):
+            out = func(*args, **kwargs)
+            tally(args, out)
+            return out
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is func:
+                    monkeypatch.setattr(module, attr, wrapper)
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
-    run_trajectory(config_from_preset("stub32", N=256, max_steps=50, seed=13))
-    assert (sizes[512], sizes[516], sizes[256]) == (2, 0, 5)
-    assert stub_run[1].counts["curvature_solves"] == 11
+    def record(args, rec):
+        counts.update({key: rec.counts[key]
+                       for key in ("accepted", "backtracks", "projections_joint")})
+
+    wrap(dynamics.run_trajectory, record)
+    wrap(barrier.barrier_from_separations, lambda args, out: counts.update(["evaluations"]))
+    wrap(geometry.contacts_within, lambda args, out: counts.update(["contacts_within"]))
+    wrap(geometry.r_vectors, lambda args, out: counts.update(["r_vectors"]))
+    wrap(projection.solve_qp,
+         lambda args, out: counts.update({"solve_qp": 1, "qp_iterations": out.iterations}))
+    for name in ("eigvalsh", "eigh"):
+        def solve(a, *args, original=getattr(np.linalg, name), name=name, **kwargs):
+            counts[f"{name} {np.shape(a)[-1]}"] += 1
+            return original(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, solve)
+    run()
+    return counts
+
+
+# Exact work counts of the three pinned workloads (ROADMAP item 20): counts,
+# unlike the benchmark's times, do not depend on host load.  A change that
+# moves one re-pins it and names the old and new value in CHANGES.md.  Like
+# the hashes above they hold for the default BLAS thread count.  `eigvalsh 2`
+# is a new basis's nondegeneracy check, `eigh 4` the joint bound's stacked
+# solve (two per joint projection before the projection reused its
+# eigenpairs), `eigvalsh 8`, `64` and `512` the dense position solves,
+# `eigvalsh 32` and `256` the lambda2 solves and `eigvalsh 9` the certify
+# report's prestress test.  The 50-step N=256 run takes no dense solve of the
+# joint Hessian (D = 516: 3 before its block-norm bound).  The stub32 run's
+# dense solves rose 11 -> 70 (32 before the block-norm bound, 10 before the
+# matrix basis weight) when dt began to follow the step rule up after a basis
+# move: its dt ends at 0.0159, not 0.00126, so the state moves farther between
+# estimates, and 59 more Hessian changes pass THETA of their anchor without
+# the Rayleigh probe admitting them (23 admitted, 141 before).  Certify took
+# 5,026 steps before that rule and 4,127 after it.
+WORK_COUNTS = {
+    "stub32 seed 7": {
+        "accepted": 1000, "backtracks": 0, "projections_joint": 100, "evaluations": 1140,
+        "contacts_within": 241, "r_vectors": 1552, "solve_qp": 100, "qp_iterations": 108,
+        "eigvalsh 2": 101, "eigh 4": 100, "eigvalsh 32": 3, "eigvalsh 64": 70},
+    "hex256 seed 13": {
+        "accepted": 50, "backtracks": 0, "projections_joint": 5, "evaluations": 57,
+        "contacts_within": 13, "r_vectors": 78, "solve_qp": 5, "qp_iterations": 10,
+        "eigvalsh 2": 6, "eigh 4": 5, "eigvalsh 256": 5, "eigvalsh 512": 2},
+    "certify N=4 seed 2": {
+        "accepted": 4127, "backtracks": 0, "projections_joint": 410, "evaluations": 4738,
+        "contacts_within": 1031, "r_vectors": 6288, "solve_qp": 414, "qp_iterations": 467,
+        "eigvalsh 2": 411, "eigh 4": 410, "eigvalsh 8": 61, "eigvalsh 9": 1},
+}
+
+
+def test_dense_eigensolves_per_run(monkeypatch):
+    cert = RunConfig(N=4, seed=2, cert_max_steps=20000, unsafe=True)
+    runs = {
+        # through the module, whose binding the counts wrap
+        "stub32 seed 7": lambda: dynamics.run_trajectory(config_from_preset("stub32")),
+        "hex256 seed 13": lambda: dynamics.run_trajectory(
+            config_from_preset("stub32", N=256, max_steps=50, seed=13)),
+        "certify N=4 seed 2": lambda: certify(cert, make_testbed(cert).packing),
+    }
+    got = {}
+    for name, run in runs.items():
+        with monkeypatch.context() as patch:
+            got[name] = _work_counts(patch, run)
+    moved = {name: {key: (want.get(key), got[name].get(key))  # (pinned, counted)
+                    for key in want.keys() | got[name].keys()
+                    if want.get(key) != got[name].get(key)}
+             for name, want in WORK_COUNTS.items()}
+    assert not any(moved.values()), moved
+    print("\n[work counts] PASS - the three pinned workloads repeat their exact work counts")
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -555,11 +643,16 @@ def test_report_margins_survive_a_one_ulp_perturbation(cert_report, ulps):
 
 # sha256 of the trajectory.csv of two runs that take the safeguard paths the
 # runs above never take: a disordered stub32 (3 backtracks, 1 Gauss-Seidel
-# repair, 40 joint projections) and a run whose nudge trigger fires (2 nudges).
-# Both moved with the matrix basis weight W_B: the disordered run's seed went
-# 5 -> 3, because seed 5 then took no Gauss-Seidel repair (3 backtracks, 0
-# repairs), while seed 3 takes 3 backtracks and its repair at step 10 both
-# before and after; the nudge run moved as stub32 above, by at most 1.0e-2 in
+# repair, 40 joint projections) and a run whose nudge trigger fires (25 nudges).
+# Both moved when dt began to follow the step rule up after a basis move: from
+# step 10 in E and from step 21 (disordered, by at most 0.16, 0.16, 0.76, 6.4e-2
+# and 0.31 relative) or 29 (nudge, by at most 0.55, 0.55, 17, 5.4 and 13) in E,
+# U, kinetic, min_slack and dt; the disordered run kept its 3 backtracks and 1
+# repair, while the nudge run's larger steps make its trigger fire 25 times
+# instead of 2.  Before that both moved with the matrix basis weight W_B: the
+# disordered run's seed went 5 -> 3, because seed 5 then took no Gauss-Seidel
+# repair (3 backtracks, 0 repairs), while seed 3 takes 3 backtracks and its
+# repair at step 10 both before and after; the nudge run moved as stub32 above, by at most 1.0e-2 in
 # E and U, 0.11 in kinetic, 0.27 in min_slack and 2.0e-2 in dt, its nudges
 # unmoved.  Before that both moved with the block-norm joint bound, from step 10, in E, U, kinetic,
 # min_slack and dt: the disordered run by up to 0.16, 0.16, 0.25, 0.78 and
@@ -573,8 +666,8 @@ def test_report_margins_survive_a_one_ulp_perturbation(cert_report, ulps):
 # in min_slack, 6.3e-4 in dt), still with 2 nudges at steps 2 and 6.  Before both, its lambda2
 # column moved with the values-only eigensolve, as above.
 SAFEGUARD_PATH_CSV_SHA256 = {
-    "backtrack_gs_repair": "6237486c6f2351095c8b277b48a915599b0576c20ac4acf14076d7a32acfbc5a",
-    "nudge": "82560cf1eb8b730b3f5b84f646c0d4a36e3634e8fd60fad57880638267bec63e",
+    "backtrack_gs_repair": "df851359892b005b2e03a48a81c160c0071c889c4817634ad6df238ed98f2d7b",
+    "nudge": "7444c0591dd90c44ba67b80d59ee7e2a504ac852a90b2dc53aa355b677e23f8c",
 }
 
 
@@ -588,7 +681,7 @@ def test_pinned_safeguard_path_hashes():
     records = {name: run_trajectory(cfg) for name, cfg in configs.items()}
     assert records["backtrack_gs_repair"].counts["backtracks"] == 3
     assert records["backtrack_gs_repair"].counts["gs_repairs"] == 1
-    assert records["nudge"].counts["nudges"] == 2
+    assert records["nudge"].counts["nudges"] == 25
     for name, record in records.items():
         assert hashlib.sha256(record.to_csv().encode()).hexdigest() == \
             SAFEGUARD_PATH_CSV_SHA256[name], name

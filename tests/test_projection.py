@@ -211,7 +211,7 @@ def test_e_project_joint_identity_when_stationary():
     shifts = build_shift_set(st.basis, P.R)
     ds = make_ds(st, P, L_hat=1.0)
     out, info, _ = e_project_joint(ds, barrier_energy(st, shifts, P), P, shifts,
-                                   L_x=1.0, W_B=np.eye(4))
+                                   L_x=1.0, W_B=(np.ones(4), np.eye(4)))
     assert np.allclose(out.packing.x, st.x, atol=1e-14)
     assert np.allclose(out.packing.basis.B, st.basis.B, atol=1e-14)
     assert not info["basis_moved"]
@@ -242,7 +242,8 @@ def test_scalar_basis_weight_reproduces_the_scalar_move(seed, share, volume_weig
     ev = barrier_energy(st, shifts, P)
     L = estimate_L(st, ev.contacts, P).value
     ds = make_ds(st, P, L_hat=L)
-    out, info, _ = e_project_joint(ds, ev, P, shifts, L_x=L, W_B=share * L * np.eye(4),
+    out, info, _ = e_project_joint(ds, ev, P, shifts, L_x=L,
+                                   W_B=(np.full(4, share * L), np.eye(4)),
                                    volume_weight=volume_weight)
     assert (info["backoffs"], info["guard_rounds"]) == (backoffs, 0)
     A, b = _constraint_rows(st, contacts_within(st, shifts, P.R), P, joint=True)
@@ -268,7 +269,7 @@ def test_e_project_joint_one_dim_self_contact_oracle():
     LB = max(L, 1.0)
     ds = make_ds(st, p1, L_hat=LB)
     ev = barrier_energy(st, shifts, p1)
-    out, info, _ = e_project_joint(ds, ev, p1, shifts, L_x=LB, W_B=np.array([[LB]]))
+    out, info, _ = e_project_joint(ds, ev, p1, shifts, L_x=LB, W_B=(np.array([LB]), np.eye(1)))
     gB = float(ev.grad_B[0, 0])
     s0 = b0**2 - 4.0
     aB = 2.0 * b0  # d slack / d basis for the z = 1 self contact
@@ -317,6 +318,22 @@ def test_guard_restores_margin_from_violating_state():
     ds = make_ds(repaired, P, L_hat=L)
     out, info, _ = e_project_x(ds, barrier_energy(repaired, shifts, P), P, shifts, L_hat=L)
     assert min_slack(out.packing, shifts, P.R) >= P.delta * (1 - 1e-6)
+
+
+@pytest.mark.parametrize("volume_weight", [0.0, 1.0])
+def test_joint_repair_that_leaves_a_member_slack_nonpositive_is_a_feasibility_error(volume_weight):
+    # a basis weight of 0.1 L under-weighs the cell move: its candidate falls
+    # below the margin, and the guard round's best-effort Gauss-Seidel sweep
+    # leaves a member slack <= 0, where the next anchor cannot evaluate the
+    # barrier; the callers catch FeasibilityError, not the barrier's own error
+    st = random_feasible_state(seed=3, N=4)
+    shifts = build_shift_set(st.basis, P.R)
+    ev = barrier_energy(st, shifts, P)
+    L = estimate_L(st, ev.contacts, P).value
+    with pytest.raises(FeasibilityError) as raised:
+        e_project_joint(make_ds(st, P, L_hat=L), ev, P, shifts, L_x=L,
+                        W_B=(np.full(4, 0.1 * L), np.eye(4)), volume_weight=volume_weight)
+    assert isinstance(raised.value.__cause__, InfeasibleSlackError)
 
 
 def test_e_project_x_scans_each_state_once(monkeypatch):

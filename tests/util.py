@@ -155,12 +155,14 @@ def gauge_eigs(H: np.ndarray, N: int, n: int, joint: bool = False) -> np.ndarray
     return np.linalg.eigvalsh(Q.T @ H @ Q)
 
 
-def majorizer_gap(H: np.ndarray, N: int, n: int, w_x: float, W_B: np.ndarray) -> float:
+def majorizer_gap(H: np.ndarray, N: int, n: int, w_x: float, W_B: tuple) -> float:
     """Least eigenvalue of diag(w_x I, W_B) - H on the joint gauge subspace, H a
-    joint Hessian (test oracle): nonnegative when the weight majorizes H there."""
+    joint Hessian (test oracle): nonnegative when the weight majorizes H there.
+    W_B = V diag(d) V^T is given as its eigenpairs (d, V), as the projection takes it."""
+    d, V = W_B
     M = -H
     M[:N * n, :N * n] += w_x * np.eye(N * n)
-    M[N * n:, N * n:] += W_B
+    M[N * n:, N * n:] += (V * d) @ V.T
     return float(gauge_eigs(M, N, n, joint=True)[0])
 
 
