@@ -129,6 +129,15 @@ def barrier_value(state: PackingState, shifts: ShiftIndexSet, p: BarrierParams,
     return barrier_energy(state, shifts, p, members=members).value
 
 
+def contact_blocks(r: np.ndarray, s: np.ndarray, p: BarrierParams) -> np.ndarray:
+    """K_c = 4 phi'' r r^T + 2 phi' I, the Hessian of phi(||r||^2 - 4) in r, per contact
+    of separation r and slack s: an (m, n, n) array for the HVPs, `hessian` and `HessianChange`."""
+    m, n = r.shape
+    K = ((4.0 * _phi2(s, p))[:, None] * r)[:, :, None] * r[:, None, :]
+    K.reshape(m, n * n)[:, ::n + 1] += (2.0 * _phi1(s, p))[:, None]  # the diagonal, in place
+    return K
+
+
 def hvp_x(state: PackingState, contacts: Contacts, p: BarrierParams,
           direction: np.ndarray) -> np.ndarray:
     """The position block of the barrier Hessian on `contacts` applied to a direction
@@ -142,46 +151,29 @@ def hvp_joint(state: PackingState, contacts: Contacts, p: BarrierParams,
     """Apply the full (x, B) barrier Hessian on `contacts` to a joint direction.
 
     With w = p_i - p_j - H z (the first-order change of r along the direction)
-    each contact contributes g = 4 phi'' <r, w> r + 2 phi' w to the i-block,
+    each contact contributes g = K_c w, K_c of `contact_blocks`, to the i-block,
     -g to the j-block, and -g z^T to the basis block, which makes the operator
     symmetric by construction.
     """
     r, s, _ = _slacks(state, contacts)
     w = dir_x[contacts.i] - dir_x[contacts.j] - lattice_shifts(contacts, np.asarray(dir_B, float))
-    rw = np.einsum("mk,mk->m", r, w)
-    g = (4.0 * _phi2(s, p) * rw)[:, None] * r + (2.0 * _phi1(s, p))[:, None] * w
-    out_x = np.zeros_like(dir_x, dtype=float)
-    np.add.at(out_x, contacts.i, g)
-    np.subtract.at(out_x, contacts.j, g)
-    out_B = -np.einsum("ma,mb->ab", g, contacts.zf)
-    return out_x, out_B
-
-
-def contact_blocks(r: np.ndarray, s: np.ndarray, p: BarrierParams) -> np.ndarray:
-    """K_c = 4 phi'' r r^T + 2 phi' I, the Hessian of phi(||r||^2 - 4) in r, per contact
-    of separation r and slack s: an (m, n, n) array for `hessian` and `HessianChange`."""
-    m, n = r.shape
-    K = ((4.0 * _phi2(s, p))[:, None] * r)[:, :, None] * r[:, None, :]
-    K.reshape(m, n * n)[:, ::n + 1] += (2.0 * _phi1(s, p))[:, None]  # the diagonal, in place
-    return K
+    g = np.einsum("mab,mb->ma", contact_blocks(r, s, p), w)
+    out_x = scatter_add(contacts.ends, np.concatenate([g, -g]).ravel(), state.x.size)
+    return out_x.reshape(state.x.shape), -np.einsum("ma,mb->ab", g, contacts.zf)
 
 
 def hessian(state: PackingState, contacts: Contacts, p: BarrierParams,
-            joint: bool = False, out: np.ndarray | None = None) -> np.ndarray:
-    """Dense barrier Hessian: the operator of `hvp_x` (or of `hvp_joint`) as a matrix.
+            out: np.ndarray | None = None) -> np.ndarray:
+    """Dense position Hessian of the barrier: the operator of `hvp_x` as a matrix.
 
-    Rows and columns follow `x.ravel()`, then `B.ravel()` when `joint`.  Each
-    contact adds K = 4 phi'' r r^T + 2 phi' I to the (i, i) and (j, j) position
-    blocks and subtracts it from (i, j) and (j, i); jointly it also adds -K z^T
-    (resp. +K z^T) to the i (resp. j) rows of the basis columns and K (x) z z^T
-    to the basis block.  Self-image contacts cancel out of every position row,
-    so only pairs are assembled there, and those rows stay exactly zero.  Each
-    entry sums its (i, i), (j, j), (i, j), (j, i), then basis-column terms in contact order.
+    Rows and columns follow `x.ravel()`.  Each contact adds its `contact_blocks` K
+    to the (i, i) and (j, j) blocks and subtracts it from (i, j) and (j, i).
+    Self-image contacts cancel out of every row, so only pairs are assembled.
+    Each entry sums its (i, i), (j, j), (i, j), then (j, i) terms in contact order.
     A C-contiguous D x D float `out` is zeroed and receives the matrix in place of a new one.
     """
     N, n = state.x.shape
-    Nn = N * n
-    D = Nn + (n * n if joint else 0)
+    D = N * n
     K = contact_blocks(*_slacks(state, contacts)[:2], p)
     pair = contacts.i != contacts.j
     i, j, Kp = contacts.i[pair], contacts.j[pair], K[pair]
@@ -195,15 +187,6 @@ def hessian(state: PackingState, contacts: Contacts, p: BarrierParams,
     np.add.at(H.reshape(-1),
               ((u[:4 * m] * D + u[2 * m:])[:, None, None] + (a[:, None] * D + a)).ravel(),
               np.concatenate([Kp, Kp, -Kp, -Kp]).ravel())
-    if joint:
-        zf = contacts.zf
-        # entry (a, c) of the basis columns of block row u is at (u n + a) D + N n + c
-        c = a[:, None] * D + Nn + np.arange(n * n)
-        Kz = (Kp[:, :, :, None] * zf[pair][:, None, None, :]).reshape(m, n, n * n)
-        np.add.at(H.reshape(-1), ((u[:2 * m] * D)[:, None, None] + c).ravel(),
-                  np.concatenate([-Kz, Kz]).ravel())
-        H[Nn:, :Nn] = H[:Nn, Nn:].T
-        H[Nn:, Nn:] = np.einsum("mac,mb,md->abcd", K, zf, zf).reshape(n * n, n * n)
     return H
 
 

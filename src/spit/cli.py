@@ -109,11 +109,7 @@ def cmd_certify(args) -> int:
 def cmd_spectra(args) -> int:
     config = _build_config(args)
     state, _ = load_state(args.state)
-    if args.exact_cheeger and state.N > 20:
-        print("error: exact Cheeger limited to small graphs (N <= 20)", file=sys.stderr)
-        return 3
-    report = spectra_report(state, R=config.R, eps=args.eps,
-                            exact_cheeger=True if args.exact_cheeger else None)
+    report = spectra_report(state, R=config.R, eps=args.eps)
     print(f"lambda2 = {report['lambda2']!r}")
     print("fiedler_vector = " + " ".join(f"{c:.6g}" for c in report["fiedler_vector"]))
     if "cheeger" in report:
@@ -149,8 +145,6 @@ def main(argv=None) -> int:
     spec_p.add_argument("state", type=Path, help="input state JSON")
     spec_p.add_argument("--eps", type=float, default=0.05,
                         help="near-contact threshold for graph edges")
-    spec_p.add_argument("--exact-cheeger", action="store_true",
-                        help="force the exact Cheeger computation")
     _add_config_flags(spec_p)
     spec_p.set_defaults(func=cmd_spectra)
 

@@ -80,7 +80,8 @@ from .geometry import (
     gauge_project,
     volume_gradient,
 )
-from .projection import _SLACK_GUARD, e_project_joint, e_project_x, gs_project_once, lyapunov
+from .projection import (_GS_GUARD, _SLACK_GUARD, e_project_joint, e_project_x,
+                         gs_project_once, lyapunov)
 from .spectral import (
     NudgeHistory,
     build_contact_graph,
@@ -390,7 +391,7 @@ def run_trajectory(config, initial: DynamicsState | None = None) -> TrajectoryRe
     for k in range(1, config.max_steps + 1):
         if k > 1 and (k - 1) % REFRESH_STEPS == 0:
             ev = barrier_energy(ds.packing, shifts, p)
-            _, L_hat, m_hat = rest_state(ds.packing, p, config, ev, anchors)
+            L_hat, m_hat = anchors.bounds(ds.packing, ev)
             E_prev = lyapunov(ds, ev.value)
 
         if frobenius(ev.grad_x) <= config.grad_tol \
@@ -415,7 +416,7 @@ def run_trajectory(config, initial: DynamicsState | None = None) -> TrajectoryRe
             if backtracks > 60:
                 raise RunAbort(f"no acceptable step after {backtracks} backtracks at step {k}")
             if backtracks % 2 == 0:
-                _, L_hat, m_hat = rest_state(ds.packing, p, config, ev, anchors)
+                L_hat, m_hat = anchors.bounds(ds.packing, ev)
             ds = backtrack(ds, L_hat)
             E_prev = lyapunov(ds, ev.value)
 
@@ -506,7 +507,7 @@ def _safeguard(cand, ev, E, E_ref, p, shifts, L_hat, counts, events, step):
     result must not exceed `E_ref`.  Returns (state, evaluation, energy, tag).
     """
     tag = "none"
-    if ev.min_slack < p.delta * (1.0 - 1e-12):
+    if ev.min_slack < p.delta * (1.0 - _GS_GUARD):
         near = contacts_within(cand.packing, shifts, p.R)
         repaired, changed = gs_project_once(cand.packing, near, p.delta)
         if changed:

@@ -396,10 +396,9 @@ def _rigidity_report(config: RunConfig, state: PackingState) -> dict:
             "licq": licq, "licq_ratio": ratio, "rigidity_shift": entry}
 
 
-def spectra_report(state: PackingState, R: float, eps: float,
-                   exact_cheeger: bool | None = None) -> dict:
+def spectra_report(state: PackingState, R: float, eps: float) -> dict:
     """Fiedler value/vector of the contact graph, plus the exact Cheeger
-    sandwich when the graph is small enough."""
+    sandwich for at most 20 spheres."""
     from .spectral import build_contact_graph, cheeger_check, fiedler
 
     if not eps >= 0.0:  # as RunConfig refuses a negative eps_active or eps_near
@@ -409,8 +408,7 @@ def spectra_report(state: PackingState, R: float, eps: float,
     lam2, vec = fiedler(graph)
     out = {"lambda2": lam2, "fiedler_vector": [float(c) for c in vec],
            "n_edges": len(graph), "n_vertices": graph.n_vertices}
-    want_cheeger = exact_cheeger if exact_cheeger is not None else state.N <= 20
-    if want_cheeger:
+    if state.N <= 20:
         rep = cheeger_check(graph)
         out["cheeger"] = {"h": rep.h, "lower": rep.lower, "upper": rep.upper,
                           "sandwich_ok": rep.ok}

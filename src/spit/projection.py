@@ -53,6 +53,7 @@ from .geometry import (
 logger = logging.getLogger("spit")
 
 _SLACK_GUARD = 1e-6  # accepted states keep min_slack >= delta * (1 - _SLACK_GUARD)
+_GS_GUARD = 1e-12  # Gauss-Seidel repairs the slacks below delta * (1 - _GS_GUARD)
 _HORIZON = 1.0  # contacts with slack up to delta + _HORIZON are linearized
 _QP_TOL = 1e-10  # multiplier sign and relative feasibility tolerance of solve_qp
 
@@ -69,7 +70,8 @@ def gs_project_once(state: PackingState, near: Contacts, delta: float) -> tuple[
     s = slack_values(state, near)
     margin = 0.25  # re-check anything close enough that an earlier repair could push it under
     worklist = np.flatnonzero(s < delta + margin)
-    if worklist.size == 0 or float(np.min(s)) >= delta * (1.0 - 1e-12):
+    floor = delta * (1.0 - _GS_GUARD)
+    if worklist.size == 0 or float(np.min(s)) >= floor:
         return state, False
     x = state.x.copy()
     shift = lattice_shifts(near, state.basis.B)
@@ -81,7 +83,7 @@ def gs_project_once(state: PackingState, near: Contacts, delta: float) -> tuple[
             continue
         r = x[i] - x[j] - shift[k]
         dist = float(np.linalg.norm(r))
-        if dist * dist - 4.0 >= delta * (1.0 - 1e-12):
+        if dist * dist - 4.0 >= floor:
             continue
         direction = r / dist if dist > 1e-12 else np.eye(1, state.n, 0, dtype=float).ravel()
         t = 0.5 * (target - dist)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Contacts, PackingState, gauge_project, r_vectors
+from .geometry import Contacts, PackingState, gauge_project, r_vectors, scatter_add
 
 @dataclass(frozen=True)
 class ContactGraph:
@@ -51,10 +51,8 @@ def build_contact_graph(state: PackingState, near: Contacts) -> ContactGraph:
     dist = np.linalg.norm(r, axis=1)
     normals = r / np.maximum(dist, 1e-300)[:, None]
     gaps = dist - 2.0
-    degrees = np.zeros(state.N, dtype=np.int64)
     pair = near.i != near.j
-    np.add.at(degrees, near.i[pair], 1)
-    np.add.at(degrees, near.j[pair], 1)
+    degrees = np.bincount(np.concatenate([near.i[pair], near.j[pair]]), minlength=state.N)
     return ContactGraph(n_vertices=state.N, edges=near, normals=normals,
                         gaps=gaps, degrees=degrees)
 
@@ -81,14 +79,10 @@ def pair_edges_of(ev, eps: float) -> np.ndarray | None:
 
 def laplacian(N: int, edges: np.ndarray) -> np.ndarray:
     """Combinatorial Laplacian of (2, m) pair edges; multi-edges count with multiplicity."""
-    L = np.zeros((N, N))
     i, j = edges
     # small integer entries: the sums are exact whatever the order
-    np.add.at(L, (i, i), 1.0)
-    np.add.at(L, (j, j), 1.0)
-    np.subtract.at(L, (i, j), 1.0)
-    np.subtract.at(L, (j, i), 1.0)
-    return L
+    at = np.concatenate([i * N + i, j * N + j, i * N + j, j * N + i])
+    return scatter_add(at, np.repeat([1.0, 1.0, -1.0, -1.0], i.shape[0]), N * N).reshape(N, N)
 
 
 def _sign_fix(v: np.ndarray) -> np.ndarray:
@@ -183,14 +177,13 @@ def lift_mode(state: PackingState, graph: ContactGraph, v: np.ndarray) -> np.nda
     gauge-projected.  Zero-degree vertices stay put.
     """
     v = np.asarray(v, dtype=float)
-    out = np.zeros_like(state.x)
+    pair = ~graph.loop_mask
     i, j = graph.pair_edges
     # normal from i toward j is -r/||r||, so both endpoints receive -(v_i - v_j) n_edge
-    contrib = -(v[i] - v[j])[:, None] * graph.normals[~graph.loop_mask]
-    np.add.at(out, i, contrib)
-    np.add.at(out, j, contrib)
-    deg = np.maximum(graph.degrees, 1).astype(float)
-    out /= deg[:, None]
+    contrib = -(v[i] - v[j])[:, None] * graph.normals[pair]
+    out = scatter_add(graph.edges.take(pair).ends, np.concatenate([contrib, contrib]).ravel(),
+                      state.x.size).reshape(state.x.shape)
+    out /= np.maximum(graph.degrees, 1)[:, None]
     out[graph.degrees == 0] = 0.0
     return gauge_project(out)
 

@@ -437,58 +437,14 @@ def test_criterion_10_byte_identical_csv(cli_csvs):
     print(f"\n[acceptance 10] PASS - stub32 seed 7 reproduces {len(a)} CSV bytes exactly")
 
 
-# sha256 of the stub32 seed-7 trajectory.csv and of the certify report of the
-# N=4 seed-2 testbed as the CLI writes it.  A refactor leaves both unchanged; a
-# deliberate numeric change updates them and names the moved column.  The bytes
-# hold for a fixed BLAS build and thread count: OpenBLAS splits the N=256 run's
-# D = 512 and N = 256 eigensolves differently by thread count, so under
-# OPENBLAS_NUM_THREADS=1 that run's hash differs on a 2-core host while the
-# other two hold.  All three last moved when dt began to follow the step rule,
-# up or down, after each basis move (dropping the step memory where gamma
-# rises) and the joint projection took its basis whitening from the joint
-# bound's eigenpairs: from the first basis move at step 10, E (its step
-# memory), then from step 31 on stub32 U, kinetic, min_slack and dt, by at most
-# 0.6, 0.6, 17, 5.4 and 13 relative (dt ends at 0.0159, not 0.00126; the final E
-# is 3.77, not 9.00); on N=256, whose dt still falls at every move, E by at
-# most 1.6e-2 (its final E by -4.6e-5) and U, kinetic, min_slack and dt by at
-# most 4.2e-14, 1.5e-11, 1.7e-11 and 8.8e-12; lambda2 did not move.  The
-# certify report moved in its step counts (1,589 / 1,219 / 2,178 / 40 to
-# 1,559 / 1,219 / 1,309 / 40), residuals (res_B at nu = 1e-3 1.2e-7 -> 2.0e-6),
-# slacks, multipliers and level volumes; its final volume moved by one ulp, its
-# `'gradient'` ends and verdicts did not move.  Before that all three moved
-# when the joint projection's basis block
-# took the matrix weight W_B of `estimate_L_joint` in place of the scalar
-# block-norm bound: from the first joint projection at step 10, E, U,
-# kinetic, min_slack and dt, by at most 1.0e-2, 1.0e-2, 0.11, 0.27 and 2.0e-2
-# relative on stub32 and 6.6e-3, 5.7e-4, 0.13, 4.2e-2 and 8.3e-4 on N=256;
-# lambda2 did not move.  The certify report moved in its step counts (2,449 /
-# 1,719 / 2,708 / 50 to 1,589 / 1,219 / 2,178 / 40), residuals, slacks and
-# multipliers (res_B lower at levels 1-3); its final volume, `'gradient'` ends
-# and verdicts did not move.  Before that all
-# three moved when the joint curvature became a block-norm bound that
-# takes L_x by the position path (no joint anchor or dense joint solve): from
-# the first joint estimate at step 10, E, U, kinetic, min_slack and dt, by at
-# most 1.7e-3, 1.8e-3, 3.9e-2, 0.11 and 1.4e-3 relative on stub32 and
-# 5.9e-4, 1.7e-4, 1.1e-2, 9.2e-4 and 6.4e-4 on N=256.  The certify report
-# moved in its residuals and slacks (final volume and steps unchanged); its
-# `licq_sigma_min` gave way to the `licq` verdict and `licq_ratio`, and
-# `rank_margin` became the least kept singular value over the largest (0.152).
-# Before that the
-# two CSVs moved when a Rayleigh probe admitted Weyl updates past THETA
-# (dt at least 0.99 of the dense solve's): from the first admitted update on
-# (step 10 in both), E, U, kinetic, min_slack and dt, by at most 4.8e-4,
-# 4.8e-4, 1.3e-2, 4.6e-2 and 4.8e-3 relative on stub32 and 2.0e-4, 4.6e-5,
-# 8.0e-3, 5.6e-3 and 4.3e-3 on N=256; lambda2 did not move.  The certify
-# report did not move: no certify estimate is admitted.  Before that lambda2
-# came from a values-only eigensolve of the shifted Laplacian: the lambda2
-# column alone, by at most 2e-14 relative.  Before that the Weyl-anchored
-# curvature bounds moved E, U, kinetic, min_slack and, where a basis move caps
-# it, dt; and the certify report's step counts and residuals, not its final
-# volume.  The certify report was
-# re-pinned alone when its rigidity came from one operator on the nontrivial
-# motions: `rigidity_literal` and `rigidity_shift.null_dim` went,
-# `rank_margin` became null and `prestress_min_eig` a number.  The third is
-# the 50-step N=256 seed-13 run of the run-hex256 benchmark workload.
+# sha256 of the stub32 seed-7 trajectory.csv, of the certify report of the
+# N=4 seed-2 testbed as the CLI writes it, and of the trajectory.csv of the
+# 50-step N=256 seed-13 run of the run-hex256 benchmark workload.  A refactor
+# leaves all three unchanged; a deliberate numeric change re-pins them and
+# names the moved columns in CHANGES.md.  The bytes hold for a fixed BLAS build
+# and thread count: OpenBLAS splits the N=256 run's D = 512 and N = 256
+# eigensolves differently by thread count, so under OPENBLAS_NUM_THREADS=1 that
+# run's hash differs on a 2-core host while the other two hold.
 STUB32_SEED7_CSV_SHA256 = "521e1b1dfecf557c76126858253df4966d1b892cfa02e094616d95af285966e9"
 CERTIFY_N4_SEED2_SHA256 = "0626466c8a7d2c29a161f3524d4531a493faa0dbf13799a69a8ee7f9047b09b1"
 HEX256_SEED13_CSV_SHA256 = "7d25058a803e4f587c6ee4502df6f7c365b91a0d2f9effda612be00b3d80da2c"
@@ -569,17 +525,9 @@ def _work_counts(monkeypatch, run) -> collections.Counter:
 # moves one re-pins it and names the old and new value in CHANGES.md.  Like
 # the hashes above they hold for the default BLAS thread count.  `eigvalsh 2`
 # is a new basis's nondegeneracy check, `eigh 4` the joint bound's stacked
-# solve (two per joint projection before the projection reused its
-# eigenpairs), `eigvalsh 8`, `64` and `512` the dense position solves,
-# `eigvalsh 32` and `256` the lambda2 solves and `eigvalsh 9` the certify
-# report's prestress test.  The 50-step N=256 run takes no dense solve of the
-# joint Hessian (D = 516: 3 before its block-norm bound).  The stub32 run's
-# dense solves rose 11 -> 70 (32 before the block-norm bound, 10 before the
-# matrix basis weight) when dt began to follow the step rule up after a basis
-# move: its dt ends at 0.0159, not 0.00126, so the state moves farther between
-# estimates, and 59 more Hessian changes pass THETA of their anchor without
-# the Rayleigh probe admitting them (23 admitted, 141 before).  Certify took
-# 5,026 steps before that rule and 4,127 after it.
+# solve, `eigvalsh 8`, `64` and `512` the dense position solves, `eigvalsh 32`
+# and `256` the lambda2 solves and `eigvalsh 9` the certify report's prestress
+# test.  No run takes a dense solve of the joint Hessian.
 WORK_COUNTS = {
     "stub32 seed 7": {
         "accepted": 1000, "backtracks": 0, "projections_joint": 100, "evaluations": 1140,
@@ -643,28 +591,8 @@ def test_report_margins_survive_a_one_ulp_perturbation(cert_report, ulps):
 
 # sha256 of the trajectory.csv of two runs that take the safeguard paths the
 # runs above never take: a disordered stub32 (3 backtracks, 1 Gauss-Seidel
-# repair, 40 joint projections) and a run whose nudge trigger fires (25 nudges).
-# Both moved when dt began to follow the step rule up after a basis move: from
-# step 10 in E and from step 21 (disordered, by at most 0.16, 0.16, 0.76, 6.4e-2
-# and 0.31 relative) or 29 (nudge, by at most 0.55, 0.55, 17, 5.4 and 13) in E,
-# U, kinetic, min_slack and dt; the disordered run kept its 3 backtracks and 1
-# repair, while the nudge run's larger steps make its trigger fire 25 times
-# instead of 2.  Before that both moved with the matrix basis weight W_B: the
-# disordered run's seed went 5 -> 3, because seed 5 then took no Gauss-Seidel
-# repair (3 backtracks, 0 repairs), while seed 3 takes 3 backtracks and its
-# repair at step 10 both before and after; the nudge run moved as stub32 above, by at most 1.0e-2 in
-# E and U, 0.11 in kinetic, 0.27 in min_slack and 2.0e-2 in dt, its nudges
-# unmoved.  Before that both moved with the block-norm joint bound, from step 10, in E, U, kinetic,
-# min_slack and dt: the disordered run by up to 0.16, 0.16, 0.25, 0.78 and
-# 5.6e-2 relative, with 3 projection tags moved after step 361 and 1 Gauss-Seidel
-# repair instead of 2; the nudge run as stub32 above, its nudges unmoved.
-# Before that both moved with the admitted Weyl updates, in E, U, kinetic, min_slack and dt
-# from step 30 (by at most 3.6e-5 relative) and from step 10 (by at most 1.2e-2
-# in kinetic and 3.1e-2 in min_slack).  The nudge run moved again when `fiedler`
-# took its vector from the shifted Laplacian, the same five columns from its
-# first nudge at step 2 (by at most 1.3e-4 in E and U, 2.3e-3 in kinetic, 1e-3
-# in min_slack, 6.3e-4 in dt), still with 2 nudges at steps 2 and 6.  Before both, its lambda2
-# column moved with the values-only eigensolve, as above.
+# repair, 40 joint projections) and a run whose nudge trigger fires (25
+# nudges).  They are re-pinned, and hold, as the hashes above.
 SAFEGUARD_PATH_CSV_SHA256 = {
     "backtrack_gs_repair": "df851359892b005b2e03a48a81c160c0071c889c4817634ad6df238ed98f2d7b",
     "nudge": "7444c0591dd90c44ba67b80d59ee7e2a504ac852a90b2dc53aa355b677e23f8c",

@@ -268,8 +268,8 @@ def test_hessian_matches_hvp_columns(seed, N, n):
     shifts = build_shift_set(st.basis, P.R)
     members = contacts_within(st, shifts, P.R)
     want_x, want_joint = _hvp_matrices(st, members)
-    for joint, want in ((False, want_x), (True, want_joint)):
-        got = hessian(st, members, P, joint=joint)
+    for got, want in ((hessian(st, members, P), want_x),
+                      (ref_hessian(st, members, P, joint=True), want_joint)):
         assert got.shape == want.shape
         scale = max(float(np.max(np.abs(want))), 1e-300)
         assert float(np.max(np.abs(got - want))) <= 1e-13 * scale
@@ -408,13 +408,17 @@ def _same(got, want) -> bool:
 def test_kernels_match_their_add_at_references(seed, N, n, members, shift):
     """The hot-path kernels reproduce the assembly they replaced bit for bit:
     `np.bincount` scatters against `np.add.at`, `x.sum(0) / N` against
-    `np.mean`, phi and phi' alone against `phi`."""
+    `np.mean`, phi and phi' alone against `phi`.  The contact graph's degrees,
+    Laplacian and lifted mode scatter the same way."""
     from util import (
         ref_barrier_energy,
         ref_contact_rows,
+        ref_degrees,
         ref_gauge_project,
         ref_gauge_spectrum,
         ref_hessian,
+        ref_laplacian,
+        ref_lift_mode,
         ref_slack_gradient,
     )
 
@@ -426,6 +430,7 @@ def test_kernels_match_their_add_at_references(seed, N, n, members, shift):
         r_vectors,
         slack_gradient,
     )
+    from spit.spectral import build_contact_graph, laplacian, lift_mode
 
     st = random_feasible_state(seed=seed, N=N, n=n)
     shifts = build_shift_set(st.basis, P.R)
@@ -448,11 +453,16 @@ def test_kernels_match_their_add_at_references(seed, N, n, members, shift):
     assert ev.value == value
     assert _same(ev.grad_x, gx) and _same(ev.grad_B, gB) and _same(ev.slack, s)
     assert ev.min_slack == float(np.min(s, initial=np.inf))
-    for joint in (False, True):
-        H = hessian(st, c, P, joint=joint)
-        assert _same(H, ref_hessian(st, c, P, joint=joint))
-        (w_got, m_got), (w_want, m_want) = _gauge_spectrum(H, N, n), ref_gauge_spectrum(H, N, n)
+    H = hessian(st, c, P)
+    assert _same(H, ref_hessian(st, c, P))
+    for M in (H, ref_hessian(st, c, P, joint=True)):
+        (w_got, m_got), (w_want, m_want) = _gauge_spectrum(M, N, n), ref_gauge_spectrum(M, N, n)
         assert _same(w_got, w_want) and m_got == m_want
+    g = build_contact_graph(st, c)
+    assert _same(g.degrees, ref_degrees(N, c))
+    assert _same(laplacian(N, g.pair_edges), ref_laplacian(N, g.pair_edges))
+    v = rng.standard_normal(N)
+    assert _same(lift_mode(st, g, v), ref_lift_mode(st, g, v))
 
 
 @pytest.mark.parametrize("N", [1, 2, 3, 5, 7, 32, 256])

@@ -1,6 +1,9 @@
-"""Configuration, testbed, state files, CLI subcommands."""
+"""Configuration, testbed, state files, CLI subcommands, runtime dependencies."""
 
+import ast
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -210,7 +213,7 @@ def test_cli_testbed_and_spectra(tmp_path, capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "lambda2 = " in out
-    assert "cheeger" not in out  # N = 32 > 20, no exact Cheeger by default
+    assert "cheeger" not in out  # N = 32 > 20: no exact Cheeger
 
 
 def test_cli_spectra_two_sphere(tmp_path, capsys):
@@ -231,14 +234,6 @@ def test_cli_spectra_rejects_negative_graph_scale(tmp_path, capsys):
         rc = cli_main(["spectra", str(tmp_path / "pair.json"), f"--eps={eps}"])
         assert rc == 2, eps
         assert capsys.readouterr().err == "error: graph scales must be nonnegative\n", eps
-
-
-def test_cli_spectra_rejects_large_exact_cheeger(tmp_path, capsys):
-    assert cli_main(["testbed", "--preset", "stub32", "--out", str(tmp_path)]) == 0
-    rc = cli_main(["spectra", str(tmp_path / "testbed.json"), "--exact-cheeger"])
-    err = capsys.readouterr().err
-    assert rc != 0
-    assert "exact Cheeger" in err
 
 
 def test_cli_missing_state_file(tmp_path, capsys):
@@ -295,3 +290,22 @@ def test_cli_rejects_flags_the_command_ignores(argv, capsys):
         cli_main(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_runtime_imports_numpy_and_the_stdlib_only():
+    # the package's one runtime dependency is numpy: every import in src/spit,
+    # function-level ones included, is __future__, stdlib, numpy or relative
+    allowed = set(sys.stdlib_module_names) | {"__future__", "numpy"}
+    package = Path(__file__).resolve().parents[1] / "src" / "spit"
+    found = {}
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found.update({name.split(".")[0]: path.name for name in names})
+    assert "numpy" in found
+    assert {name: where for name, where in found.items() if name not in allowed} == {}

@@ -204,7 +204,8 @@ def ref_barrier_energy(state: PackingState, contacts, p: BarrierParams):
 
 
 def ref_hessian(state: PackingState, contacts, p: BarrierParams, joint: bool = False):
-    """`barrier.hessian` by four (six when joint) `np.add.at` passes."""
+    """`barrier.hessian` by four `np.add.at` passes; with `joint`, two more and the
+    basis block give the dense matrix of `barrier.hvp_joint` (test oracle)."""
     from spit.barrier import phi
     from spit.geometry import r_vectors
 
@@ -234,6 +235,40 @@ def ref_hessian(state: PackingState, contacts, p: BarrierParams, joint: bool = F
         H[N * n:, :N * n] = H[:N * n, N * n:].T
         H[N * n:, N * n:] = np.einsum("mac,mb,md->abcd", K, zf, zf).reshape(n * n, n * n)
     return H
+
+
+def ref_degrees(N: int, contacts) -> np.ndarray:
+    """`spectral.build_contact_graph`'s vertex degrees by `np.add.at`."""
+    degrees = np.zeros(N, dtype=np.int64)
+    pair = contacts.i != contacts.j
+    np.add.at(degrees, contacts.i[pair], 1)
+    np.add.at(degrees, contacts.j[pair], 1)
+    return degrees
+
+
+def ref_laplacian(N: int, edges: np.ndarray) -> np.ndarray:
+    """`spectral.laplacian` by `np.add.at` and `np.subtract.at`."""
+    L = np.zeros((N, N))
+    i, j = edges
+    np.add.at(L, (i, i), 1.0)
+    np.add.at(L, (j, j), 1.0)
+    np.subtract.at(L, (i, j), 1.0)
+    np.subtract.at(L, (j, i), 1.0)
+    return L
+
+
+def ref_lift_mode(state: PackingState, graph, v: np.ndarray) -> np.ndarray:
+    """`spectral.lift_mode` by `np.add.at`."""
+    from spit.geometry import gauge_project
+
+    out = np.zeros_like(state.x)
+    i, j = graph.pair_edges
+    contrib = -(v[i] - v[j])[:, None] * graph.normals[~graph.loop_mask]
+    np.add.at(out, i, contrib)
+    np.add.at(out, j, contrib)
+    out /= np.maximum(graph.degrees, 1).astype(float)[:, None]
+    out[graph.degrees == 0] = 0.0
+    return gauge_project(out)
 
 
 def ref_contact_rows(state: PackingState, contacts, r: np.ndarray, c=None) -> np.ndarray:
