@@ -755,13 +755,13 @@ def test_admitted_curvature_updates_stay_certified_and_tight(seed, N, n, ops):
                 assert majorizer_gap(H, N, n, L_hat, second) >= -1e-12 * L_hat
             else:
                 assert 0.0 <= second <= max(float(w[0]), 0.0)
-            if anchors.admitted > admitted and not joint:
-                assert L_hat <= 1.02 * top + 1e-12 * scale
-            elif anchors.admitted > admitted:  # within ADMIT of the bound at a dense L_x,
-                # which is itself up to 3 % above top (test_joint_bound_is_tight)
-                dense = estimate_L_joint(state, members, contact_blocks(ev.r, ev.slack, P),
-                                         estimate_L(state, members, P).value).value
-                assert L_hat <= 1.02 * dense
+            if anchors.admitted > admitted:  # an update adds at most ADMIT top to the
+                # bound at the exact position norm: top itself, or for the joint Hessian
+                # the block-norm bound there, which alone can lie far above top
+                exact = estimate_L_joint(state, members, contact_blocks(ev.r, ev.slack, P),
+                                         estimate_L(state, members, P).value).value \
+                    if joint else top
+                assert L_hat <= exact + 0.02 * top + 1e-12 * scale
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
