@@ -63,13 +63,7 @@ from .barrier import (
     estimate_m,
     pair_mode_rayleigh,
 )
-from .errors import (
-    FeasibilityError,
-    InfeasibleSlackError,
-    LinearizedInfeasibleError,
-    MidpointInfeasibleError,
-    RunAbort,
-)
+from .errors import FeasibilityError, InfeasibleSlackError, RunAbort
 from .geometry import (
     PackingState,
     ShiftIndexSet,
@@ -161,9 +155,9 @@ def spit_step(ds: DynamicsState, p: BarrierParams, shifts: ShiftIndexSet,
 
     The second gradient is taken on `ev.contacts` at the gauge-projected
     midpoint, which is the new state's packing, so that evaluation is
-    returned with the new state.  Signals "midpoint infeasible" when it
-    cannot be taken, so the caller can backtrack instead of projecting
-    mid-step.
+    returned with the new state.  Raises the barrier's `InfeasibleSlackError`
+    when the midpoint leaves the feasible region, so the caller can backtrack
+    instead of projecting mid-step.
     """
     state = ds.packing
     half = []  # (packing, evaluation) at x_half
@@ -172,10 +166,7 @@ def spit_step(ds: DynamicsState, p: BarrierParams, shifts: ShiftIndexSet,
         if x is state.x:
             return ev.grad_x
         packing = state.with_x(x)
-        try:
-            half.append((packing, barrier_energy(packing, shifts, p, members=ev.contacts)))
-        except InfeasibleSlackError as exc:
-            raise MidpointInfeasibleError("midpoint infeasible") from exc
+        half.append((packing, barrier_energy(packing, shifts, p, members=ev.contacts)))
         return half[0][1].grad_x
 
     _, v_new = verlet_update(state.x, ds.v, ds.dt, ds.eta, grad_fn)
@@ -188,15 +179,13 @@ def select_steps(L_hat: float, m_hat: float, target_eta_dt: float, c: float) -> 
 
     dt = min(1 / sqrt(2 L), c / sqrt(L + m)) with c < 2, eta = target / dt,
     which satisfies both eta dt < 2 and L dt^2 <= 1/2 by construction.
+    Checks only L > 0 and m >= 0: `RunConfig.validate` owns the ranges of
+    target and c, and `DynamicsState` refuses dt <= 0 and eta dt outside (0, 2).
     """
     if L_hat <= 0.0:
         raise ValueError("curvature estimate must be positive")
     if m_hat < 0.0:
         raise ValueError("lower curvature estimate must be nonnegative")
-    if not (0.5 < target_eta_dt < 1.5):
-        raise ValueError("target damping-step product must lie in (0.5, 1.5)")
-    if not (0.0 < c < 2.0):
-        raise ValueError("rate constant c must lie in (0, 2)")
     dt = min(1.0 / np.sqrt(2.0 * L_hat), c / np.sqrt(L_hat + m_hat))
     return float(dt), float(target_eta_dt / dt)
 
@@ -352,7 +341,7 @@ def run_trajectory(config, initial: DynamicsState | None = None) -> TrajectoryRe
     """Run the full trajectory loop under a harness configuration.
 
     Per step: (1) reuse or refresh the curvature estimates, (2) one Verlet step
-    with backtracking on energy increase or midpoint infeasibility, (3)
+    with backtracking on energy increase or an infeasible trial, (3)
     `_safeguard`: one-pass Gauss-Seidel, escalated to the position QP when the
     margin or the energy check fails, (4) joint projection on its cadence, then
     dt by the step rule if the basis moved, (5) spectral bookkeeping and, if
@@ -403,18 +392,15 @@ def run_trajectory(config, initial: DynamicsState | None = None) -> TrajectoryRe
         while True:
             try:
                 tentative, ev_cand = spit_step(ds, p, shifts, ev)
-            except MidpointInfeasibleError:
-                E_unproj, accepted = float("nan"), None
-            else:
                 E_unproj = lyapunov(tentative, ev_cand.value)
                 accepted = _safeguard(tentative, ev_cand, E_unproj, E_prev, p, shifts, L_hat,
                                       counts, events, k)
+            except InfeasibleSlackError:  # the midpoint or its repair left the region
+                E_unproj, accepted = float("nan"), None
             if accepted is not None:
                 break
             backtracks += 1
             counts["backtracks"] += 1
-            if backtracks > 60:
-                raise RunAbort(f"no acceptable step after {backtracks} backtracks at step {k}")
             if backtracks % 2 == 0:
                 L_hat, m_hat = anchors.bounds(ds.packing, ev)
             ds = backtrack(ds, L_hat)
@@ -444,7 +430,7 @@ def run_trajectory(config, initial: DynamicsState | None = None) -> TrajectoryRe
                     if ds.gamma > gamma:  # it would weigh the step memory more: drop that
                         ds = dataclasses.replace(ds, x_prev=ds.x)
                 E_prev = lyapunov(ds, ev.value)
-            except (LinearizedInfeasibleError, FeasibilityError) as exc:
+            except FeasibilityError as exc:
                 logger.warning("joint projection skipped at step %d: %s", k, exc)
 
         edges, lam2 = _spectrum(ds.packing, ev, config.eps_active, solved)
@@ -504,7 +490,8 @@ def _safeguard(cand, ev, E, E_ref, p, shifts, L_hat, counts, events, step):
 
     A slack below delta gets a Gauss-Seidel sweep; a slack below delta
     (1 - _SLACK_GUARD) or E above `E_ref` escalates to the position QP, whose
-    result must not exceed `E_ref`.  Returns (state, evaluation, energy, tag).
+    result must not exceed `E_ref`.  Returns (state, evaluation, energy, tag);
+    a sweep that leaves a slack <= 0 raises the barrier's `InfeasibleSlackError`.
     """
     tag = "none"
     if ev.min_slack < p.delta * (1.0 - _GS_GUARD):
@@ -520,7 +507,7 @@ def _safeguard(cand, ev, E, E_ref, p, shifts, L_hat, counts, events, step):
         return cand, ev, E, tag
     try:
         proj, info, ev_proj = e_project_x(cand, ev, p, shifts, L_hat)
-    except (LinearizedInfeasibleError, FeasibilityError) as exc:
+    except FeasibilityError as exc:
         logger.debug("projection failed at step %d: %s", step, exc)
         return None
     events.append({"step": step, **info})

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.  In the trajectory loop an
+`InfeasibleSlackError` rejects a trial (a Verlet step, its repair, a nudge),
+which is redone smaller; a `FeasibilityError` rejects a projection."""
 
 
 class SpitError(Exception):
@@ -13,16 +15,12 @@ class InfeasibleSlackError(SpitError, RuntimeError):
     """A barrier evaluation saw a nonpositive slack."""
 
 
-class MidpointInfeasibleError(SpitError, RuntimeError):
-    """The integrator's midpoint left the feasible region; caller should backtrack."""
-
-
-class LinearizedInfeasibleError(SpitError, RuntimeError):
-    """The linearized feasibility QP has no solution (or the solver stalled)."""
-
-
 class FeasibilityError(SpitError, RuntimeError):
     """A safeguard could not restore the strict-feasibility margin."""
+
+
+class LinearizedInfeasibleError(FeasibilityError):
+    """The linearized feasibility QP has no solution (or the solver stalled)."""
 
 
 class RunAbort(SpitError, RuntimeError):

@@ -215,10 +215,7 @@ def build_shift_set(basis: LatticeBasis, R: float) -> ShiftIndexSet:
     if R < 0:
         raise ValueError("interaction radius must be nonnegative")
     cutoff = R + basis.diameter()
-    smin = basis.min_singular_value()
-    if smin <= 0:
-        raise SingularBasisError("singular basis")
-    zmax = int(np.ceil(cutoff / smin)) + 1
+    zmax = int(np.ceil(cutoff / basis.min_singular_value())) + 1
     axes = [np.arange(-zmax, zmax + 1, dtype=np.int64)] * basis.n
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, basis.n)
     norms = np.linalg.norm(grid @ basis.B.T, axis=1)

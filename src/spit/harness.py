@@ -21,7 +21,7 @@ import numpy as np
 # wraps this import-time binding too
 from .barrier import BarrierParams, barrier_energy, estimate_L  # noqa: F401
 from .dynamics import DynamicsState, rest_state, run_trajectory
-from .errors import FeasibilityError
+from .errors import FeasibilityError, SingularBasisError
 from .geometry import (
     LatticeBasis,
     PackingState,
@@ -265,7 +265,7 @@ def random_feasible_state(seed: int, N: int, n: int = 2, inflate: float = 0.05,
             continue
         try:
             basis = LatticeBasis(Gs @ basis0.B)
-        except Exception:
+        except SingularBasisError:
             continue
         x = gauge_project(x0 @ Gs.T + scale * noise)
         state = PackingState.make(x, basis)

@@ -135,8 +135,6 @@ def cheeger_check(graph: ContactGraph) -> CheegerReport:
     N = graph.n_vertices
     if N > 20:
         raise ValueError("exact Cheeger limited to small graphs")
-    if N < 2:
-        raise ValueError("Cheeger constant needs at least two vertices")
     lam2 = fiedler_value(N, graph.pair_edges)
     masks = np.arange(1, 1 << N, dtype=np.uint32)
     sizes = np.zeros(masks.shape, dtype=np.int64)

@@ -50,7 +50,7 @@ from spit.dynamics import (
     spit_step,
     verlet_update,
 )
-from spit.errors import MidpointInfeasibleError, RunAbort, SingularBasisError
+from spit.errors import InfeasibleSlackError, RunAbort, SingularBasisError
 from spit.geometry import (
     LatticeBasis,
     PackingState,
@@ -189,12 +189,62 @@ def test_backtracking_reaches_descent():
             e1 = lyapunov_energy(out, P, shifts)
             if e1 <= e0 + 1e-10:
                 break
-        except MidpointInfeasibleError:
+        except InfeasibleSlackError:
             pass
         ds = backtrack(ds, L_hat=L_bad)
     else:
         pytest.fail("no descending step within 40 halvings")
     assert halvings <= 40
+
+
+def _five_spheres(ab_slack: float, hub_slack: float) -> PackingState:
+    """A at -x of the hub B, then C, D, E around B at 0 and +-60 degrees."""
+    a, r = np.sqrt(4.0 + ab_slack), np.sqrt(4.0 + hub_slack)
+    hub = [[r * np.cos(t), r * np.sin(t)] for t in np.radians([0, 60, -60])]
+    x = [[-a, 0.0], [0.0, 0.0]] + hub
+    return PackingState.make(np.array(x), LatticeBasis(40.0 * np.eye(2)))
+
+
+def test_safeguard_repair_into_an_overlap_is_backtracked(monkeypatch):
+    # the sweep repairs A-B first; B's three later repairs all push B toward A,
+    # so the best-effort sweep leaves A-B at -0.18 delta, where the barrier
+    # cannot be evaluated: the loop must redo the step, not abort
+    cand = make_ds(_five_spheres(0.2 * P.delta, 1e-7), P, L_hat=1.0)
+    shifts = build_shift_set(cand.packing.basis, P.R)
+    ev = barrier_energy(cand.packing, shifts, P)
+    with pytest.raises(InfeasibleSlackError):
+        dynamics._safeguard(cand, ev, lyapunov_energy(cand, P, shifts), np.inf, P, shifts, 1.0,
+                            {"gs_repairs": 0}, [], 1)
+    # a run from a roomy five-sphere state whose first trial lands on `cand`
+    step, calls = dynamics.spit_step, []
+
+    def first_lands_on_cand(ds, p, shifts, ev):
+        calls.append(ds.dt)
+        if len(calls) > 1:
+            return step(ds, p, shifts, ev)
+        return dataclasses.replace(ds, packing=cand.packing), \
+            barrier_energy(cand.packing, shifts, p, members=ev.contacts)
+
+    start = DynamicsState.at_rest(_five_spheres(0.05, 0.05))
+    monkeypatch.setattr(dynamics, "spit_step", first_lands_on_cand)
+    record = run_trajectory(RunConfig(N=5, max_steps=3, joint_period=0, unsafe=True), start)
+    assert len(record.rows) == 3 and record.counts["backtracks"] == 1
+    assert record.rows[0].backtracked == 1 and record.rows[0].dt == calls[0] / 2
+
+
+def test_run_backtracks_a_trial_whose_safeguard_raises(monkeypatch):
+    safeguard, calls = dynamics._safeguard, []
+
+    def third_raises(*args):
+        calls.append(args[-1])
+        if len(calls) == 3:
+            raise InfeasibleSlackError("repair left a slack nonpositive")
+        return safeguard(*args)
+
+    monkeypatch.setattr(dynamics, "_safeguard", third_raises)
+    record = run_trajectory(config_from_preset("stub32", max_steps=20))
+    assert len(record.rows) == 20 and record.counts["backtracks"] == 1
+    assert [r.backtracked for r in record.rows][:4] == [0, 0, 1, 0]
 
 
 def test_jury_conditions_along_selected_steps():
@@ -433,7 +483,7 @@ def test_spit_step_returns_the_evaluation_at_its_new_state(seed, N, n, speed, dr
     ev0 = barrier_energy(st, shifts, P, members=members)
     try:
         new, ev = spit_step(ds, P, shifts, ev0)
-    except MidpointInfeasibleError:
+    except InfeasibleSlackError:
         return
     assert ev.contacts is ev0.contacts  # the member list travels with the evaluation
     assert gauge_project(new.packing.x) is new.packing.x

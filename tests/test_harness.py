@@ -252,6 +252,19 @@ def test_cli_unsafe_flag_required_for_out_of_range(tmp_path):
     assert rc == 0
 
 
+def test_cli_unsafe_overrides_every_range_but_the_step_invariants(tmp_path, capsys):
+    # eta_dt = 1.6 is outside validate's (0.5, 1.5) only; 2.5 breaks eta dt < 2,
+    # which every dynamics state keeps
+    cfg = tmp_path / "c.cfg"
+    argv = ["run", "--config", str(cfg), "--steps", "2", "--unsafe", "--out", str(tmp_path)]
+    cfg.write_text("eta_dt = 1.6\n")
+    assert cli_main(argv) == 0
+    cfg.write_text("eta_dt = 2.5\n")
+    capsys.readouterr()
+    assert cli_main(argv) == 2
+    assert "damping-step product must lie in (0, 2)" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("line", ["unsafe = maybe", "N = many", "nu_schedule = 0.1, 0"])
 def test_cli_reports_bad_config_values_with_their_line(tmp_path, capsys, line):
     cfg = tmp_path / "c.cfg"

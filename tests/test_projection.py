@@ -1,13 +1,16 @@
 """Gauss-Seidel repair, the dense active-set QP, and energy projections."""
 
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis.strategies import floats as st_floats
 from hypothesis.strategies import integers as st_integers
 from hypothesis.strategies import sampled_from
-from util import big_cell, energy_of, make_ds, pair_state, scan
+from util import big_cell, energy_of, make_ds, pair_state, scan, square_single_sphere
 
+from spit import projection
 from spit.barrier import (
     BarrierParams,
     barrier_energy,
@@ -30,6 +33,7 @@ from spit.geometry import (
 )
 from spit.harness import random_feasible_state
 from spit.projection import (
+    QPSolution,
     QuadraticProgram,
     _constraint_rows,
     e_project_joint,
@@ -279,6 +283,51 @@ def test_e_project_joint_one_dim_self_contact_oracle():
     else:
         h = h0
     assert out.packing.basis.B[0, 0] == pytest.approx(b0 + h, abs=1e-9)
+
+
+def _qp_moves_the_basis_by(monkeypatch, H):
+    """Make every QP answer no position move and the basis move H (W_B = I, so S = I)."""
+    def crafted(qp):
+        u = np.zeros(qp.diag.size)
+        u[u.size - H.size:] = H.ravel()
+        return QPSolution(u=u, multipliers=np.zeros(len(qp.b)), active=[], iterations=1)
+
+    monkeypatch.setattr(projection, "solve_qp", crafted)
+
+
+@pytest.mark.parametrize("scale, halvings", [(-50.0, 1), (5e6, 9), (1e7, None)])
+def test_joint_basis_move_leaving_the_nondegeneracy_window_is_halved(monkeypatch, caplog,
+                                                                     scale, halvings):
+    # from B = 50 I, B + H is singular for H = -50 I; the 10th try, H / 2^9, is the
+    # first inside the 1e8 cap on eig(B^T B) for 5e6 I, and none is for 1e7 I
+    st = pair_state(2.1)
+    shifts = build_shift_set(st.basis, P.R)
+    H = scale * np.eye(2)
+    _qp_moves_the_basis_by(monkeypatch, H)
+    with caplog.at_level(logging.WARNING, logger="spit"):
+        out, info, _ = e_project_joint(make_ds(st, P, L_hat=1.0), barrier_energy(st, shifts, P),
+                                       P, shifts, L_x=1.0, W_B=(np.ones(4), np.eye(4)))
+    rejected = "basis update rejected after 10 halvings" in caplog.text
+    assert np.array_equal(out.packing.x, st.x)
+    if halvings is None:
+        assert rejected and out.packing.basis is st.basis and not info["basis_moved"]
+    else:
+        assert not rejected and info["basis_moved"]
+        assert np.array_equal(out.packing.basis.B, st.basis.B + 0.5**halvings * H)
+
+
+def test_joint_basis_move_below_the_self_image_margin_is_halved(monkeypatch):
+    # one sphere in a 2.1 square cell: shrinking it by 0.1 closes the axis
+    # self-images to slack 0, below the margin; half the move leaves 0.2025
+    st = square_single_sphere(1.05)
+    shifts = build_shift_set(st.basis, P.R)
+    H = -0.1 * np.eye(2)
+    _qp_moves_the_basis_by(monkeypatch, H)
+    out, info, _ = e_project_joint(make_ds(st, P, L_hat=1.0), barrier_energy(st, shifts, P), P,
+                                   shifts, L_x=1.0, W_B=(np.ones(4), np.eye(4)))
+    assert np.array_equal(out.packing.basis.B, st.basis.B + 0.5 * H)
+    assert info["basis_moved"] and info["guard_rounds"] == 0
+    assert min_slack(out.packing, shifts, P.R) == pytest.approx(2.05**2 - 4.0)
 
 
 def test_majorizer_dominates_energy_locally():
