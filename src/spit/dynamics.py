@@ -230,21 +230,13 @@ class CurvatureAnchors:
         return (bound.value, bound.W_B) if joint else (L, m)
 
 
-def rest_state(state: PackingState, p: BarrierParams, config, ev: BarrierEval,
-               anchors: CurvatureAnchors | None = None) -> tuple[DynamicsState, float, float]:
-    """`state` at rest (v = 0, x_prev = x) under the step rule at its curvature.
-
-    Bounds L_hat from above and m_hat from below on the contacts of `ev`, the
-    evaluation at `state`: through a run's `anchors`, a Weyl update of its
-    position anchor while that serves, else a dense eigensolve that becomes the
-    anchor; without a store, by one dense eigensolve.  Picks (dt, eta) by
-    `select_steps` with the config's eta_dt and c.  Returns the resting state
-    under that step rule with (L_hat, m_hat).
-    """
-    anchors = anchors if anchors is not None else CurvatureAnchors(p)
+def step_rule(anchors: CurvatureAnchors, state: PackingState, ev: BarrierEval,
+              config) -> tuple[float, float, float, float]:
+    """(dt, eta, L_hat, m_hat): `select_steps` with the config's eta_dt and c at
+    the bounds of `anchors.bounds` on the contacts of `ev`, the evaluation at `state`."""
     L_hat, m_hat = anchors.bounds(state, ev)
     dt, eta = select_steps(L_hat, max(m_hat, 1e-12), config.eta_dt, config.c)
-    return _with_step(DynamicsState.at_rest(state), dt, eta, L_hat), L_hat, m_hat
+    return dt, eta, L_hat, m_hat
 
 
 def _with_step(ds: DynamicsState, dt: float, eta: float, L_hat: float) -> DynamicsState:
@@ -357,8 +349,8 @@ def run_trajectory(config, initial: DynamicsState | None = None) -> TrajectoryRe
     shifts = build_shift_set(ds.packing.basis, config.R)
     ev = barrier_energy(ds.packing, shifts, p)
     anchors = CurvatureAnchors(p)  # per run, like `solved`: repeats stay identical
-    rest, L_hat, m_hat = rest_state(ds.packing, p, config, ev, anchors)
-    ds = _with_step(ds, rest.dt, rest.eta, L_hat)
+    dt, eta, L_hat, m_hat = step_rule(anchors, ds.packing, ev, config)
+    ds = _with_step(ds, dt, eta, L_hat)
 
     history = NudgeHistory(window=config.W)
     rows: list[StepRow] = []
@@ -425,8 +417,8 @@ def run_trajectory(config, initial: DynamicsState | None = None) -> TrajectoryRe
                 if info["basis_moved"]:  # the projection has scanned the new cell
                     if near.key != ev.contacts.key:  # `ev` was taken on the old member list
                         ev = barrier_energy(ds.packing, shifts, p, members=near)
-                    rest, L_hat, m_hat = rest_state(ds.packing, p, config, ev, anchors)
-                    ds, gamma = _with_step(ds, rest.dt, ds.eta * (ds.dt / rest.dt), L_hat), ds.gamma
+                    dt, _, L_hat, m_hat = step_rule(anchors, ds.packing, ev, config)
+                    ds, gamma = _with_step(ds, dt, ds.eta * (ds.dt / dt), L_hat), ds.gamma
                     if ds.gamma > gamma:  # it would weigh the step memory more: drop that
                         ds = dataclasses.replace(ds, x_prev=ds.x)
                 E_prev = lyapunov(ds, ev.value)

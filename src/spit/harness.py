@@ -10,6 +10,7 @@ RNG, so a seed pins the initial state bit-for-bit.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import logging
 from dataclasses import dataclass
@@ -20,7 +21,7 @@ import numpy as np
 # estimate_L is unused here, but perfbench's tracer self-test checks that it
 # wraps this import-time binding too
 from .barrier import BarrierParams, barrier_energy, estimate_L  # noqa: F401
-from .dynamics import DynamicsState, rest_state, run_trajectory
+from .dynamics import CurvatureAnchors, DynamicsState, _with_step, run_trajectory, step_rule
 from .errors import FeasibilityError, SingularBasisError
 from .geometry import (
     LatticeBasis,
@@ -185,15 +186,8 @@ def cubic_cell(N: int, n: int, inflate: float = 0.0) -> tuple[np.ndarray, Lattic
     """Cubic-lattice fallback for dimensions other than 2."""
     spacing = 2.0 * (1.0 + inflate)
     m = int(np.ceil(N ** (1.0 / n)))
-    sites = []
-    for flat in range(m**n):
-        idx, rem = [], flat
-        for _ in range(n):
-            idx.append(rem % m)
-            rem //= m
-        sites.append(idx)
-        if len(sites) == N:
-            break
+    # the first axis varies fastest
+    sites = [idx[::-1] for idx in itertools.islice(itertools.product(range(m), repeat=n), N)]
     pts = np.asarray(sites, dtype=float) * spacing
     B = np.eye(n) * (m * spacing)
     return gauge_project(pts), LatticeBasis(B)
@@ -239,7 +233,8 @@ def _feasibilize(state: PackingState, shifts, config: RunConfig) -> PackingState
             continue
         p = BarrierParams(nu=config.nu, delta=config.delta, R=config.R)
         ev = barrier_energy(state, shifts, p, members=near)
-        ds, L_hat, _ = rest_state(state, p, config, ev)
+        dt, eta, L_hat, _ = step_rule(CurvatureAnchors(p), state, ev, config)
+        ds = _with_step(DynamicsState.at_rest(state), dt, eta, L_hat)
         state = e_project_x(ds, ev, p, shifts, L_hat)[0].packing
     raise FeasibilityError("testbed could not reach the strict-feasibility margin "
                            "in 100 projection rounds")
@@ -339,11 +334,13 @@ def execute_run(config: RunConfig, out_dir=None, initial: DynamicsState | None =
 def certify(config: RunConfig, state: PackingState) -> dict:
     """Barrier continuation toward the optimality and rigidity report.
 
-    Re-minimizes volume-plus-barrier at each barrier strength in the schedule
-    (joint projections carry the volume term with weight `cert_shrink`), then
-    reports stationarity/complementarity residuals per level, then the
-    rigidity verdict and the prestress verdict with its margin, both on the
-    nontrivial motions, under the key `rigidity_shift`.
+    Re-minimizes volume-plus-barrier at each barrier strength in the schedule:
+    each level runs the config with grad_tol = 1e-7 (whatever the config's),
+    joint_period 10 where the config's is 0, unsafe = True, volume_weight =
+    cert_shrink and max_steps = cert_max_steps.  Then reports
+    stationarity/complementarity residuals per level, then the rigidity
+    verdict and the prestress verdict with its margin, both on the nontrivial
+    motions, under the key `rigidity_shift`.
     """
     levels = []
     cur = state

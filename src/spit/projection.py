@@ -208,11 +208,11 @@ def e_project_joint(ds, ev: BarrierEval, p: BarrierParams, shifts: ShiftIndexSet
     cell-volume descent term is added to the basis block, and its curvature
     bound `volume_weight * volume_hessian_bound` is added to W_B, so the weight
     majorizes the sum; the energy-nonexpansiveness backoff is then disabled
-    (the energy may rise by design).  A basis move that breaks nondegeneracy
-    is halved up to 10 times, else dropped; one that leaves a self-image slack
-    below the margin (contacts beyond R are not linearized) is halved up to 10
-    times.  Returns as `e_project_x`; `info["near"]` holds the result's
-    contacts within R.
+    (the energy may rise by design).  A basis move H is tried as H, H/2, ...,
+    H/2^9 until the cell is nondegenerate and its self-image slacks keep the
+    margin (contacts beyond R are not linearized); if none is, the old cell is
+    kept with a warning.  Returns as `e_project_x`; `info["near"]` holds the
+    result's contacts within R.
     """
     d, V = W_B
     d = d + volume_weight * volume_hessian_bound(ds.packing.basis)
@@ -268,8 +268,16 @@ def _e_project(ds, ev: BarrierEval, p: BarrierParams, shifts: ShiftIndexSet, wx:
         sol = solve_qp(QuadraticProgram(diag=diag, linear=linear, A=A, b=b))
         x = gauge_project(cur.x + sol.u[: N * n].reshape(N, n))
         uB = (S @ sol.u[N * n:]).reshape(n, n) if joint else None
-        for _ in range(10):  # only a shorter basis move restores a self-image slack
-            basis = _admissible_basis(cur.basis, uB) if joint else cur.basis
+        # only a shorter basis move restores nondegeneracy or a self-image slack
+        for halvings in range(11 if joint else 1):
+            basis = cur.basis
+            if halvings == 10:
+                logger.warning("basis update rejected after 10 halvings; keeping the old cell")
+            elif joint:
+                try:
+                    basis = LatticeBasis(cur.basis.B + 0.5**halvings * uB)
+                except SingularBasisError:
+                    continue
             cand = PackingState.make(x, basis)
             near_cand = contacts_within(cand, shifts, p.R)
             r, s = separations(cand, near_cand)
@@ -277,7 +285,6 @@ def _e_project(ds, ev: BarrierEval, p: BarrierParams, shifts: ShiftIndexSet, wx:
             if least >= floor or basis is cur.basis or \
                     s.min(initial=np.inf, where=near_cand.i == near_cand.j) >= floor:
                 break
-            uB = 0.5 * uB
         if least < floor:
             rounds += 1
             if rounds > 6:
@@ -310,14 +317,3 @@ def _e_project(ds, ev: BarrierEval, p: BarrierParams, shifts: ShiftIndexSet, wx:
             info["near"] = near_cand  # the result's contacts within R, for the caller to reuse
         return out, info, ev_out
 
-
-def _admissible_basis(basis: LatticeBasis, H: np.ndarray) -> LatticeBasis:
-    """Apply B <- B + H, halving H while the nondegeneracy window is violated."""
-    step = np.asarray(H, dtype=float)
-    for _ in range(10):
-        try:
-            return LatticeBasis(basis.B + step)
-        except SingularBasisError:
-            step = 0.5 * step
-    logger.warning("basis update rejected after 10 halvings; keeping the old cell")
-    return basis

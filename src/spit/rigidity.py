@@ -44,12 +44,6 @@ class MotionVector:
     def flat(self) -> np.ndarray:
         return np.concatenate([self.u.ravel(), self.A.ravel()])
 
-    @staticmethod
-    def from_flat(vec: np.ndarray, N: int, n: int) -> "MotionVector":
-        vec = np.asarray(vec, dtype=float)
-        return MotionVector(u=vec[: N * n].reshape(N, n).copy(),
-                            A=vec[N * n:].reshape(n, n).copy())
-
 
 def active_set(state: PackingState, near: Contacts, tol_active: float) -> Contacts:
     """The contacts of `near` with |slack| at most tol_active (separation within tol of 2)."""

@@ -44,10 +44,10 @@ from spit.dynamics import (
     companion_rate,
     jury_stable,
     lyapunov_energy,
-    rest_state,
     run_trajectory,
     select_steps,
     spit_step,
+    step_rule,
     verlet_update,
 )
 from spit.errors import InfeasibleSlackError, RunAbort, SingularBasisError
@@ -430,7 +430,7 @@ def test_runs_never_build_the_oracle_table(monkeypatch):
     assert len(record.rows) == 20 and record.counts["projections_joint"] == 2
 
 
-def test_rest_state_takes_one_eigensolve(monkeypatch):
+def test_step_rule_takes_one_eigensolve(monkeypatch):
     config = config_from_preset("stub32", N=16)
     st = make_testbed(config).packing
     shifts = build_shift_set(st.basis, config.R)
@@ -443,8 +443,10 @@ def test_rest_state_takes_one_eigensolve(monkeypatch):
         return spectrum(H, N, n)
 
     monkeypatch.setattr(barrier, "_gauge_spectrum", counting)
-    _, L_hat, m_hat = rest_state(st, P, config, barrier_energy(st, shifts, P, members=members))
+    ev = barrier_energy(st, shifts, P, members=members)
+    dt, eta, L_hat, m_hat = step_rule(CurvatureAnchors(P), st, ev, config)
     assert len(calls) == 1
+    assert (dt, eta) == select_steps(L_hat, max(m_hat, 1e-12), config.eta_dt, config.c)
     # the same bounds as from two eigensolves of copies of the member list
     copy = members.take(slice(None))
     assert L_hat == estimate_L(st, copy, P).value
@@ -540,7 +542,7 @@ def test_dt_follows_the_step_rule_after_each_basis_move(workload, monkeypatch):
         monkeypatch.setattr(module, name, wrapper)
 
     logged(dynamics, "e_project_joint", lambda args, out: out[1]["basis_moved"])
-    logged(dynamics, "rest_state", lambda args, out: out[1:])  # (L_hat, m_hat)
+    logged(dynamics, "step_rule", lambda args, out: out[2:])  # (L_hat, m_hat)
     step = dynamics.spit_step
     monkeypatch.setattr(dynamics, "spit_step", lambda ds, *args: log.append(("spit_step", ds))
                         or step(ds, *args))
@@ -556,7 +558,7 @@ def test_dt_follows_the_step_rule_after_each_basis_move(workload, monkeypatch):
     for name, entry in log:
         if name == "e_project_joint":
             moved, rule = entry, None
-        elif name == "rest_state" and moved:
+        elif name == "step_rule" and moved:
             moved, rule = False, entry
         elif name == "spit_step" and rule is not None:
             L_hat, m_hat = rule

@@ -19,7 +19,7 @@ from spit.barrier import (
     estimate_L,
     estimate_L_joint,
 )
-from spit.errors import FeasibilityError, InfeasibleSlackError, LinearizedInfeasibleError
+from spit.errors import FeasibilityError, InfeasibleSlackError
 from spit.geometry import (
     LatticeBasis,
     PackingState,
@@ -330,6 +330,23 @@ def test_joint_basis_move_below_the_self_image_margin_is_halved(monkeypatch):
     assert min_slack(out.packing, shifts, P.R) == pytest.approx(2.05**2 - 4.0)
 
 
+def test_joint_basis_move_below_the_self_image_margin_at_every_halving_keeps_the_cell(
+        monkeypatch, caplog):
+    # self-image slack 2 delta: even H / 2^9 closes it below delta, so the old
+    # cell is kept, as for a move that no halving makes nondegenerate (the
+    # guard rounds cannot repair a self-image)
+    st = square_single_sphere(np.sqrt(4.0 + 2.0 * P.delta) / 2.0)
+    shifts = build_shift_set(st.basis, P.R)
+    _qp_moves_the_basis_by(monkeypatch, -0.5 * np.eye(2))
+    with caplog.at_level(logging.WARNING, logger="spit"):
+        out, info, _ = e_project_joint(make_ds(st, P, L_hat=1.0), barrier_energy(st, shifts, P),
+                                       P, shifts, L_x=1.0, W_B=(np.ones(4), np.eye(4)))
+    assert "basis update rejected after 10 halvings" in caplog.text
+    assert out.packing.basis is st.basis
+    assert not info["basis_moved"] and info["guard_rounds"] == 0
+    assert min_slack(out.packing, shifts, P.R) == pytest.approx(2.0 * P.delta)
+
+
 def test_majorizer_dominates_energy_locally():
     st = random_feasible_state(seed=77, N=4, delta=0.05)
     shifts = build_shift_set(st.basis, P.R)
@@ -429,7 +446,7 @@ def test_e_project_x_returns_the_evaluation_at_its_result(seed, N, n, memory, sq
                      x_prev=st.x + memory * rng.standard_normal(st.x.shape))
         # a long step and a weight below L under-majorize: the projection backs off
         out, info, ev_out = e_project_x(ds, ev, P, shifts, L_hat=weight * L)
-    except (FeasibilityError, LinearizedInfeasibleError, InfeasibleSlackError):
+    except (FeasibilityError, InfeasibleSlackError):
         return
     fresh = barrier_energy(out.packing, shifts, P, members=ev.contacts)
     assert ev_out.value == fresh.value
