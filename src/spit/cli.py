@@ -41,7 +41,7 @@ def _add_config_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def _add_trajectory_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--steps", type=int, help="override max_steps (certify: per level)")
+    sub.add_argument("--steps", type=int, help="max_steps (certify: first-order steps per level)")
     sub.add_argument("--shrink", type=float, metavar="WEIGHT",
                      help="cell-volume descent weight for joint projections")
 

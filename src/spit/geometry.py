@@ -394,6 +394,14 @@ def volume_gradient(basis: LatticeBasis) -> np.ndarray:
     return basis.volume * np.linalg.inv(basis.B).T
 
 
+def volume_hessian(basis: LatticeBasis) -> np.ndarray:
+    """Hessian of |det B| in B.ravel(): entry ((a, b), (c, d)) is
+    |det B| (B^-1[b, a] B^-1[d, c] - B^-1[b, c] B^-1[d, a])."""
+    inv, n = np.linalg.inv(basis.B), basis.n
+    H = np.einsum("ba,dc->abcd", inv, inv) - np.einsum("bc,da->abcd", inv, inv)
+    return basis.volume * H.reshape(n * n, n * n)
+
+
 def volume_hessian_bound(basis: LatticeBasis) -> float:
     """(n - 1) ||B||_F^(n - 2) >= ||Hessian of |det B|||_2 (1 in 2-D): by the SVD that
     norm is the one at diag(sigma), at most (n - 1) times n - 2 singular values."""

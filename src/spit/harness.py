@@ -9,6 +9,7 @@ RNG, so a seed pins the initial state bit-for-bit.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import itertools
 import json
@@ -20,9 +21,10 @@ import numpy as np
 
 # estimate_L is unused here, but perfbench's tracer self-test checks that it
 # wraps this import-time binding too
-from .barrier import BarrierParams, barrier_energy, estimate_L  # noqa: F401
+from .barrier import (BarrierParams, _shift_translations, barrier_energy,  # noqa: F401
+                      estimate_L, hvp_joint)
 from .dynamics import CurvatureAnchors, DynamicsState, _with_step, run_trajectory, step_rule
-from .errors import FeasibilityError, SingularBasisError
+from .errors import FeasibilityError, InfeasibleSlackError, SingularBasisError
 from .geometry import (
     LatticeBasis,
     PackingState,
@@ -32,6 +34,8 @@ from .geometry import (
     gauge_project,
     min_slack,
     min_slack_of,
+    volume_gradient,
+    volume_hessian,
 )
 from .projection import e_project_x, gs_project_once
 from .rigidity import (
@@ -46,6 +50,7 @@ from .rigidity import (
 logger = logging.getLogger("spit")
 
 STATE_FORMAT_VERSION = 1
+NEWTON_MAX_ITER, NEWTON_HALVINGS = 50, 20  # per certify level, per Newton step
 
 
 @dataclass
@@ -335,12 +340,13 @@ def certify(config: RunConfig, state: PackingState) -> dict:
     """Barrier continuation toward the optimality and rigidity report.
 
     Re-minimizes volume-plus-barrier at each barrier strength in the schedule:
-    each level runs the config with grad_tol = 1e-7 (whatever the config's),
-    joint_period 10 where the config's is 0, unsafe = True, volume_weight =
-    cert_shrink and max_steps = cert_max_steps.  Then reports
-    stationarity/complementarity residuals per level, then the rigidity
-    verdict and the prestress verdict with its margin, both on the nontrivial
-    motions, under the key `rigidity_shift`.
+    each level starts at its `_newton_center` and runs the config with grad_tol
+    = 1e-7 (whatever the config's), joint_period 10 where the config's is 0,
+    unsafe = True, volume_weight = cert_shrink and max_steps = cert_max_steps
+    until its own gradient test ends it.  Then reports per level `newton_iters`,
+    `newton_stop`, first-order `steps` and the stationarity/complementarity
+    residuals, then the rigidity verdict and the prestress verdict with its
+    margin, both on the nontrivial motions, under the key `rigidity_shift`.
     """
     levels = []
     cur = state
@@ -349,17 +355,19 @@ def certify(config: RunConfig, state: PackingState) -> dict:
             config, nu=nu, volume_weight=config.cert_shrink,
             joint_period=config.joint_period if config.joint_period else 10,
             max_steps=config.cert_max_steps, grad_tol=1e-7, unsafe=True)
-        record = run_trajectory(sub, initial=DynamicsState.at_rest(cur))
+        p = BarrierParams(nu=nu, delta=config.delta, R=config.R)
+        start, iters, stop = _newton_center(cur, p, config.cert_shrink)
+        record = run_trajectory(sub, initial=DynamicsState.at_rest(start))
         cur = record.final_state.packing
         shifts = build_shift_set(cur.basis, config.R)
-        p = BarrierParams(nu=nu, delta=config.delta, R=config.R)
         mus = recover_multipliers(cur, contacts_within(cur, shifts, config.R), p)
         res_B, res_x, comp = kkt_residual(cur, mus, mus.clamped)
         force = mus.clamped * 2.0 * np.linalg.norm(mus.r, axis=1)  # per-contact magnitudes
         levels.append({
             "nu": nu,
-            "steps": len(record.rows),
-            "min_row_slack": min((r.min_slack for r in record.rows), default=float("inf")),
+            "newton_iters": iters, "newton_stop": stop, "steps": len(record.rows),
+            "min_row_slack": min((r.min_slack for r in record.rows),
+                                 default=record.initial["min_slack"]),
             "terminated": record.terminated,
             "res_B": res_B,
             "res_x": res_x,
@@ -374,6 +382,50 @@ def certify(config: RunConfig, state: PackingState) -> dict:
     report = {"levels": levels, "final_volume": cell_volume(cur.basis)}
     report.update(_rigidity_report(config, cur))
     return report
+
+
+def _joint_hessian(state: PackingState, contacts, p: BarrierParams) -> np.ndarray:
+    """The barrier Hessian on `contacts` in (x.ravel(), B.ravel()) from `hvp_joint` columns."""
+    N, n = state.x.shape
+    cols = np.array([np.concatenate([h.ravel() for h in hvp_joint(
+        state, contacts, p, e[:N * n].reshape(N, n), e[N * n:].reshape(n, n))])
+        for e in np.eye(N * n + n * n)])
+    return 0.5 * (cols + cols.T)
+
+
+def _newton_center(state: PackingState, p: BarrierParams, shrink: float):
+    """(start, steps, stop) of Newton's method on F = shrink |det B| + U over (x, B)
+    from `state`: stop "decrement" once lambda^2 / 2 <= 1e-15 |F|, lambda the Newton
+    decrement (Boyd & Vandenberghe, sec. 9.5), "linesearch" when no Armijo halving
+    keeps F low enough, B nondegenerate and every slack >= delta on a fresh scan, or
+    "max_iter"; start is the iterate after "decrement", else `state`.  Hessian
+    eigenvalues become max(|lambda|, 1e-8 max |lambda|), as |det B| is not convex
+    (Nocedal & Wright, ch. 3.4), and the translations are shifted out."""
+    N, n = state.x.shape
+    shifts = build_shift_set(state.basis, p.R)  # the scans do not consult it
+    ev = barrier_energy(state, shifts, p)
+    y, F = state, shrink * state.basis.volume + ev.value
+    for it in range(NEWTON_MAX_ITER):
+        g = np.append(ev.grad_x, ev.grad_B + shrink * volume_gradient(y.basis))  # flattened
+        H = _joint_hessian(y, ev.contacts, p)
+        H[N * n:, N * n:] += shrink * volume_hessian(y.basis)
+        w, V = np.linalg.eigh(_shift_translations(H, N, n, np.abs(H).sum() + 1.0, H))
+        w, V = np.abs(w[:-n]), V[:, :-n]
+        step = V @ ((V.T @ g) / -np.maximum(w, 1e-8 * w.max()))
+        if 0.5 * (decrement := -float(g @ step)) <= 1e-15 * abs(F):  # decrement = lambda^2
+            return y, it, "decrement"
+        for t in 0.5 ** np.arange(NEWTON_HALVINGS):
+            with contextlib.suppress(SingularBasisError, InfeasibleSlackError):
+                trial = PackingState.make(y.x + t * step[:N * n].reshape(N, n), LatticeBasis(
+                    y.basis.B + t * step[N * n:].reshape(n, n)))
+                ev_t = barrier_energy(trial, shifts, p)
+                F_t = shrink * trial.basis.volume + ev_t.value
+                if ev_t.min_slack >= p.delta and F_t <= F - 1e-4 * t * decrement:
+                    break
+        else:
+            return state, it, "linesearch"
+        y, F, ev = trial, F_t, ev_t
+    return state, NEWTON_MAX_ITER, "max_iter"
 
 
 def _rigidity_report(config: RunConfig, state: PackingState) -> dict:

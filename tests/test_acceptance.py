@@ -299,6 +299,9 @@ def test_criterion_6_continuation_kkt(cert_report):
         assert lv["res_x"] <= 1e-6 * (1.0 + lv["res_x_scale"]), \
             f"res_x {lv['res_x']:.3e} too large at nu={lv['nu']}"
         assert lv["mu_min_clamped"] >= 0.0
+    # levels 1-3 end at Newton centers; the last level's center lies below the
+    # delta floor, where the barrier cannot hold the contacts (ROADMAP item 3)
+    assert all(lv["res_B"] <= 1e-6 for lv in levels[:-1]), [lv["res_B"] for lv in levels]
     comps = [lv["comp"] for lv in levels]
     for a, b in zip(comps, comps[1:]):
         assert b <= a * 1.1, f"complementarity rose: {a:.3e} -> {b:.3e}"
@@ -445,7 +448,7 @@ def test_criterion_10_byte_identical_csv(cli_csvs):
 # eigensolves differently by thread count, so under OPENBLAS_NUM_THREADS=1 that
 # run's hash differs on a 2-core host while the other two hold.
 STUB32_SEED7_CSV_SHA256 = "521e1b1dfecf557c76126858253df4966d1b892cfa02e094616d95af285966e9"
-CERTIFY_N4_SEED2_SHA256 = "0626466c8a7d2c29a161f3524d4531a493faa0dbf13799a69a8ee7f9047b09b1"
+CERTIFY_N4_SEED2_SHA256 = "9875739482ecbfe0602fea8e3fdaa8dc45aaeb872d24fafa321e1214d62d910c"
 HEX256_SEED13_CSV_SHA256 = "7d25058a803e4f587c6ee4502df6f7c365b91a0d2f9effda612be00b3d80da2c"
 
 
@@ -472,13 +475,16 @@ def test_anchored_curvature_counts(stub_run, hex256_run, cert_report):
     # took its matrix weight W_B, under which certify takes 5,026 steps (6,926
     # with the scalar weight); once dt follows the step rule up after a basis
     # move, stub32 solves 70 (its larger steps move the Hessian past THETA more
-    # often) and certify takes 4,127 steps; the bound is 1.04 * 4,127
+    # often) and certify takes 4,127 steps; once each level starts at its
+    # Newton center only the last level, whose center lies below the delta
+    # floor, takes first-order steps: 40; the bound is 1.04 * 40, so certify
+    # fails it if it goes back to centering with the dynamics
     counts = hex256_run.counts
     assert counts["curvature_solves"] + counts["curvature_updates"] == 12
     assert counts["curvature_solves"] <= 2
     assert stub_run[1].counts["curvature_solves"] <= 70
     _, report, _ = cert_report
-    assert sum(lv["steps"] for lv in report["levels"]) <= 4292
+    assert sum(lv["steps"] for lv in report["levels"]) <= 41
 
 
 def _work_counts(monkeypatch, run) -> collections.Counter:
@@ -525,8 +531,9 @@ def _work_counts(monkeypatch, run) -> collections.Counter:
 # the hashes above they hold for the default BLAS thread count.  `eigvalsh 2`
 # is a new basis's nondegeneracy check, `eigh 4` the joint bound's stacked
 # solve, `eigvalsh 8`, `64` and `512` the dense position solves, `eigvalsh 32`
-# and `256` the lambda2 solves and `eigvalsh 9` the certify report's prestress
-# test.  No run takes a dense solve of the joint Hessian.
+# and `256` the lambda2 solves, `eigvalsh 9` the certify report's prestress
+# test and `eigh 12` certify's Newton steps, one per iteration on the dense
+# joint Hessian.  No run of the dynamics takes a dense solve of the joint Hessian.
 WORK_COUNTS = {
     "stub32 seed 7": {
         "accepted": 1000, "backtracks": 0, "projections_joint": 100, "evaluations": 1140,
@@ -537,9 +544,9 @@ WORK_COUNTS = {
         "contacts_within": 13, "r_vectors": 78, "solve_qp": 5, "qp_iterations": 10,
         "eigvalsh 2": 6, "eigh 4": 5, "eigvalsh 256": 5, "eigvalsh 512": 2},
     "certify N=4 seed 2": {
-        "accepted": 4127, "backtracks": 0, "projections_joint": 410, "evaluations": 4738,
-        "contacts_within": 1031, "r_vectors": 6288, "solve_qp": 414, "qp_iterations": 467,
-        "eigvalsh 2": 411, "eigh 4": 410, "eigvalsh 8": 61, "eigvalsh 9": 1},
+        "accepted": 40, "backtracks": 0, "projections_joint": 4, "evaluations": 170,
+        "contacts_within": 159, "r_vectors": 729, "solve_qp": 8, "qp_iterations": 56,
+        "eigvalsh 2": 103, "eigh 4": 4, "eigvalsh 8": 9, "eigvalsh 9": 1, "eigh 12": 27},
 }
 
 

@@ -495,6 +495,12 @@ def test_spit_step_returns_the_evaluation_at_its_new_state(seed, N, n, speed, dr
         assert np.array_equal(getattr(ev, name), getattr(fresh, name)), name
 
 
+def _first_order_certify(monkeypatch):
+    """Center no certify level by Newton: each level's dynamics start where it
+    began, as they do whenever a center is discarded, and take thousands of steps."""
+    monkeypatch.setattr(harness, "NEWTON_MAX_ITER", 0)
+
+
 @pytest.mark.parametrize("workload", ["stub32", "certify"])
 def test_one_barrier_evaluation_per_accepted_step(workload, monkeypatch):
     # every module that evaluates the barrier during a run, through any binding
@@ -512,6 +518,7 @@ def test_one_barrier_evaluation_per_accepted_step(workload, monkeypatch):
     else:
         config = RunConfig(N=4, seed=2, cert_max_steps=20000, unsafe=True)
         st = make_testbed(config).packing
+        _first_order_certify(monkeypatch)
     for module in (dynamics, projection, harness):
         for name in ("barrier_energy", "barrier_value"):
             if hasattr(module, name):
@@ -551,6 +558,7 @@ def test_dt_follows_the_step_rule_after_each_basis_move(workload, monkeypatch):
         records.append(dynamics.run_trajectory(config))
     else:
         config = RunConfig(N=4, seed=2, cert_max_steps=20000, unsafe=True)
+        _first_order_certify(monkeypatch)
         logged(harness, "run_trajectory", lambda args, out: records.append(out))
         certify(config, make_testbed(config).packing)
     moved = rule = None  # a basis move waits for its L_hat, then for the next step
@@ -689,6 +697,7 @@ def test_certify_builds_no_contact_graph(monkeypatch):
         return build(*args, **kwargs)
 
     monkeypatch.setattr(dynamics, "build_contact_graph", counting)
+    _first_order_certify(monkeypatch)
     config = RunConfig(N=4, seed=2, cert_max_steps=20000, unsafe=True)
     report = certify(config, make_testbed(config).packing)
     assert sum(level["steps"] for level in report["levels"]) >= 200

@@ -7,10 +7,22 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis.strategies import integers, sampled_from
+from util import ref_hessian, rel_err, scan
 
+from spit import harness
+from spit.barrier import BarrierParams, barrier_value
 from spit.cli import main as cli_main
 from spit.errors import FeasibilityError
-from spit.geometry import build_shift_set, cell_volume, min_slack
+from spit.geometry import (
+    LatticeBasis,
+    build_shift_set,
+    cell_volume,
+    min_slack,
+    volume_gradient,
+    volume_hessian,
+)
 from spit.harness import (
     RunConfig,
     config_from_preset,
@@ -19,6 +31,7 @@ from spit.harness import (
     load_config,
     load_state,
     make_testbed,
+    random_feasible_state,
     save_state,
 )
 
@@ -287,12 +300,23 @@ def test_cli_shrink_is_validated(tmp_path, capsys):
     assert rc == 2 and "cert_shrink" in capsys.readouterr().err
 
 
-def test_cli_certify_steps_caps_every_level(tmp_path):
+def test_cli_certify_steps_caps_every_level(tmp_path, monkeypatch):
+    # --steps caps the first-order steps; levels 1-3 start at their Newton
+    # centers, where the gradient test ends them at once, and the last level's
+    # center lies below the delta floor, so its dynamics start where it began
     state_path = tmp_path / "n4.json"
     save_state(state_path, make_testbed(RunConfig(N=4, seed=2, unsafe=True)))
-    assert cli_main(["certify", str(state_path), "--steps", "3", "--out", str(tmp_path)]) == 0
-    report = json.loads((tmp_path / "certification.json").read_text())
-    assert [level["steps"] for level in report["levels"]] == [3, 3, 3, 3]
+    argv = ["certify", str(state_path), "--steps", "3", "--out", str(tmp_path)]
+    assert cli_main(argv) == 0
+    levels = json.loads((tmp_path / "certification.json").read_text())["levels"]
+    assert [level["steps"] for level in levels] == [0, 0, 0, 3]
+    assert [level["newton_stop"] for level in levels] == ["decrement"] * 3 + ["linesearch"]
+    assert all(level["newton_iters"] > 0 for level in levels)
+    monkeypatch.setattr(harness, "NEWTON_MAX_ITER", 0)  # every level's dynamics do the work
+    assert cli_main(argv) == 0
+    levels = json.loads((tmp_path / "certification.json").read_text())["levels"]
+    assert [level["steps"] for level in levels] == [3, 3, 3, 3]
+    assert [level["newton_stop"] for level in levels] == ["max_iter"] * 4
 
 
 @pytest.mark.parametrize("argv", [["testbed", "--steps", "5"], ["testbed", "--shrink", "1"],
@@ -322,3 +346,73 @@ def test_runtime_imports_numpy_and_the_stdlib_only():
             found.update({name.split(".")[0]: path.name for name in names})
     assert "numpy" in found
     assert {name: where for name, where in found.items() if name not in allowed} == {}
+
+
+# -- certify's Newton centering ------------------------------------------------
+
+@settings(max_examples=24, deadline=None, derandomize=True, database=None)
+@given(seed=integers(0, 10_000), N=sampled_from([1, 2, 4]), n=sampled_from([2, 3]))
+def test_newton_hessian_matches_the_reference_and_finite_differences(seed, N, n):
+    # the barrier part is the dense matrix of `hvp_joint` that `ref_hessian`
+    # assembles independently; the |det B| part is the derivative of its gradient
+    st = random_feasible_state(seed, N, n)
+    p = BarrierParams(nu=1e-2, delta=1e-3, R=2.5)
+    contacts = scan(st, p.R)
+    H, ref = harness._joint_hessian(st, contacts, p), ref_hessian(st, contacts, p, joint=True)
+    assert np.abs(H - ref).max() <= 1e-13 * np.abs(ref).max()
+    B, h = st.basis.B, 1e-6
+    fd = [(volume_gradient(LatticeBasis(B + h * E)) - volume_gradient(LatticeBasis(B - h * E)))
+          .ravel() / (2.0 * h) for E in np.eye(n * n).reshape(n * n, n, n)]
+    assert rel_err(volume_hessian(st.basis), fd) <= 1e-7
+
+
+def _newton_iterates(monkeypatch, state, nu, config):
+    """`_newton_center`'s result at nu and every iterate it accepted, each read
+    off the Hessian it takes there (the start state first)."""
+    iterates, hessian = [], harness._joint_hessian
+    monkeypatch.setattr(harness, "_joint_hessian",
+                        lambda s, *args: iterates.append(s) or hessian(s, *args))
+    p = BarrierParams(nu=nu, delta=config.delta, R=config.R)
+    return harness._newton_center(state, p, config.cert_shrink), iterates, p
+
+
+def test_newton_center_keeps_every_slack_and_never_raises_F(monkeypatch):
+    # on every level of the N=4 testbed, the last one's center below the delta
+    # floor included, each accepted iterate keeps every slack >= delta on a
+    # complete scan and F = |det B| + U never rises
+    config = RunConfig(N=4, seed=2, unsafe=True)
+    state = make_testbed(config).packing
+    stops = []
+    for nu in config.nu_schedule:
+        with monkeypatch.context() as patch:
+            (start, iters, stop), iterates, p = _newton_iterates(patch, state, nu, config)
+        assert len(iterates) == iters + 1
+        F = []
+        for it in iterates:
+            shifts = build_shift_set(it.basis, config.R)
+            assert min_slack(it, shifts, config.R) >= config.delta
+            F.append(config.cert_shrink * cell_volume(it.basis) + barrier_value(it, shifts, p))
+        assert all(b <= a for a, b in zip(F, F[1:])), F
+        assert start is (iterates[-1] if stop == "decrement" else state)
+        stops.append(stop)
+        state = start
+    assert stops == ["decrement"] * 3 + ["linesearch"]
+
+
+def test_newton_center_that_stalls_is_discarded(monkeypatch):
+    # on the 3-D N=2 testbed at nu = 0.1 Newton stalls at the cutoff jump of
+    # the barrier: it stops on "linesearch", and the level's dynamics start from
+    # the testbed, not from the stalled iterate
+    config = RunConfig(n=3, N=2, seed=0, jitter=0.05, nu_schedule=(0.1,), cert_max_steps=5,
+                       unsafe=True)
+    state = make_testbed(config).packing
+    (start, iters, stop), iterates, _ = _newton_iterates(monkeypatch, state, 0.1, config)
+    assert stop == "linesearch" and start is state and iters > 0
+    assert cell_volume(iterates[-1].basis) < cell_volume(state.basis)  # it did move
+    initials, run = [], harness.run_trajectory
+    monkeypatch.setattr(harness, "run_trajectory",
+                        lambda cfg, initial: initials.append(initial) or run(cfg, initial=initial))
+    level, = harness.certify(config, state)["levels"]
+    assert (level["newton_iters"], level["newton_stop"]) == (iters, "linesearch")
+    assert initials[0].packing is state
+    assert level["min_row_slack"] >= config.delta
