@@ -98,7 +98,8 @@ def cmd_certify(args) -> int:
     path.write_text(json.dumps(report, sort_keys=True, indent=1, default=float) + "\n")
     print(f"wrote {path}")
     for level in report["levels"]:
-        print(f"  nu={level['nu']:g}: res_x={level['res_x']:.3e} "
+        print(f"  nu={level['nu']:g}: newton {level['newton_iters']} ({level['newton_stop']}), "
+              f"{level['steps']} steps, res_x={level['res_x']:.3e} "
               f"res_B={level['res_B']:.3e} comp={level['comp']:.3e}")
     entry = report["rigidity_shift"]  # no prestress margin when no contact is active
     print(f"  rigidity: rigid={entry['rigid']} nontrivial_dim={entry['nontrivial_dim']} "

@@ -21,8 +21,8 @@ import numpy as np
 
 # estimate_L is unused here, but perfbench's tracer self-test checks that it
 # wraps this import-time binding too
-from .barrier import (BarrierParams, _shift_translations, barrier_energy,  # noqa: F401
-                      estimate_L, hvp_joint)
+from .barrier import (BarrierParams, _shift_translations, _slacks,  # noqa: F401
+                      barrier_energy, contact_blocks, estimate_L)
 from .dynamics import CurvatureAnchors, DynamicsState, _with_step, run_trajectory, step_rule
 from .errors import FeasibilityError, InfeasibleSlackError, SingularBasisError
 from .geometry import (
@@ -30,6 +30,7 @@ from .geometry import (
     PackingState,
     build_shift_set,
     cell_volume,
+    contact_rows,
     contacts_within,
     gauge_project,
     min_slack,
@@ -343,20 +344,23 @@ def certify(config: RunConfig, state: PackingState) -> dict:
     each level starts at its `_newton_center` and runs the config with grad_tol
     = 1e-7 (whatever the config's), joint_period 10 where the config's is 0,
     unsafe = True, volume_weight = cert_shrink and max_steps = cert_max_steps
-    until its own gradient test ends it.  Then reports per level `newton_iters`,
-    `newton_stop`, first-order `steps` and the stationarity/complementarity
-    residuals, then the rigidity verdict and the prestress verdict with its
-    margin, both on the nontrivial motions, under the key `rigidity_shift`.
+    until its own gradient test ends it.  Past a level that recovered a multiplier
+    above nu/delta, the most -phi'(s) = nu/s - nu(s - delta)/delta reaches at any
+    s >= delta, the center lies below the delta floor and Newton would discard it,
+    so the level starts where it began, with stop "floor".  Then reports per level
+    `newton_iters`, `newton_stop`, first-order `steps` and the stationarity and
+    complementarity residuals, then the rigidity verdict and the prestress verdict
+    with its margin, both on the nontrivial motions, under the key `rigidity_shift`.
     """
-    levels = []
-    cur = state
+    levels, cur = [], state
     for nu in config.nu_schedule:
         sub = dataclasses.replace(
             config, nu=nu, volume_weight=config.cert_shrink,
             joint_period=config.joint_period if config.joint_period else 10,
             max_steps=config.cert_max_steps, grad_tol=1e-7, unsafe=True)
         p = BarrierParams(nu=nu, delta=config.delta, R=config.R)
-        start, iters, stop = _newton_center(cur, p, config.cert_shrink)
+        floor = levels and levels[-1]["mu_max_clamped"] > nu / config.delta
+        start, iters, stop = (cur, 0, "floor") if floor else _newton_center(cur, p, config.cert_shrink)
         record = run_trajectory(sub, initial=DynamicsState.at_rest(start))
         cur = record.final_state.packing
         shifts = build_shift_set(cur.basis, config.R)
@@ -385,12 +389,14 @@ def certify(config: RunConfig, state: PackingState) -> dict:
 
 
 def _joint_hessian(state: PackingState, contacts, p: BarrierParams) -> np.ndarray:
-    """The barrier Hessian on `contacts` in (x.ravel(), B.ravel()) from `hvp_joint` columns."""
-    N, n = state.x.shape
-    cols = np.array([np.concatenate([h.ravel() for h in hvp_joint(
-        state, contacts, p, e[:N * n].reshape(N, n), e[N * n:].reshape(n, n))])
-        for e in np.eye(N * n + n * n)])
-    return 0.5 * (cols + cols.T)
+    """The barrier Hessian on `contacts` in (x.ravel(), B.ravel()), sum_c J_c^T K_c J_c:
+    K_c of `contact_blocks`, and row a of J_c, the Jacobian of r_c, the `contact_rows`
+    row of r = e_a and c = z (+I on sphere i, -I on sphere j, -z^T on the basis)."""
+    m, n = len(contacts), state.n
+    J = np.stack([contact_rows(state, contacts, np.broadcast_to(e, (m, n)), contacts.zf)
+                  for e in np.eye(n)], axis=1)
+    KJ = np.einsum("mab,mbd->mad", contact_blocks(*_slacks(state, contacts)[:2], p), J)
+    return np.einsum("mad,mae->de", J, KJ)
 
 
 def _newton_center(state: PackingState, p: BarrierParams, shrink: float):
@@ -398,9 +404,10 @@ def _newton_center(state: PackingState, p: BarrierParams, shrink: float):
     from `state`: stop "decrement" once lambda^2 / 2 <= 1e-15 |F|, lambda the Newton
     decrement (Boyd & Vandenberghe, sec. 9.5), "linesearch" when no Armijo halving
     keeps F low enough, B nondegenerate and every slack >= delta on a fresh scan, or
-    "max_iter"; start is the iterate after "decrement", else `state`.  Hessian
-    eigenvalues become max(|lambda|, 1e-8 max |lambda|), as |det B| is not convex
-    (Nocedal & Wright, ch. 3.4), and the translations are shifted out."""
+    "max_iter"; start is the iterate after "decrement", else `state`.  Eigenvalues of
+    `_joint_hessian` + shrink `volume_hessian` become max(|lambda|, 1e-8 max |lambda|),
+    as |det B| is not convex (Nocedal & Wright, ch. 3.4), and the translations are
+    shifted out.  `certify` skips it where the delta floor rules the center out."""
     N, n = state.x.shape
     shifts = build_shift_set(state.basis, p.R)  # the scans do not consult it
     ev = barrier_energy(state, shifts, p)

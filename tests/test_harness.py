@@ -300,18 +300,21 @@ def test_cli_shrink_is_validated(tmp_path, capsys):
     assert rc == 2 and "cert_shrink" in capsys.readouterr().err
 
 
-def test_cli_certify_steps_caps_every_level(tmp_path, monkeypatch):
+def test_cli_certify_steps_caps_every_level(tmp_path, monkeypatch, capsys):
     # --steps caps the first-order steps; levels 1-3 start at their Newton
     # centers, where the gradient test ends them at once, and the last level's
-    # center lies below the delta floor, so its dynamics start where it began
+    # center lies below the delta floor, so it skips Newton and its dynamics
+    # start where it began; each level's stdout line names both
     state_path = tmp_path / "n4.json"
     save_state(state_path, make_testbed(RunConfig(N=4, seed=2, unsafe=True)))
     argv = ["certify", str(state_path), "--steps", "3", "--out", str(tmp_path)]
     assert cli_main(argv) == 0
     levels = json.loads((tmp_path / "certification.json").read_text())["levels"]
     assert [level["steps"] for level in levels] == [0, 0, 0, 3]
-    assert [level["newton_stop"] for level in levels] == ["decrement"] * 3 + ["linesearch"]
-    assert all(level["newton_iters"] > 0 for level in levels)
+    assert [level["newton_stop"] for level in levels] == ["decrement"] * 3 + ["floor"]
+    assert all(level["newton_iters"] > 0 for level in levels[:3])
+    assert levels[3]["newton_iters"] == 0
+    assert "  nu=0.0001: newton 0 (floor), 3 steps, res_x=" in capsys.readouterr().out
     monkeypatch.setattr(harness, "NEWTON_MAX_ITER", 0)  # every level's dynamics do the work
     assert cli_main(argv) == 0
     levels = json.loads((tmp_path / "certification.json").read_text())["levels"]
@@ -397,6 +400,30 @@ def test_newton_center_keeps_every_slack_and_never_raises_F(monkeypatch):
         stops.append(stop)
         state = start
     assert stops == ["decrement"] * 3 + ["linesearch"]
+
+
+@pytest.mark.parametrize("seed", [2, 13])
+def test_floor_skips_only_centers_newton_would_discard(monkeypatch, seed):
+    # a level that certify marks "floor" starts its dynamics at the state the
+    # previous level ended at, and Newton from there would not have kept its
+    # iterate: the rule only saves work that a "linesearch" or "max_iter" stop
+    # would have thrown away
+    config = RunConfig(N=4, seed=seed, unsafe=True)
+    runs, run = [], harness.run_trajectory
+
+    def recording(cfg, initial):
+        runs.append((initial, run(cfg, initial=initial)))
+        return runs[-1][1]
+
+    monkeypatch.setattr(harness, "run_trajectory", recording)
+    levels = harness.certify(config, make_testbed(config).packing)["levels"]
+    floors = [k for k, level in enumerate(levels) if level["newton_stop"] == "floor"]
+    assert floors == [3]
+    for k in floors:
+        start = runs[k - 1][1].final_state.packing
+        assert runs[k][0].packing is start and levels[k]["newton_iters"] == 0
+        p = BarrierParams(nu=levels[k]["nu"], delta=config.delta, R=config.R)
+        assert harness._newton_center(start, p, config.cert_shrink)[2] != "decrement"
 
 
 def test_newton_center_that_stalls_is_discarded(monkeypatch):
