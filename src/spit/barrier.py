@@ -111,12 +111,7 @@ def barrier_energy(state: PackingState, shifts: ShiftIndexSet, p: BarrierParams,
     """Sum phi over included contacts and assemble the gradients by chain rule.
     Only phi and phi' are evaluated; each sum runs over the contacts in order."""
     contacts = members if members is not None else contacts_within(state, shifts, p.R)
-    return barrier_from_separations(state, contacts, *_slacks(state, contacts), p)
-
-
-def barrier_from_separations(state: PackingState, contacts: Contacts, r: np.ndarray,
-                             s: np.ndarray, least: float, p: BarrierParams) -> BarrierEval:
-    """`barrier_energy` on `contacts`, bit for bit, from their r, s and least slack > 0."""
+    r, s, least = _slacks(state, contacts)
     d1 = _phi1(s, p)
     gx = slack_gradient(state, contacts, r, d1)
     return BarrierEval(value=float(_phi0(s, p).sum()), grad_x=gx, contacts=contacts, r=r,

@@ -19,9 +19,5 @@ class FeasibilityError(SpitError, RuntimeError):
     """A safeguard could not restore the strict-feasibility margin."""
 
 
-class LinearizedInfeasibleError(FeasibilityError):
-    """The linearized feasibility QP has no solution (or the solver stalled)."""
-
-
 class RunAbort(SpitError, RuntimeError):
     """The trajectory loop hit an unrecoverable condition (e.g. vanishing step)."""

@@ -85,6 +85,11 @@ class RunConfig:
     cert_shrink: float = 1.0
 
     def validate(self) -> "RunConfig":
+        # no range is meaningful at inf or nan, so unsafe waives neither this nor the schedule
+        bad = [key for key, v in dataclasses.asdict(self).items()
+               if not isinstance(v, str) and not np.isfinite(np.asarray(v, dtype=float)).all()]
+        if bad:
+            raise ValueError(f"config values must be finite: {', '.join(bad)}")
         if not (self.nu_schedule and all(nu > 0.0 for nu in self.nu_schedule)):
             raise ValueError("nu_schedule must list positive barrier strengths")
         if self.unsafe:
@@ -321,13 +326,13 @@ def _json_safe(obj):
     return obj
 
 
-def execute_run(config: RunConfig, out_dir=None, initial: DynamicsState | None = None):
+def execute_run(config: RunConfig, out_dir=None):
     """run_trajectory plus CSV/JSON emission; returns (record, summary).
 
     The summary is the config plus the final metrics and event counts, in
     which counts['accepted'] equals steps_total.
     """
-    record = run_trajectory(config, initial=initial)
+    record = run_trajectory(config)
     summary = _json_safe({"config": dataclasses.asdict(config), **record.summary()})
     if out_dir is not None:
         out = Path(out_dir)
@@ -343,8 +348,8 @@ def certify(config: RunConfig, state: PackingState) -> dict:
     Re-minimizes volume-plus-barrier at each barrier strength in the schedule:
     each level starts at its `_newton_center` and runs the config with grad_tol
     = 1e-7 (whatever the config's), joint_period 10 where the config's is 0,
-    unsafe = True, volume_weight = cert_shrink and max_steps = cert_max_steps
-    until its own gradient test ends it.  Past a level that recovered a multiplier
+    volume_weight = cert_shrink and max_steps = cert_max_steps until its own
+    gradient test ends it.  Past a level that recovered a multiplier
     above nu/delta, the most -phi'(s) = nu/s - nu(s - delta)/delta reaches at any
     s >= delta, the center lies below the delta floor and Newton would discard it,
     so the level starts where it began, with stop "floor".  Then reports per level
@@ -357,7 +362,7 @@ def certify(config: RunConfig, state: PackingState) -> dict:
         sub = dataclasses.replace(
             config, nu=nu, volume_weight=config.cert_shrink,
             joint_period=config.joint_period if config.joint_period else 10,
-            max_steps=config.cert_max_steps, grad_tol=1e-7, unsafe=True)
+            max_steps=config.cert_max_steps, grad_tol=1e-7)
         p = BarrierParams(nu=nu, delta=config.delta, R=config.R)
         floor = levels and levels[-1]["mu_max_clamped"] > nu / config.delta
         start, iters, stop = (cur, 0, "floor") if floor else _newton_center(cur, p, config.cert_shrink)
@@ -457,8 +462,8 @@ def spectra_report(state: PackingState, R: float, eps: float) -> dict:
     sandwich for at most 20 spheres."""
     from .spectral import build_contact_graph, cheeger_check, fiedler
 
-    if not eps >= 0.0:  # as RunConfig refuses a negative eps_active or eps_near
-        raise ValueError("graph scales must be nonnegative")
+    if not 0.0 <= eps < np.inf:  # as RunConfig refuses such an eps_active or eps_near
+        raise ValueError("graph scales must be finite and nonnegative")
     shifts = build_shift_set(state.basis, R)
     graph = build_contact_graph(state, contacts_within(state, shifts, 2.0 + eps))
     lam2, vec = fiedler(graph)

@@ -27,13 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .barrier import BarrierEval, BarrierParams, barrier_energy, barrier_from_separations
-from .errors import (
-    FeasibilityError,
-    InfeasibleSlackError,
-    LinearizedInfeasibleError,
-    SingularBasisError,
-)
+from .barrier import BarrierEval, BarrierParams, barrier_energy
+from .errors import FeasibilityError, InfeasibleSlackError, SingularBasisError
 from .geometry import (
     Contacts,
     LatticeBasis,
@@ -150,13 +145,13 @@ def solve_qp(qp: QuadraticProgram) -> QPSolution:
             k = int(viol.argmax())
             if viol[k] > feas_tol:
                 if k in working:
-                    raise LinearizedInfeasibleError("linearized infeasible")
+                    raise FeasibilityError("linearized infeasible")
                 working.append(k)
                 continue
         multipliers = np.zeros(m)
         multipliers[working] = mu_w  # the working set holds each row once
         return QPSolution(u=u, multipliers=multipliers, active=sorted(working), iterations=it)
-    raise LinearizedInfeasibleError("linearized infeasible")
+    raise FeasibilityError("linearized infeasible")
 
 
 def _constraint_rows(state: PackingState, near: Contacts, p: BarrierParams,
@@ -229,14 +224,13 @@ def _e_project(ds, ev: BarrierEval, p: BarrierParams, shifts: ShiftIndexSet, wx:
     g_B <- S g_B, so the QP stays diagonal with basis weight 1 and its
     multipliers keep their meaning.  A candidate below the slack margin gets a
     Gauss-Seidel sweep and a new round (at most 6, and a FeasibilityError if
-    the sweep leaves a member slack <= 0); one that raises the energy doubles
-    the curvature weights (at most 30 times; W doubles with the basis weight)
-    unless the volume term is on or the move is pinned.  Every state visited is
+    the sweep leaves a member slack <= 0); one that raises the energy backs off,
+    scaling both curvature weights by 2^backoffs (at most 30 backoffs), unless
+    the volume term is on or the move is pinned.  Every state visited is
     scanned for contacts once; a backoff keeps the anchor, so it keeps the
     constraint rows and the gradient too.
     """
     joint = S is not None
-    wB = 1.0  # the basis weight in whitened coordinates
     state: PackingState = ds.packing
     N, n = state.x.shape
     floor = p.delta * (1.0 - _SLACK_GUARD)
@@ -248,9 +242,8 @@ def _e_project(ds, ev: BarrierEval, p: BarrierParams, shifts: ShiftIndexSet, wx:
     e_before = lyapunov(ds, ev.value)
     backoffs = rounds = 0
     cur, A, prev_u = state, None, None
-    info = {"E_before": e_before, "kind": "qp_joint" if joint else "qp_x"}
-    if joint:
-        info["volume_weight"] = volume_weight
+    info = {"E_before": e_before, "kind": "qp_joint" if joint else "qp_x",
+            "volume_weight": volume_weight}
     while True:
         if A is None:  # a new anchor
             A, b = _constraint_rows(cur, near, p, joint)
@@ -264,7 +257,9 @@ def _e_project(ds, ev: BarrierEval, p: BarrierParams, shifts: ShiftIndexSet, wx:
                                    if volume_weight else 0.0)
                 A[:, N * n:] = A[:, N * n:] @ S
                 linear = np.concatenate([linear, S @ gB.ravel()])
-        diag = np.concatenate([np.full(N * n, wx + ds.gamma), np.full(n * n * joint, wB)])
+        scale = 2.0**backoffs  # exact, as doubling is; the whitened basis weight is 1
+        diag = np.concatenate([np.full(N * n, wx * scale + ds.gamma),
+                               np.full(n * n * joint, scale)])
         sol = solve_qp(QuadraticProgram(diag=diag, linear=linear, A=A, b=b))
         x = gauge_project(cur.x + sol.u[: N * n].reshape(N, n))
         uB = (S @ sol.u[N * n:]).reshape(n, n) if joint else None
@@ -280,7 +275,7 @@ def _e_project(ds, ev: BarrierEval, p: BarrierParams, shifts: ShiftIndexSet, wx:
                     continue
             cand = PackingState.make(x, basis)
             near_cand = contacts_within(cand, shifts, p.R)
-            r, s = separations(cand, near_cand)
+            s = slack_values(cand, near_cand)
             least = float(s.min(initial=np.inf))
             if least >= floor or basis is cur.basis or \
                     s.min(initial=np.inf, where=near_cand.i == near_cand.j) >= floor:
@@ -295,18 +290,13 @@ def _e_project(ds, ev: BarrierEval, p: BarrierParams, shifts: ShiftIndexSet, wx:
             A = prev_u = None
             continue
         out = dataclasses.replace(ds, packing=cand)
-        ev_out = (barrier_from_separations(cand, ev.contacts, r, s, least, p)
-                  if near_cand.key == ev.contacts.key  # r and s of the member list
-                  else barrier_energy(cand, shifts, p, members=ev.contacts))
+        ev_out = barrier_energy(cand, shifts, p, members=ev.contacts)
         e_after = lyapunov(out, ev_out.value)
         pinned = prev_u is not None and np.allclose(sol.u, prev_u, atol=1e-14, rtol=0.0)
         if volume_weight == 0.0 and e_after > e_before + 1e-12 and backoffs < 30 and not pinned:
             # the curvature weight under-majorized; a larger weight shrinks the
             # move (a pinned solution means the move is a mandatory repair)
             backoffs += 1
-            wx *= 2.0
-            if joint:
-                wB *= 2.0
             prev_u = sol.u
             continue
         info.update(E_after=e_after, backoffs=backoffs, guard_rounds=rounds,

@@ -511,7 +511,7 @@ def _work_counts(monkeypatch, run) -> collections.Counter:
                        for key in ("accepted", "backtracks", "projections_joint")})
 
     wrap(dynamics.run_trajectory, record)
-    wrap(barrier.barrier_from_separations, lambda args, out: counts.update(["evaluations"]))
+    wrap(barrier.barrier_energy, lambda args, out: counts.update(["evaluations"]))
     wrap(geometry.contacts_within, lambda args, out: counts.update(["contacts_within"]))
     wrap(geometry.r_vectors, lambda args, out: counts.update(["r_vectors"]))
     wrap(projection.solve_qp,
@@ -537,15 +537,15 @@ def _work_counts(monkeypatch, run) -> collections.Counter:
 WORK_COUNTS = {
     "stub32 seed 7": {
         "accepted": 1000, "backtracks": 0, "projections_joint": 100, "evaluations": 1140,
-        "contacts_within": 241, "r_vectors": 1552, "solve_qp": 100, "qp_iterations": 108,
+        "contacts_within": 241, "r_vectors": 1652, "solve_qp": 100, "qp_iterations": 108,
         "eigvalsh 2": 101, "eigh 4": 100, "eigvalsh 32": 3, "eigvalsh 64": 70},
     "hex256 seed 13": {
         "accepted": 50, "backtracks": 0, "projections_joint": 5, "evaluations": 57,
-        "contacts_within": 13, "r_vectors": 78, "solve_qp": 5, "qp_iterations": 10,
+        "contacts_within": 13, "r_vectors": 83, "solve_qp": 5, "qp_iterations": 10,
         "eigvalsh 2": 6, "eigh 4": 5, "eigvalsh 256": 5, "eigvalsh 512": 2},
     "certify N=4 seed 2": {
         "accepted": 40, "backtracks": 0, "projections_joint": 4, "evaluations": 102,
-        "contacts_within": 78, "r_vectors": 262, "solve_qp": 8, "qp_iterations": 56,
+        "contacts_within": 78, "r_vectors": 270, "solve_qp": 8, "qp_iterations": 56,
         "eigvalsh 2": 23, "eigh 4": 4, "eigvalsh 8": 9, "eigvalsh 9": 1, "eigh 12": 19},
 }
 

@@ -373,3 +373,14 @@ def test_only_the_listed_public_helpers_go_uncalled_in_the_package():
                 named.add(node.name)
     assert {qual for qual, name in defined.items()
             if not name.startswith("_") and name not in named} == UNCALLED_IN_PACKAGE
+
+
+def test_only_barrier_energy_builds_a_barrier_eval():
+    builders = set()
+    for path in sorted(Path(spit.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            builders |= {f"{path.stem}.{getattr(top, 'name', '<module>')}"
+                         for node in ast.walk(top) if isinstance(node, ast.Call)
+                         and "BarrierEval" in (getattr(node.func, "id", None),
+                                               getattr(node.func, "attr", None))}
+    assert builders == {"barrier.barrier_energy"}

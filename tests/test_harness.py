@@ -243,10 +243,28 @@ def test_cli_spectra_two_sphere(tmp_path, capsys):
 def test_cli_spectra_rejects_negative_graph_scale(tmp_path, capsys):
     from util import pair_state
     save_state(tmp_path / "pair.json", pair_state(2.0))
-    for eps in ("-3", "-1", "-1e-9"):  # -1 and -1e-9 once gave lambda2 = 0 for an empty graph
+    # -1 and -1e-9 once gave lambda2 = 0 for an empty graph, inf an OverflowError
+    for eps in ("-3", "-1", "-1e-9", "inf", "nan"):
         rc = cli_main(["spectra", str(tmp_path / "pair.json"), f"--eps={eps}"])
         assert rc == 2, eps
-        assert capsys.readouterr().err == "error: graph scales must be nonnegative\n", eps
+        assert capsys.readouterr().err == "error: graph scales must be finite and nonnegative\n", eps
+
+
+@pytest.mark.parametrize("unsafe", [False, True])
+@pytest.mark.parametrize("command, line", [
+    ("run", "R = inf"), ("certify", "R = inf"), ("run", "jitter = inf"), ("run", "nu = inf"),
+    ("run", "inflate = inf"), ("run", "eps_active = inf"), ("run", "volume_weight = inf"),
+    ("run", "nu_schedule = inf,1e-2"), ("certify", "delta = nan")])
+def test_cli_refuses_non_finite_config_values(tmp_path, capsys, command, line, unsafe):
+    # no range is meaningful at inf or nan; each once crashed a run or was accepted
+    (tmp_path / "c.cfg").write_text(line + "\n")
+    state = tmp_path / "n4.json"
+    save_state(state, make_testbed(RunConfig(N=4, seed=2)))
+    argv = [command, *([str(state)] if command == "certify" else []), "--config",
+            str(tmp_path / "c.cfg"), "--steps", "3", "--out", str(tmp_path)]
+    assert cli_main(argv + ["--unsafe"] * unsafe) == 2
+    key = line.split("=")[0].strip()
+    assert capsys.readouterr().err == f"error: config values must be finite: {key}\n"
 
 
 def test_cli_missing_state_file(tmp_path, capsys):
