@@ -261,6 +261,7 @@ def contacts_within(state: PackingState, shifts: ShiftIndexSet, radius: float) -
 
 
 _MAX_CELLS = 1024  # per axis
+_MAX_STENCIL_ROWS = 2**22  # spheres x stencil offsets of one scan; N = 1024 at R = 2.5 needs 9,216
 
 
 def _cell_grid(basis: LatticeBasis, radius: float):
@@ -289,6 +290,8 @@ def _cell_candidates(state: PackingState, radius: float) -> Contacts:
     + w).  Sorted by (i, j, w) these are sorted by (i, j, z).
     """
     inv_T, m, key = _cell_grid(state.basis, radius)
+    if state.N * math.prod(2 * s + 1 for s in key[1]) > _MAX_STENCIL_ROWS:
+        raise ValueError(f"radius {radius:g} needs over {_MAX_STENCIL_ROWS} sphere-offset rows")
     f = state.x @ inv_T
     k = np.floor(f)
     if max(key[0]) == 1:  # one cell holds every sphere

@@ -13,10 +13,10 @@ The trajectory loop escalates 1 to 2 for every Verlet step and nudge trial
 (slack below delta, then below delta (1 - 1e-6) or energy rose) and runs 3 on
 its cadence.  2 and 3 take the barrier evaluation at their input, evaluate on
 its contacts, and hand back the evaluation at their result.  They share one
-loop, `_e_project`, and one constraint-row builder, `geometry.contact_rows`;
-they differ only in the basis block.  The QP behind them is a small dense
-active-set solve with deterministic tie-breaking, sized for desk-scale
-problems (N <= 256).
+loop, `_e_project`, and one constraint operator, `ContactRows`; they differ
+only in the basis block.  The QP behind them is a primal active-set solve with
+deterministic tie-breaking: it reads the constraints as a per-contact gather
+and builds dense rows for its working set only.
 """
 
 from __future__ import annotations
@@ -34,11 +34,11 @@ from .geometry import (
     LatticeBasis,
     PackingState,
     ShiftIndexSet,
-    contact_rows,
     contacts_within,
     gauge_project,
     lattice_shifts,
     min_slack_of,
+    scatter_add,
     separations,
     slack_values,
     volume_gradient,
@@ -88,13 +88,39 @@ def gs_project_once(state: PackingState, near: Contacts, delta: float) -> tuple[
     return (state.with_x(gauge_project(x)), True) if changed else (state, False)
 
 
+class ContactRows:
+    """The rows of `_constraint_rows` as an operator over their contacts, never an m x D
+    array: row c keeps +2 r at sphere i's columns, -2 r at sphere j's (0 if i = j) and C,
+    the whitened basis columns (-2 r z^T) S, if any.  `A @ u` gathers u at those columns;
+    `A[rows]` scatters each row, once, into twice its `contact_rows` row, bit for bit."""
+
+    def __init__(self, N: int, cons: Contacts, r: np.ndarray, C: np.ndarray | None):
+        (m, n), nB = r.shape, 0 if C is None else C.shape[1]
+        self.shape = (m, N * n + nB)
+        self.at = np.empty((m, 2 * n + nB), dtype=np.int64)
+        self.at[:, :2 * n] = cons.ends.reshape(2, m, n).transpose(1, 0, 2).reshape(m, 2 * n)
+        self.at[:, 2 * n:] = np.arange(N * n, N * n + nB)
+        r2 = np.where((cons.i == cons.j)[:, None], 0.0, 2.0 * r)  # a self row's columns cancel
+        self.values = np.concatenate([r2, -r2] + ([] if C is None else [C]), axis=1)
+        self._rows: dict[int, np.ndarray] = {}
+
+    def __matmul__(self, u: np.ndarray) -> np.ndarray:
+        return (self.values * u.take(self.at)).sum(1)
+
+    def __getitem__(self, rows: list[int]) -> np.ndarray:
+        for k in rows:
+            if k not in self._rows:
+                self._rows[k] = scatter_add(self.at[k], self.values[k], self.shape[1])
+        return np.array([self._rows[k] for k in rows]).reshape(len(rows), self.shape[1])
+
+
 @dataclass
 class QuadraticProgram:
-    """min 0.5 u^T diag(q) u + c^T u  subject to  A u >= b, with q > 0."""
+    """min 0.5 u^T diag(q) u + c^T u  s.t.  A u >= b, q > 0; A an array or `ContactRows`."""
 
     diag: np.ndarray
     linear: np.ndarray
-    A: np.ndarray
+    A: np.ndarray | ContactRows
     b: np.ndarray
 
     def __post_init__(self):
@@ -111,11 +137,12 @@ class QPSolution:
 
 
 def solve_qp(qp: QuadraticProgram) -> QPSolution:
-    """Dense primal active-set solve of a strictly convex diagonal QP.
+    """Primal active-set solve of a strictly convex diagonal QP.
 
-    Deterministic: the most violated constraint enters the working set first,
-    with ties broken by the lowest constraint index; blocking multipliers are
-    dropped most-negative-first under the same tie rule.
+    A is read only as `A @ u` and as the dense rows `A[working]`.  Deterministic:
+    the most violated constraint enters the working set first, with ties broken
+    by the lowest constraint index; blocking multipliers are dropped
+    most-negative-first under the same tie rule.
     """
     qinv = 1.0 / qp.diag
     c = qp.linear
@@ -155,21 +182,21 @@ def solve_qp(qp: QuadraticProgram) -> QPSolution:
 
 
 def _constraint_rows(state: PackingState, near: Contacts, p: BarrierParams,
-                     joint: bool) -> tuple[np.ndarray, np.ndarray]:
+                     S: np.ndarray | None) -> tuple[ContactRows, np.ndarray]:
     """Linearized slack constraints A u >= b of the contacts in `near` whose
-    slack is within _HORIZON of delta (pairs only, unless joint).
+    slack is within _HORIZON of delta (pairs only when S is None).
 
-    Rows are the slack gradients, twice `contact_rows` with c = z, over the
-    flattened position move (and basis move for joint projections).
+    Rows are the slack gradients over the flattened position move and, unless
+    S is None, the basis move whitened by S: A_B = (-2 r z^T) S.
     """
     r, s = separations(state, near)
     keep = s <= p.delta + _HORIZON
-    if not joint:
+    if S is None:
         keep &= near.i != near.j
-    cons = near.take(keep)
-    A = contact_rows(state, cons, r[keep], cons.zf if joint else None)
-    A *= 2.0  # in place: the rows are a view of their buffer, so 2.0 * A would copy
-    return A, p.delta - s[keep]
+    cons, r = near.take(keep), r[keep]
+    C = None if S is None else \
+        (-2.0 * np.einsum("ma,mb->mab", r, cons.zf)).reshape(-1, S.shape[0]) @ S
+    return ContactRows(state.N, cons, r, C), p.delta - s[keep]
 
 
 def lyapunov(ds, U: float) -> float:
@@ -246,7 +273,7 @@ def _e_project(ds, ev: BarrierEval, p: BarrierParams, shifts: ShiftIndexSet, wx:
             "volume_weight": volume_weight}
     while True:
         if A is None:  # a new anchor
-            A, b = _constraint_rows(cur, near, p, joint)
+            A, b = _constraint_rows(cur, near, p, S)
             try:
                 evc = ev if cur is state else barrier_energy(cur, shifts, p, members=ev.contacts)
             except InfeasibleSlackError as exc:  # a guard round's sweep left a member slack <= 0
@@ -255,7 +282,6 @@ def _e_project(ds, ev: BarrierEval, p: BarrierParams, shifts: ShiftIndexSet, wx:
             if joint:
                 gB = evc.grad_B + (volume_weight * volume_gradient(cur.basis)
                                    if volume_weight else 0.0)
-                A[:, N * n:] = A[:, N * n:] @ S
                 linear = np.concatenate([linear, S @ gB.ravel()])
         scale = 2.0**backoffs  # exact, as doubling is; the whitened basis weight is 1
         diag = np.concatenate([np.full(N * n, wx * scale + ds.gamma),

@@ -919,7 +919,7 @@ def test_weyl_updates_and_constraint_rows_reuse_separations(monkeypatch):
         anchors.bounds(moved, ev_moved)  # past THETA = 0, so the probe decides
     assert (anchors.solves, anchors.updates, anchors.admitted) == (1, 1, 1)
     assert calls == []
-    projection._constraint_rows(moved, ev.contacts, P, joint=True)
+    projection._constraint_rows(moved, ev.contacts, P, np.eye(moved.n**2))
     assert calls == [len(ev.contacts)]
 
 

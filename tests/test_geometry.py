@@ -289,6 +289,23 @@ def test_contacts_within_rejects_negative_radius():
         contacts_within(st, build_shift_set(st.basis, 2.5), -1.0)
 
 
+def test_contacts_within_refuses_a_stencil_too_large_to_build(monkeypatch):
+    from spit import geometry
+    from spit.harness import config_from_preset, make_testbed
+    st = make_testbed(config_from_preset("stub32")).packing
+    unread = ShiftIndexSet(np.zeros((0, 2), dtype=np.int64))  # the cell list does not read it
+
+    def refused(*args):
+        raise AssertionError("the stencil was built")
+
+    monkeypatch.setattr(geometry, "_stencil_pairs", refused)
+    # R = 1e4 passes RunConfig.validate, and asks for 4,014,361 offsets x 32 spheres
+    with pytest.raises(ValueError, match="sphere-offset rows"):
+        contacts_within(st, unread, 1e4)
+    monkeypatch.undo()
+    assert len(contacts_within(st, unread, 2.5)) > 0
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_volume_hessian_bound_covers_the_hessian(n):
     """det B is a polynomial of degree n <= 3 in B, so central differences of

@@ -1,5 +1,6 @@
-"""Gauss-Seidel repair, the dense active-set QP, and energy projections."""
+"""Gauss-Seidel repair, the active-set QP and its constraint rows, and energy projections."""
 
+import dataclasses
 import logging
 
 import numpy as np
@@ -8,7 +9,15 @@ from hypothesis import given, settings
 from hypothesis.strategies import floats as st_floats
 from hypothesis.strategies import integers as st_integers
 from hypothesis.strategies import sampled_from
-from util import big_cell, energy_of, make_ds, pair_state, scan, square_single_sphere
+from util import (
+    big_cell,
+    energy_of,
+    make_ds,
+    pair_state,
+    ref_constraint_rows,
+    scan,
+    square_single_sphere,
+)
 
 from spit import projection
 from spit.barrier import (
@@ -136,21 +145,63 @@ def test_solve_qp_reorder_invariance():
 
 
 def test_constraint_rows_shapes():
-    from spit.projection import _constraint_rows
     st = pair_state(2.1)
     shifts = build_shift_set(st.basis, P.R)
     near = contacts_within(st, shifts, P.R)
-    A, b = _constraint_rows(st, near, P, joint=True)
-    assert A.shape == (1, 4 + 4)  # one pair; position block, then the 2 x 2 basis block
+    rows, b = _constraint_rows(st, near, P, np.eye(4))
+    A, b_ref = ref_constraint_rows(st, near, P, joint=True)
+    # one pair; position block, then the 2 x 2 basis block
+    assert rows.shape == A.shape == (1, 4 + 4)
+    assert np.array_equal(rows[[0]], A) and np.array_equal(b, b_ref)
     assert b[0] == pytest.approx(P.delta - (2.1**2 - 4.0))
-    A_x, b_x = _constraint_rows(st, near, P, joint=False)
+    A_x, b_x = ref_constraint_rows(st, near, P, joint=False)
     assert np.array_equal(A_x, A[:, :4]) and np.array_equal(b_x, b)
     # contacts more than the horizon (1.0) above delta are not linearized
     far = pair_state(2.4)  # slack 1.76, still within R
     near_far = contacts_within(far, shifts, P.R)
     assert len(near_far) == 1
-    A_far, _ = _constraint_rows(far, near_far, P, joint=True)
-    assert A_far.shape == (0, 8)
+    A_far, _ = ref_constraint_rows(far, near_far, P, joint=True)
+    assert A_far.shape == _constraint_rows(far, near_far, P, np.eye(4))[0].shape == (0, 8)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(seed=st_integers(0, 10_000), N=st_integers(2, 6), n=sampled_from([2, 3]),
+       joint=sampled_from([False, True]), squeeze=st_floats(0.94, 1.0))
+def test_constraint_operator_matches_the_dense_rows(seed, N, n, joint, squeeze):
+    # the QP reads the operator's rows and products; the dense builder is the oracle
+    st = random_feasible_state(seed=seed, N=N, n=n)
+    st = st.with_x(squeeze * st.x)  # may push pairs below the margin
+    near = contacts_within(st, build_shift_set(st.basis, P.R), P.R)
+    rng = np.random.default_rng(seed)
+    M = rng.standard_normal((n * n, n * n))
+    S = M @ M.T / (n * n) + np.eye(n * n) if joint else None  # a random SPD whitening
+    A, b = _constraint_rows(st, near, P, S)
+    A_ref, b_ref = ref_constraint_rows(st, near, P, joint, S)
+    assert A.shape == A_ref.shape and np.array_equal(b, b_ref)
+    m, D = A.shape
+    for size in (1, m // 2, m, m):  # fresh rows, then rows built by an earlier call
+        rows = rng.permutation(m)[:size].tolist()
+        assert A[rows].tobytes() == A_ref[rows].tobytes()  # bit for bit, signed zeros too
+    u = rng.standard_normal(D)
+    Au = A @ u
+    assert (np.abs(Au - A_ref @ u) <= 1e-13 * (np.abs(A_ref) @ np.abs(u) + 1.0)).all()
+    # equal rows (the self images of different spheres) tie exactly, as dense rows do
+    same = (A_ref[:, None] == A_ref[None]).all(axis=2)
+    assert (Au[:, None] == Au[None])[same].all()
+    # a gradient along the rows pushes the move into the constraints
+    linear = A_ref.T @ rng.uniform(0.0, 1.0, m) + 0.1 * rng.standard_normal(D)
+    qp = dict(diag=rng.uniform(0.5, 2.0, D), linear=linear, b=b)
+    solved = []
+    for rows in (A_ref, A):
+        try:
+            solved.append(dataclasses.astuple(solve_qp(QuadraticProgram(A=rows, **qp))))
+        except FeasibilityError:
+            solved.append(None)
+    assert m == 0 or solved[0] is None or solved[0][3] > 1  # it solves on a nonempty working set
+    assert (solved[0] is None) == (solved[1] is None)
+    if solved[0] is not None:
+        assert all(np.asarray(got).tobytes() == np.asarray(want).tobytes()
+                   for got, want in zip(*solved))
 
 
 def test_e_project_x_identity_on_stationary_feasible():
@@ -250,7 +301,7 @@ def test_scalar_basis_weight_reproduces_the_scalar_move(seed, share, volume_weig
                                    W_B=(np.full(4, share * L), np.eye(4)),
                                    volume_weight=volume_weight)
     assert (info["backoffs"], info["guard_rounds"]) == (backoffs, 0)
-    A, b = _constraint_rows(st, contacts_within(st, shifts, P.R), P, joint=True)
+    A, b = ref_constraint_rows(st, contacts_within(st, shifts, P.R), P, joint=True)
     w = share * L + volume_weight * volume_hessian_bound(st.basis)
     gB = ev.grad_B + volume_weight * volume_gradient(st.basis)
     u = solve_qp(QuadraticProgram(
@@ -453,3 +504,27 @@ def test_e_project_x_returns_the_evaluation_at_its_result(seed, N, n, memory, sq
     for name in ("grad_x", "grad_B", "slack"):
         assert np.array_equal(getattr(ev_out, name), getattr(fresh, name)), name
     assert info["E_after"] == lyapunov(out, fresh.value)
+
+
+def test_joint_projection_allocates_no_dense_constraint_matrix(monkeypatch):
+    """One joint projection of the hex256 seed-13 run peaks below 1 MB (tracemalloc);
+    a dense m x D constraint matrix alone is 768 x 516 floats, 3.2 MB, there."""
+    import tracemalloc
+
+    from spit import dynamics
+    from spit.harness import config_from_preset
+
+    peaks = []
+
+    def traced(*args, **kwargs):
+        tracemalloc.start()
+        try:
+            return e_project_joint(*args, **kwargs)
+        finally:
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+
+    monkeypatch.setattr(dynamics, "e_project_joint", traced)
+    config = config_from_preset("stub32", N=256, seed=13)
+    dynamics.run_trajectory(dataclasses.replace(config, max_steps=config.joint_period))
+    assert len(peaks) == 1 and peaks[0] < 2**20, peaks

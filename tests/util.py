@@ -6,7 +6,15 @@ import numpy as np
 
 from spit.barrier import BarrierParams, barrier_value
 from spit.dynamics import DynamicsState
-from spit.geometry import LatticeBasis, PackingState, build_shift_set, contacts_within
+from spit.geometry import (
+    LatticeBasis,
+    PackingState,
+    build_shift_set,
+    contact_rows,
+    contacts_within,
+    separations,
+)
+from spit.projection import _HORIZON
 
 
 def scan(state: PackingState, radius: float = 2.5):
@@ -283,6 +291,22 @@ def ref_contact_rows(state: PackingState, contacts, r: np.ndarray, c=None) -> np
     if c is not None:
         A[:, N * n:] = -np.einsum("ma,mb->mab", r, c).reshape(m, n * n)
     return A
+
+
+def ref_constraint_rows(state: PackingState, near, p: BarrierParams, joint: bool, S=None):
+    """The dense (A, b) of `projection._constraint_rows` as one m x D array: twice
+    `contact_rows` with c = z (pairs only unless joint), the basis block times S if given."""
+    r, s = separations(state, near)
+    keep = s <= p.delta + _HORIZON
+    if not joint:
+        keep &= near.i != near.j
+    cons = near.take(keep)
+    A = contact_rows(state, cons, r[keep], cons.zf if joint else None)
+    A *= 2.0
+    if S is not None:
+        N, n = state.x.shape
+        A[:, N * n:] = A[:, N * n:] @ S
+    return A, p.delta - s[keep]
 
 
 def ref_gauge_spectrum(H: np.ndarray, N: int, n: int):
